@@ -16,9 +16,10 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ValidationError
+from .schema import validate_backend_doc
 
 log = logging.getLogger(__name__)
 
@@ -159,22 +160,18 @@ def build_backend(spec: Mapping) -> ChipletBackend:
                         "eps": f | {"base": f, "scale_range": [lo, hi], "seed": s}},
          "allow_non_pow2": false}
 
-    Chiplet counts must be a power of two unless ``allow_non_pow2`` is set.
+    The document is checked against ``BACKEND_SCHEMA`` first; the build
+    then applies the semantic rules: positive sizes, sites inside the
+    device, links on facing edges of adjacent chiplets, and a chiplet
+    count that is a power of two unless ``allow_non_pow2`` is set.
     Links touching a defective qubit are dropped with a warning.
     """
-    if not isinstance(spec, Mapping):
-        raise ValidationError("backend document must be an object")
-    grid = spec.get("grid")
-    chiplet = spec.get("chiplet")
-    for name, val in (("grid", grid), ("chiplet", chiplet)):
-        if (
-            not isinstance(val, Sequence)
-            or len(val) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in val)
-        ):
+    validate_backend_doc(spec)
+    rows, cols = (int(v) for v in spec["grid"])
+    chip_w, chip_h = (int(v) for v in spec["chiplet"])
+    for name, pair in (("grid", (rows, cols)), ("chiplet", (chip_w, chip_h))):
+        if min(pair) < 1:
             raise ValidationError(f"{name} must be a pair of positive integers")
-    rows, cols = grid
-    chip_w, chip_h = chiplet
     if not _is_power_of_two(rows * cols) and not spec.get("allow_non_pow2", False):
         raise ValidationError(
             f"chiplet count {rows * cols} is not a power of two "
@@ -184,21 +181,16 @@ def build_backend(spec: Mapping) -> ChipletBackend:
     shell = ChipletBackend(rows, cols, chip_w, chip_h)  # geometry helpers only
 
     defects: set[int] = set()
-    for i, d in enumerate(spec.get("defects", []) or []):
+    for i, d in enumerate(spec.get("defects", [])):
         defects.add(shell.gid(*_parse_site(shell, f"defects[{i}]", d)))
 
     links: list[InterChipLink] = []
-    for i, entry in enumerate(spec.get("links", []) or []):
-        if not isinstance(entry, Mapping):
-            raise ValidationError(f"links[{i}]: expected an object")
-        a = shell.gid(*_parse_site(shell, f"links[{i}].a", entry.get("a")))
-        b = shell.gid(*_parse_site(shell, f"links[{i}].b", entry.get("b")))
-        eps = entry.get("eps")
-        if not isinstance(eps, (int, float)) or isinstance(eps, bool) or eps < 0:
-            raise ValidationError(f"links[{i}]: eps must be a nonnegative number")
+    for i, entry in enumerate(spec.get("links", [])):
+        a = shell.gid(*_parse_site(shell, f"links[{i}].a", entry["a"]))
+        b = shell.gid(*_parse_site(shell, f"links[{i}].b", entry["b"]))
         if a > b:
             a, b = b, a
-        links.append(InterChipLink(a, b, float(eps)))
+        links.append(InterChipLink(a, b, float(entry["eps"])))
 
     auto = spec.get("auto_links")
     if auto is not None:
@@ -214,48 +206,36 @@ def build_backend(spec: Mapping) -> ChipletBackend:
     return ChipletBackend(rows, cols, chip_w, chip_h, tuple(kept), frozenset(defects))
 
 
-def _parse_site(backend: ChipletBackend, where: str, obj: object) -> tuple[int, int, int]:
-    if not isinstance(obj, Mapping):
-        raise ValidationError(f"{where}: expected an object with chip, x, y")
-    try:
-        chip, x, y = int(obj["chip"]), int(obj["x"]), int(obj["y"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError(f"{where}: expected integer chip, x, y") from None
-    if not 0 <= chip < backend.n_chiplets:
+def _parse_site(backend: ChipletBackend, where: str, obj: Mapping) -> tuple[int, int, int]:
+    chip, x, y = int(obj["chip"]), int(obj["x"]), int(obj["y"])
+    if chip >= backend.n_chiplets:
         raise ValidationError(f"{where}: chip {chip} out of range")
-    if not (0 <= x < backend.chip_w and 0 <= y < backend.chip_h):
+    if x >= backend.chip_w or y >= backend.chip_h:
         raise ValidationError(f"{where}: cell ({x}, {y}) outside the chiplet")
     return chip, x, y
 
 
 def _auto_links(
-    backend: ChipletBackend, auto: object, taken: set[int]
+    backend: ChipletBackend, auto: Mapping, taken: set[int]
 ) -> list[InterChipLink]:
     """Spread per_edge links evenly along every facing chiplet edge."""
-    if not isinstance(auto, Mapping):
-        raise ValidationError("auto_links must be an object")
-    per_edge = auto.get("per_edge")
-    if not isinstance(per_edge, int) or isinstance(per_edge, bool) or per_edge < 1:
-        raise ValidationError("auto_links.per_edge must be a positive integer")
+    per_edge = int(auto["per_edge"])
     eps_spec = auto.get("eps", 0.0)
-    rng: random.Random | None = None
     if isinstance(eps_spec, Mapping):
-        base = eps_spec.get("base")
+        base = float(eps_spec["base"])
         lo, hi = eps_spec.get("scale_range", (1.0, 10.0))
-        if not isinstance(base, (int, float)) or base < 0 or not lo <= hi:
-            raise ValidationError("auto_links.eps: base must be >= 0 and scale_range ordered")
-        rng = random.Random(eps_spec.get("seed", 0))
+        if lo > hi:
+            raise ValidationError("auto_links.eps: scale_range must be ordered low to high")
+        rng = random.Random(int(eps_spec.get("seed", 0)))
 
         def draw() -> float:
-            return float(base) * rng.uniform(lo, hi)
-
-    elif isinstance(eps_spec, (int, float)) and not isinstance(eps_spec, bool) and eps_spec >= 0:
-
-        def draw() -> float:
-            return float(eps_spec)
+            return base * rng.uniform(lo, hi)
 
     else:
-        raise ValidationError("auto_links.eps must be a number or a scale spec")
+        eps = float(eps_spec)
+
+        def draw() -> float:
+            return eps
 
     out: list[InterChipLink] = []
     for row in range(backend.grid_rows):

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 invalid input, 3 placement does not fit,
-4 no route. Options can also come from CHIPMAP_* environment variables.
+4 no route, 5 physical mapping broke an invariant, 6 any other compiler
+error. Options can also come from CHIPMAP_* environment variables.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import yaml
 from .backend import build_backend
 from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from .errors import (
+    CompilerError,
+    MappingError,
     NoFitError,
     NoRouteError,
     StrictPatchViolationError,
@@ -30,7 +33,7 @@ from .errors import (
 from .ir import circuit_from_json
 from .pipeline import CompileOptions, compile_circuit, result_to_json
 from .render import render_layout_svg
-from .schema import validate_backend_doc, validate_circuit_doc, validate_compiled_doc
+from .schema import validate_compiled_doc
 from .route import RoutingConfig
 
 log = logging.getLogger(__name__)
@@ -38,6 +41,8 @@ log = logging.getLogger(__name__)
 EXIT_VALIDATION = 2
 EXIT_NOFIT = 3
 EXIT_NOROUTE = 4
+EXIT_MAPPING = 5
+EXIT_COMPILER = 6
 
 _STAT_COLUMNS = (
     "n_virtual",
@@ -72,6 +77,10 @@ def _guard(fn):
             _fail(EXIT_NOROUTE, str(exc))
         except (ValidationError, StrictPatchViolationError) as exc:
             _fail(EXIT_VALIDATION, str(exc))
+        except MappingError as exc:
+            _fail(EXIT_MAPPING, str(exc))
+        except CompilerError as exc:  # invariant checks and any future subclass
+            _fail(EXIT_COMPILER, str(exc))
 
     return wrapper
 
@@ -228,12 +237,8 @@ def compile_cmd(
     **opts,
 ) -> None:
     """Compile CIRCUIT_FILE onto BACKEND_FILE and report metrics."""
-    circuit_doc = _load_doc(circuit_file)
-    backend_doc = _load_doc(backend_file)
-    validate_circuit_doc(circuit_doc)
-    validate_backend_doc(backend_doc)
-    circuit = circuit_from_json(circuit_doc)
-    backend = build_backend(backend_doc)
+    circuit = circuit_from_json(_load_doc(circuit_file))
+    backend = build_backend(_load_doc(backend_file))
     options = _compile_options(obj, util_all_chiplets=util_all_chiplets, **opts)
     result = compile_circuit(circuit, backend, options)
     click.echo(json.dumps(result.stats.as_dict(), indent=2))
@@ -440,10 +445,8 @@ def validate(kind: str, file: Path) -> None:
     """Check FILE against the KIND document schema and semantic rules."""
     doc = _load_doc(file)
     if kind == "circuit":
-        validate_circuit_doc(doc)
         circuit_from_json(doc)
     elif kind == "backend":
-        validate_backend_doc(doc)
         build_backend(doc)
     else:
         validate_compiled_doc(doc)
@@ -466,12 +469,8 @@ def render_layout(
     **opts,
 ) -> None:
     """Render the placed layout for CIRCUIT_FILE on BACKEND_FILE."""
-    circuit_doc = _load_doc(circuit_file)
-    backend_doc = _load_doc(backend_file)
-    validate_circuit_doc(circuit_doc)
-    validate_backend_doc(backend_doc)
-    circuit = circuit_from_json(circuit_doc)
-    backend = build_backend(backend_doc)
+    circuit = circuit_from_json(_load_doc(circuit_file))
+    backend = build_backend(_load_doc(backend_file))
     options = _compile_options(
         obj,
         policy="basic",

@@ -20,6 +20,7 @@ from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import StageError, ValidationError
+from .schema import validate_circuit_doc
 
 if TYPE_CHECKING:
     from .backend import PhysCoord
@@ -375,20 +376,10 @@ class CircuitInput:
     layout_hints: dict[int, LayoutHint] | None = None     # partition id -> hint
 
 
-def _parse_gate(i: int, obj: object) -> GateNode:
-    if not isinstance(obj, Mapping):
-        raise ValidationError(f"gates[{i}]: expected an object, got {type(obj).__name__}")
-    op = obj.get("op")
-    qs = obj.get("qubits")
-    if not isinstance(op, str) or not op:
-        raise ValidationError(f"gates[{i}]: missing op name")
-    if not isinstance(qs, Sequence) or isinstance(qs, (str, bytes)) or not all(
-        isinstance(q, int) and not isinstance(q, bool) for q in qs
-    ):
-        raise ValidationError(f"gates[{i}]: qubits must be a list of ints")
+def _parse_gate(i: int, obj: Mapping) -> GateNode:
+    op = obj["op"]
+    qs = tuple(map(int, obj["qubits"]))  # integer-valued floats are integers too
     tag = obj.get("tag", "")
-    if not isinstance(tag, str):
-        raise ValidationError(f"gates[{i}]: tag must be a string")
     kind = _KIND_BY_NAME.get(op.lower())
     if kind is None:
         if len(qs) == 1:
@@ -400,83 +391,50 @@ def _parse_gate(i: int, obj: object) -> GateNode:
         if not tag:
             tag = op  # keep the original name on opaque gates
     try:
-        return GateNode(kind, tuple(qs), tag)
+        return GateNode(kind, qs, tag)
     except ValidationError as exc:
         raise ValidationError(f"gates[{i}]: {exc}") from None
 
 
 def circuit_from_json(obj: Mapping) -> CircuitInput:
-    """Parse a circuit document (already JSON-decoded) into a CircuitInput."""
-    if not isinstance(obj, Mapping):
-        raise ValidationError("circuit document must be an object")
-    n = obj.get("n_qubits")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError("n_qubits must be a nonnegative integer")
-    raw_gates = obj.get("gates", [])
-    if not isinstance(raw_gates, Sequence) or isinstance(raw_gates, (str, bytes)):
-        raise ValidationError("gates must be a list")
-    gates = [_parse_gate(i, g) for i, g in enumerate(raw_gates)]
+    """Parse a circuit document (already JSON-decoded) into a CircuitInput.
+
+    The document is checked against ``CIRCUIT_SCHEMA`` first; the parse
+    then applies the semantic rules: gate arity and distinct operands,
+    and qubit ids below ``n_qubits``. Partition boxes and cells are
+    checked when the partitions are built.
+    """
+    validate_circuit_doc(obj)
+    n = int(obj["n_qubits"])
+    gates = [_parse_gate(i, g) for i, g in enumerate(obj["gates"])]
     dag = build_dag(gates, n)
 
     partitions: dict[int, int] | None = None
-    if "partitions" in obj and obj["partitions"] is not None:
-        raw = obj["partitions"]
-        if not isinstance(raw, Mapping):
-            raise ValidationError("partitions must map qubit id to partition id")
+    if "partitions" in obj:
         partitions = {}
-        for k, v in raw.items():
-            q = _int_key("partitions", k)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"partitions[{k}]: partition id must be an int")
-            if not 0 <= q < n:
+        for k, v in obj["partitions"].items():
+            q = int(k)
+            if q >= n:
                 raise ValidationError(f"partitions[{k}]: qubit out of range")
-            partitions[q] = v
+            partitions[q] = int(v)
 
     geometry: dict[int, PartitionGeometry] | None = None
-    if "partition_geometry" in obj and obj["partition_geometry"] is not None:
-        raw = obj["partition_geometry"]
-        if not isinstance(raw, Mapping):
-            raise ValidationError("partition_geometry must be an object")
-        geometry = {}
-        for k, v in raw.items():
-            pid = _int_key("partition_geometry", k)
-            if not isinstance(v, Mapping):
-                raise ValidationError(f"partition_geometry[{k}]: expected an object")
-            try:
-                width, height = int(v["width"]), int(v["height"])
-            except (KeyError, TypeError, ValueError):
-                raise ValidationError(f"partition_geometry[{k}]: needs integer width and height") from None
-            cells: dict[int, tuple[int, int]] = {}
-            raw_cells = v.get("locals", {})
-            if not isinstance(raw_cells, Mapping):
-                raise ValidationError(f"partition_geometry[{k}]: locals must be an object")
-            for qk, pos in raw_cells.items():
-                q = _int_key(f"partition_geometry[{k}].locals", qk)
-                if (
-                    not isinstance(pos, Sequence)
-                    or len(pos) != 2
-                    or not all(isinstance(c, int) and not isinstance(c, bool) for c in pos)
-                ):
-                    raise ValidationError(
-                        f"partition_geometry[{k}].locals[{qk}]: expected [row, col]"
-                    )
-                cells[q] = (pos[0], pos[1])
-            geometry[pid] = PartitionGeometry(width, height, cells)
+    if "partition_geometry" in obj:
+        geometry = {
+            int(k): PartitionGeometry(
+                int(v["width"]),
+                int(v["height"]),
+                {int(q): (int(r), int(c)) for q, (r, c) in v.get("locals", {}).items()},
+            )
+            for k, v in obj["partition_geometry"].items()
+        }
 
     hints: dict[int, LayoutHint] | None = None
-    if "layout_hints" in obj and obj["layout_hints"] is not None:
-        raw = obj["layout_hints"]
-        if not isinstance(raw, Mapping):
-            raise ValidationError("layout_hints must be an object")
-        hints = {}
-        for k, v in raw.items():
-            pid = _int_key("layout_hints", k)
-            if not isinstance(v, Mapping) or v.get("dir") not in ("below", "right"):
-                raise ValidationError(f"layout_hints[{k}]: dir must be 'below' or 'right'")
-            ref = v.get("ref")
-            if not isinstance(ref, int) or isinstance(ref, bool):
-                raise ValidationError(f"layout_hints[{k}]: ref must be a partition id")
-            hints[pid] = LayoutHint(v["dir"], ref)
+    if "layout_hints" in obj:
+        hints = {
+            int(k): LayoutHint(v["dir"], int(v["ref"]))
+            for k, v in obj["layout_hints"].items()
+        }
 
     qubits = []
     for q in range(n):
@@ -486,13 +444,6 @@ def circuit_from_json(obj: Mapping) -> CircuitInput:
             pos = geometry[hint].cells.get(q)
         qubits.append(VirtualQubit(q, hint, pos))
     return CircuitInput(dag, tuple(qubits), partitions, geometry, hints)
-
-
-def _int_key(where: str, key: object) -> int:
-    try:
-        return int(key)  # JSON object keys arrive as strings
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: key {key!r} is not an integer") from None
 
 
 def gates_to_json(nodes: Sequence[GateNode]) -> list[dict]:

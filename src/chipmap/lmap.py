@@ -63,7 +63,8 @@ def flat_mapping(registry: PartitionRegistry, backend: ChipletBackend) -> dict[i
     """Collapse a mapped registry into a virtual-qubit -> global-id dict."""
     out: dict[int, int] = {}
     for part in registry:
-        assert part.coords is not None
+        if part.coords is None:
+            raise MappingError(f"partition {part.pid} has no physical coordinates")
         for q, pc in part.coords.items():
             out[q] = backend.gid(*pc)
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .backend import ChipletBackend
+from .errors import CompilerError
 from .ir import CircuitDag, GateKind
 from .route import CompiledCircuit
 
@@ -97,9 +98,10 @@ def stats(
             if backend.chip_of(a) != backend.chip_of(b):
                 inter += 1
     traversed = sum(compiled.link_traversals.values())
-    assert inter == traversed, (
-        f"cross-chiplet gate count {inter} disagrees with link traversals {traversed}"
-    )
+    if inter != traversed:
+        raise CompilerError(
+            f"cross-chiplet gate count {inter} disagrees with link traversals {traversed}"
+        )
 
     used_chips = {coord.chip for coord in compiled.mapping.values()}
     denom_chips = backend.n_chiplets if util_all_chiplets else max(1, len(used_chips))

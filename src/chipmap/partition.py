@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import networkx as nx
 
-from .errors import ValidationError
+from .errors import CompilerError, ValidationError
 from .ir import (
     CircuitDag,
     InteractionGraph,
@@ -265,7 +265,8 @@ def _bisect(
         key = (cut, tuple(sorted(side)))
         if best is None or key < best:
             best, best_side = key, side
-    assert best_side is not None
+    if best_side is None:
+        raise CompilerError("bisection tried no seed node")
     return best_side
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .backend import ChipletBackend, CouplingGraph, InterChipLink, PhysCoord, coupling_graph
-from .errors import NoRouteError, StrictPatchViolationError, ValidationError
+from .errors import CompilerError, NoRouteError, StrictPatchViolationError, ValidationError
 from .ir import CircuitDag, GateKind, GateNode, PartitionRegistry, Stage, build_dag
 from .lmap import flat_mapping
 
@@ -158,7 +158,8 @@ def _walk_back(
             if u // chip_area == chip and dist.get(u) == want:
                 step = u
                 break
-        assert step is not None, "distance map is inconsistent"
+        if step is None:
+            raise CompilerError(f"distance map is inconsistent at {cur}")
         path.append(step)
         cur = step
     path.reverse()
@@ -250,7 +251,8 @@ def _select_crossing(
     path = _walk_back(graph, dist_u, u, near(best), chip_u, area)
     path.append(far(best))
     if v is not None and far(best) != v:
-        assert dist_v is not None
+        if dist_v is None:
+            raise CompilerError(f"no distance map for the far side of link {best.key}")
         tail = _walk_back(graph, dist_v, v, far(best), to_chip, area)
         tail.reverse()  # far -> v
         path.extend(tail[1:])
@@ -304,6 +306,7 @@ class _RoutingRun:
         self.swap_count = 0
         self.traversals: dict[tuple[int, int], int] = {}
         self.violations = 0
+        self.swaps_inside: dict[int, int] = {}  # partition id -> SWAPs between its own cells
         for link in backend.links:
             link.usage = 0  # this run owns the congestion counters
 
@@ -328,7 +331,7 @@ class _RoutingRun:
         pa = self.pid_of_cell.get(p)
         if pa is not None and pa == self.pid_of_cell.get(q):
             self.violations += 1
-            log.warning("SWAP between cells %d and %d inside partition %d", p, q, pa)
+            self.swaps_inside[pa] = self.swaps_inside.get(pa, 0) + 1
 
     # -- per-gate routing ---------------------------------------------
 
@@ -387,7 +390,8 @@ class _RoutingRun:
         for j in range(kb):
             self._emit_swap(path[hops - j], path[hops - j - 1])
         p1, p2 = self.pos[g.qubits[0]], self.pos[g.qubits[1]]
-        assert self.graph.has_edge(p1, p2), "tokens not adjacent after bifurcation"
+        if not self.graph.has_edge(p1, p2):
+            raise CompilerError(f"tokens at {p1} and {p2} not adjacent after bifurcation")
         self._emit(GateNode(g.kind, (p1, p2), g.tag))
         if self.cfg.restore_mapping:
             for j in reversed(range(kb)):
@@ -411,11 +415,12 @@ def route_circuit(
     run = _RoutingRun(dag, registry, backend, graph, cfg)
     for g in dag.nodes:  # node order is a topological order
         run.route_node(g)
-    if cfg.restore_mapping:
-        assert run.pos == run.phi, "restored mapping drifted from the initial assignment"
+    for pid, n in sorted(run.swaps_inside.items()):
+        log.warning("%d SWAPs inside partition %d", n, pid)
+    if cfg.restore_mapping and run.pos != run.phi:
+        raise CompilerError("restored mapping drifted from the initial assignment")
     mapping = {}
     for part in registry:
-        assert part.coords is not None
         mapping.update(part.coords)
     return CompiledCircuit(
         dag=build_dag(run.out, backend.n_qubits),

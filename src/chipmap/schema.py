@@ -1,18 +1,33 @@
-"""JSON Schemas for the interchange documents.
+"""JSON Schemas for the interchange documents, and one checker for each.
 
-Schema validation catches shape errors with good messages before the
-parsers apply the semantic rules (ranges, adjacency, disjointness).
+The schema dicts are the published form of each document. The
+``validate_*_doc`` checkers enforce the same structural rules in one pass
+of plain Python: each accepts exactly what its schema accepts under JSON
+Schema Draft 2020-12 and raises ValidationError naming the JSON pointer
+of the failing value. The parsers (``circuit_from_json``,
+``build_backend``) run their checker first and then apply only the
+semantic rules: ranges, arity, adjacency, disjointness.
+
+Two Draft 2020-12 rules shape what the parsers see: an integer is any
+number with a zero fractional part (``2.0`` counts, ``true`` does not),
+and a decimal id key matches ``^\\d+$``, which also admits other Unicode
+decimal digits and one trailing newline.
+
 Documents carry ``schema_version`` 1; the field is optional on input so
 hand-written files stay terse.
 """
 
 from __future__ import annotations
 
-import jsonschema
+import numbers
+import re
+from typing import Callable
 
 from .errors import ValidationError
 
 SCHEMA_VERSION = 1
+
+_ID_KEY = r"^\d+$"  # keys of every object keyed by qubit or partition id
 
 _site = {
     "type": "object",
@@ -59,20 +74,20 @@ CIRCUIT_SCHEMA: dict = {
         },
         "partitions": {
             "type": "object",
-            "patternProperties": {r"^\d+$": {"type": "integer", "minimum": 0}},
+            "patternProperties": {_ID_KEY: {"type": "integer", "minimum": 0}},
             "additionalProperties": False,
         },
         "partition_geometry": {
             "type": "object",
             "patternProperties": {
-                r"^\d+$": {
+                _ID_KEY: {
                     "type": "object",
                     "properties": {
                         "width": {"type": "integer", "minimum": 1},
                         "height": {"type": "integer", "minimum": 1},
                         "locals": {
                             "type": "object",
-                            "patternProperties": {r"^\d+$": _int_pair},
+                            "patternProperties": {_ID_KEY: _int_pair},
                             "additionalProperties": False,
                         },
                     },
@@ -85,7 +100,7 @@ CIRCUIT_SCHEMA: dict = {
         "layout_hints": {
             "type": "object",
             "patternProperties": {
-                r"^\d+$": {
+                _ID_KEY: {
                     "type": "object",
                     "properties": {
                         "dir": {"enum": ["below", "right"]},
@@ -185,7 +200,7 @@ COMPILED_SCHEMA: dict = {
         },
         "mapping": {
             "type": "object",
-            "patternProperties": {r"^\d+$": _site},
+            "patternProperties": {_ID_KEY: _site},
             "additionalProperties": False,
         },
         "placements": {
@@ -226,22 +241,310 @@ COMPILED_SCHEMA: dict = {
 }
 
 
-def _validate(obj: object, schema: dict, what: str) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "(top level)"
-        raise ValidationError(f"{what} document invalid at {where}: {first.message}")
+# -- checkers -------------------------------------------------------------
+#
+# Each rule below is a function of one value that returns None or raises
+# _Invalid. Containers append the failing key as the error unwinds, so
+# no path is built while a document is valid.
+
+_Rule = Callable[[object], None]
+
+
+class _Invalid(Exception):
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.keys: list[object] = []  # innermost first
+
+
+def _kind(v: object) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "a boolean"
+    if isinstance(v, str):
+        return "a string"
+    if isinstance(v, list):
+        return "an array"
+    if isinstance(v, dict):
+        return "an object"
+    return repr(v)
+
+
+def _is_integer(v: object) -> bool:
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
+def _is_number(v: object) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+def _integer(minimum: int | None = None) -> _Rule:
+    def rule(v: object) -> None:
+        if type(v) is not int and not _is_integer(v):
+            raise _Invalid(f"expected an integer, got {_kind(v)}")
+        if minimum is not None and v < minimum:  # type: ignore[operator]
+            raise _Invalid(f"{v!r} is less than the minimum of {minimum}")
+
+    return rule
+
+
+def _number(minimum: float | None = None) -> _Rule:
+    def rule(v: object) -> None:
+        if not _is_number(v):
+            raise _Invalid(f"expected a number, got {_kind(v)}")
+        if minimum is not None and v < minimum:  # type: ignore[operator]
+            raise _Invalid(f"{v!r} is less than the minimum of {minimum}")
+
+    return rule
+
+
+def _string(nonempty: bool = False) -> _Rule:
+    def rule(v: object) -> None:
+        if not isinstance(v, str):
+            raise _Invalid(f"expected a string, got {_kind(v)}")
+        if nonempty and not v:
+            raise _Invalid("expected a nonempty string")
+
+    return rule
+
+
+def _boolean(v: object) -> None:
+    if not isinstance(v, bool):
+        raise _Invalid(f"expected a boolean, got {_kind(v)}")
+
+
+def _const(value: int) -> _Rule:
+    def rule(v: object) -> None:
+        if not _is_number(v) or v != value:
+            raise _Invalid(f"expected {value!r}, got {v!r}")
+
+    return rule
+
+
+def _choice(*values: str) -> _Rule:
+    def rule(v: object) -> None:
+        if not isinstance(v, str) or v not in values:
+            raise _Invalid(f"expected one of {', '.join(map(repr, values))}, got {v!r}")
+
+    return rule
+
+
+def _array(item: _Rule, min_items: int = 0, max_items: int | None = None) -> _Rule:
+    def rule(v: object) -> None:
+        if not isinstance(v, list):
+            raise _Invalid(f"expected an array, got {_kind(v)}")
+        if len(v) < min_items:
+            raise _Invalid(f"expected at least {min_items} items, got {len(v)}")
+        if max_items is not None and len(v) > max_items:
+            raise _Invalid(f"expected at most {max_items} items, got {len(v)}")
+        for i, x in enumerate(v):
+            try:
+                item(x)
+            except _Invalid as exc:
+                exc.keys.append(i)
+                raise
+
+    return rule
+
+
+def _any_object(v: object) -> None:
+    if not isinstance(v, dict):
+        raise _Invalid(f"expected an object, got {_kind(v)}")
+
+
+def _object(properties: dict[str, _Rule], required: tuple[str, ...] = ()) -> _Rule:
+    """An object with ``required`` keys and no keys beyond ``properties``."""
+
+    def rule(v: object) -> None:
+        _any_object(v)
+        for key in required:
+            if key not in v:  # type: ignore[operator]
+                raise _Invalid(f"{key!r} is a required property")
+        for key, x in v.items():  # type: ignore[attr-defined]
+            check = properties.get(key)
+            if check is None:
+                raise _Invalid(f"unexpected property {key!r}")
+            try:
+                check(x)
+            except _Invalid as exc:
+                exc.keys.append(key)
+                raise
+
+    return rule
+
+
+_is_id_key = re.compile(_ID_KEY).search
+
+
+def _keyed(value: _Rule) -> _Rule:
+    """An object keyed by decimal ids, every value passing ``value``."""
+
+    def rule(v: object) -> None:
+        _any_object(v)
+        for key, x in v.items():  # type: ignore[attr-defined]
+            if not (isinstance(key, str) and _is_id_key(key)):
+                raise _Invalid(f"key {key!r} is not a decimal id")
+            try:
+                value(x)
+            except _Invalid as exc:
+                exc.keys.append(key)
+                raise
+
+    return rule
+
+
+def _any_of(message: str, *rules: _Rule) -> _Rule:
+    def rule(v: object) -> None:
+        for check in rules:
+            try:
+                check(v)
+                return
+            except _Invalid:
+                pass
+        raise _Invalid(message)
+
+    return rule
+
+
+_count = _integer(0)
+_pair = _array(_integer(), 2, 2)
+_site_rule = _object({"chip": _count, "x": _count, "y": _count}, ("chip", "x", "y"))
+_gate = _object(
+    {"op": _string(nonempty=True), "qubits": _array(_count, 1), "tag": _string()},
+    ("op", "qubits"),
+)
+_GATE_KEYS = frozenset(("op", "qubits", "tag"))
+
+
+def _gates(v: object) -> None:
+    if not isinstance(v, list):
+        raise _Invalid(f"expected an array, got {_kind(v)}")
+    for i, g in enumerate(v):
+        # Fast path for the usual shape: plain dict, str op, list of plain ints.
+        if type(g) is dict and g.keys() <= _GATE_KEYS:
+            op, qs = g.get("op"), g.get("qubits")
+            if (
+                type(op) is str
+                and op
+                and type(qs) is list
+                and qs
+                and all(type(q) is int and q >= 0 for q in qs)
+                and type(g.get("tag", "")) is str
+            ):
+                continue
+        try:
+            _gate(g)
+        except _Invalid as exc:
+            exc.keys.append(i)
+            raise
+
+
+_circuit_rule = _object(
+    {
+        "schema_version": _const(SCHEMA_VERSION),
+        "name": _string(),
+        "n_qubits": _count,
+        "gates": _gates,
+        "partitions": _keyed(_count),
+        "partition_geometry": _keyed(
+            _object(
+                {"width": _integer(1), "height": _integer(1), "locals": _keyed(_pair)},
+                ("width", "height"),
+            )
+        ),
+        "layout_hints": _keyed(
+            _object({"dir": _choice("below", "right"), "ref": _count}, ("dir", "ref"))
+        ),
+    },
+    ("n_qubits", "gates"),
+)
+
+_backend_rule = _object(
+    {
+        "schema_version": _const(SCHEMA_VERSION),
+        "name": _string(),
+        "grid": _pair,
+        "chiplet": _pair,
+        "links": _array(
+            _object({"a": _site_rule, "b": _site_rule, "eps": _number(0)}, ("a", "b", "eps"))
+        ),
+        "defects": _array(_site_rule),
+        "auto_links": _object(
+            {
+                "per_edge": _integer(1),
+                "eps": _any_of(
+                    "expected a nonnegative number or an object with base, "
+                    "scale_range and seed",
+                    _number(0),
+                    _object(
+                        {
+                            "base": _number(0),
+                            "scale_range": _array(_number(), 2, 2),
+                            "seed": _integer(),
+                        },
+                        ("base",),
+                    ),
+                ),
+            },
+            ("per_edge",),
+        ),
+        "allow_non_pow2": _boolean,
+    },
+    ("grid", "chiplet"),
+)
+
+_link_counts = _array(_object({"a": _count, "b": _count, "count": _count}, ("a", "b", "count")))
+
+_compiled_rule = _object(
+    {
+        "schema_version": _const(SCHEMA_VERSION),
+        "n_physical": _count,
+        "gates": _gates,
+        "mapping": _keyed(_site_rule),
+        "placements": _array(
+            _object(
+                {
+                    "pid": _count,
+                    "chip": _count,
+                    "x": _count,
+                    "y": _count,
+                    "w": _integer(1),
+                    "h": _integer(1),
+                },
+                ("pid", "chip", "x", "y", "w", "h"),
+            )
+        ),
+        "link_usage": _link_counts,
+        "link_traversals": _link_counts,
+        "stats": _any_object,
+        "timings": _any_object,
+    },
+    ("schema_version", "n_physical", "gates", "mapping"),
+)
+
+
+def _check(obj: object, rule: _Rule, what: str) -> None:
+    try:
+        rule(obj)
+    except _Invalid as exc:
+        # Keys on a failing path are property names or decimal ids, so the
+        # JSON pointer needs no escaping.
+        where = "".join(f"/{k}" for k in reversed(exc.keys)) or "(root)"
+        raise ValidationError(f"{what} document invalid at {where}: {exc}") from None
 
 
 def validate_circuit_doc(obj: object) -> None:
-    _validate(obj, CIRCUIT_SCHEMA, "circuit")
+    """Raise ValidationError unless ``obj`` satisfies CIRCUIT_SCHEMA."""
+    _check(obj, _circuit_rule, "circuit")
 
 
 def validate_backend_doc(obj: object) -> None:
-    _validate(obj, BACKEND_SCHEMA, "backend")
+    """Raise ValidationError unless ``obj`` satisfies BACKEND_SCHEMA."""
+    _check(obj, _backend_rule, "backend")
 
 
 def validate_compiled_doc(obj: object) -> None:
-    _validate(obj, COMPILED_SCHEMA, "compiled circuit")
+    """Raise ValidationError unless ``obj`` satisfies COMPILED_SCHEMA."""
+    _check(obj, _compiled_rule, "compiled circuit")

@@ -1,8 +1,11 @@
 """Compiled-circuit statistics."""
 
+import dataclasses
+
 import pytest
 
 from chipmap.backend import build_backend
+from chipmap.errors import CompilerError
 from chipmap.ir import barrier, build_dag, cx, measure
 from chipmap.metrics import CompileStats, count_two_qubit, stats
 from oracles import sim_depth
@@ -93,6 +96,25 @@ def test_barriers_excluded_from_gate_counts():
     st = stats(build_dag(gates, 2), compiled, be)
     assert st.gates_original == 1
     assert st.gates_compiled == 1
+
+
+def test_traversal_mismatch_raises_compiler_error():
+    be = build_backend(
+        {
+            "grid": [1, 2],
+            "chiplet": [3, 3],
+            "links": [
+                {"a": {"chip": 0, "x": 2, "y": 0}, "b": {"chip": 1, "x": 0, "y": 0}, "eps": 0.01}
+            ],
+            "allow_non_pow2": True,
+        }
+    )
+    labels, placements = _singletons([(0, 2, 0), (1, 0, 0)])
+    gates = [cx(0, 1)]
+    compiled = _route(gates, 2, labels, placements, be)
+    broken = dataclasses.replace(compiled, link_traversals={})
+    with pytest.raises(CompilerError, match="link traversals"):
+        stats(build_dag(gates, 2), broken, be)
 
 
 def test_wall_time_passthrough_and_dict_shape():

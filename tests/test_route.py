@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -224,6 +225,30 @@ class TestPatches:
         assert compiled.patch_violations == 1
         assert compiled.swap_count == 2
         assert "inside a patch" in caplog.text
+
+    def test_in_patch_swaps_summarised_once_per_partition(self, caplog):
+        be = _chip(6, 6)
+        labels = {q: q // 4 for q in range(8)}  # two full 2x2 patches
+        placements = {0: Placement(0, 0, 0, 0, 2, 2), 1: Placement(1, 0, 3, 3, 2, 2)}
+        gates = [cx(0, 3), cx(0, 3), cx(4, 7)]  # diagonals inside each patch
+        with caplog.at_level(logging.WARNING, logger="chipmap.route"):
+            compiled = _route(gates, 8, labels, placements, be)
+
+        pid_of_cell = {be.gid(*pc): labels[v] for v, pc in compiled.mapping.items()}
+        expected: dict[int, int] = {}
+        for g in compiled.dag.nodes:
+            if g.kind is GateKind.SWAP:
+                pa, pb = (pid_of_cell.get(q) for q in g.qubits)
+                if pa is not None and pa == pb:
+                    expected[pa] = expected.get(pa, 0) + 1
+        logged: dict[int, int] = {}
+        for record in caplog.records:
+            m = re.fullmatch(r"(\d+) SWAPs inside partition (\d+)", record.getMessage())
+            if m:
+                assert int(m[2]) not in logged, "partition summarised twice"
+                logged[int(m[2])] = int(m[1])
+        assert logged == expected == {0: 4, 1: 2}
+        assert compiled.patch_violations == len(gates) + sum(logged.values())
 
     def test_strict_mode_raises(self):
         labels, placements, geo = self._diag()

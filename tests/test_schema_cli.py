@@ -8,8 +8,15 @@ import yaml
 from click.testing import CliRunner
 
 from chipmap.benchgen import gen_backend_for, gen_memory_circuit
-from chipmap.cli import EXIT_NOFIT, EXIT_NOROUTE, EXIT_VALIDATION, main
-from chipmap.errors import ValidationError
+from chipmap.cli import (
+    EXIT_COMPILER,
+    EXIT_MAPPING,
+    EXIT_NOFIT,
+    EXIT_NOROUTE,
+    EXIT_VALIDATION,
+    main,
+)
+from chipmap.errors import CompilerError, MappingError, ValidationError
 from chipmap.schema import (
     validate_backend_doc,
     validate_circuit_doc,
@@ -210,6 +217,31 @@ class TestCliWorkflow:
         b = (b_dir / "ls_cnot_d3_n1.backend.json").read_text()
         c = (c_dir / "ls_cnot_d3_n1.backend.json").read_text()
         assert a != b and a == c
+
+
+class TestCompilerErrorExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (MappingError("cell (0, 0, 0) assigned twice"), EXIT_MAPPING),
+            (CompilerError("restored mapping drifted"), EXIT_COMPILER),
+        ],
+        ids=["mapping", "compiler"],
+    )
+    def test_error_class_maps_to_its_exit_code(self, runner, tmp_path, monkeypatch, error, code):
+        circuit_doc = gen_memory_circuit(3)
+        circuit = tmp_path / "mem.json"
+        backend = tmp_path / "be.json"
+        circuit.write_text(json.dumps(circuit_doc))
+        backend.write_text(json.dumps(gen_backend_for(circuit_doc)))
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("chipmap.cli.compile_circuit", fail)
+        result = runner.invoke(main, ["compile", str(circuit), str(backend)])
+        assert result.exit_code == code
+        assert result.stderr.splitlines()[-1] == f"error: {error}"
 
 
 class TestSweep:
