@@ -16,7 +16,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
 from .schema import validate_backend_doc
@@ -148,8 +148,11 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
-def build_backend(spec: Mapping) -> ChipletBackend:
+def build_backend(spec: dict) -> ChipletBackend:
     """Construct a backend from its JSON document.
+
+    ``spec`` is a JSON-decoded tree: objects are dicts and arrays are lists
+    (a tuple or another Mapping is rejected, as JSON has no such value).
 
     Expected shape::
 
@@ -206,7 +209,7 @@ def build_backend(spec: Mapping) -> ChipletBackend:
     return ChipletBackend(rows, cols, chip_w, chip_h, tuple(kept), frozenset(defects))
 
 
-def _parse_site(backend: ChipletBackend, where: str, obj: Mapping) -> tuple[int, int, int]:
+def _parse_site(backend: ChipletBackend, where: str, obj: dict) -> tuple[int, int, int]:
     chip, x, y = int(obj["chip"]), int(obj["x"]), int(obj["y"])
     if chip >= backend.n_chiplets:
         raise ValidationError(f"{where}: chip {chip} out of range")
@@ -216,12 +219,12 @@ def _parse_site(backend: ChipletBackend, where: str, obj: Mapping) -> tuple[int,
 
 
 def _auto_links(
-    backend: ChipletBackend, auto: Mapping, taken: set[int]
+    backend: ChipletBackend, auto: dict, taken: set[int]
 ) -> list[InterChipLink]:
     """Spread per_edge links evenly along every facing chiplet edge."""
     per_edge = int(auto["per_edge"])
     eps_spec = auto.get("eps", 0.0)
-    if isinstance(eps_spec, Mapping):
+    if isinstance(eps_spec, dict):
         base = float(eps_spec["base"])
         lo, hi = eps_spec.get("scale_range", (1.0, 10.0))
         if lo > hi:

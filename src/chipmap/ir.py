@@ -376,7 +376,7 @@ class CircuitInput:
     layout_hints: dict[int, LayoutHint] | None = None     # partition id -> hint
 
 
-def _parse_gate(i: int, obj: Mapping) -> GateNode:
+def _parse_gate(i: int, obj: dict) -> GateNode:
     op = obj["op"]
     qs = tuple(map(int, obj["qubits"]))  # integer-valued floats are integers too
     tag = obj.get("tag", "")
@@ -396,8 +396,11 @@ def _parse_gate(i: int, obj: Mapping) -> GateNode:
         raise ValidationError(f"gates[{i}]: {exc}") from None
 
 
-def circuit_from_json(obj: Mapping) -> CircuitInput:
-    """Parse a circuit document (already JSON-decoded) into a CircuitInput.
+def circuit_from_json(obj: dict) -> CircuitInput:
+    """Parse a circuit document into a CircuitInput.
+
+    ``obj`` is a JSON-decoded tree: objects are dicts and arrays are lists
+    (a tuple or another Mapping is rejected, as JSON has no such value).
 
     The document is checked against ``CIRCUIT_SCHEMA`` first; the parse
     then applies the semantic rules: gate arity and distinct operands,

@@ -1,10 +1,11 @@
 """JSON Schemas for the interchange documents, and one checker for each.
 
-The schema dicts are the published form of each document. The
-``validate_*_doc`` checkers enforce the same structural rules in one pass
-of plain Python: each accepts exactly what its schema accepts under JSON
-Schema Draft 2020-12 and raises ValidationError naming the JSON pointer
-of the failing value. The parsers (``circuit_from_json``,
+The schema dicts are the published form of each document and the only
+statement of its shape. At import each dict is compiled into a checker of
+plain Python, so a ``validate_*_doc`` call is one pass over the document:
+it accepts exactly what the schema accepts under JSON Schema Draft
+2020-12 and raises ValidationError naming the JSON pointer of the failing
+value. The parsers (``circuit_from_json``,
 ``build_backend``) run their checker first and then apply only the
 semantic rules: ranges, arity, adjacency, disjointness.
 
@@ -243,9 +244,11 @@ COMPILED_SCHEMA: dict = {
 
 # -- checkers -------------------------------------------------------------
 #
-# Each rule below is a function of one value that returns None or raises
-# _Invalid. Containers append the failing key as the error unwinds, so
-# no path is built while a document is valid.
+# ``_compile`` turns each schema dict above into one rule: a function of
+# one value that returns None or raises _Invalid. Containers append the
+# failing key as the error unwinds, so no path is built while a document
+# is valid. Only the keywords the dicts use are supported; any other
+# keyword fails at import, so a schema edit cannot be silently ignored.
 
 _Rule = Callable[[object], None]
 
@@ -300,12 +303,12 @@ def _number(minimum: float | None = None) -> _Rule:
     return rule
 
 
-def _string(nonempty: bool = False) -> _Rule:
+def _string(min_length: int = 0) -> _Rule:
     def rule(v: object) -> None:
         if not isinstance(v, str):
             raise _Invalid(f"expected a string, got {_kind(v)}")
-        if nonempty and not v:
-            raise _Invalid("expected a nonempty string")
+        if len(v) < min_length:
+            raise _Invalid(f"expected a string of length >= {min_length}, got {v!r}")
 
     return rule
 
@@ -323,7 +326,7 @@ def _const(value: int) -> _Rule:
     return rule
 
 
-def _choice(*values: str) -> _Rule:
+def _choice(values: tuple[str, ...]) -> _Rule:
     def rule(v: object) -> None:
         if not isinstance(v, str) or v not in values:
             raise _Invalid(f"expected one of {', '.join(map(repr, values))}, got {v!r}")
@@ -349,23 +352,32 @@ def _array(item: _Rule, min_items: int = 0, max_items: int | None = None) -> _Ru
     return rule
 
 
-def _any_object(v: object) -> None:
-    if not isinstance(v, dict):
-        raise _Invalid(f"expected an object, got {_kind(v)}")
-
-
-def _object(properties: dict[str, _Rule], required: tuple[str, ...] = ()) -> _Rule:
-    """An object with ``required`` keys and no keys beyond ``properties``."""
+def _object(
+    properties: dict[str, _Rule],
+    required: tuple[str, ...],
+    patterns: tuple[tuple[Callable[[str], object], _Rule], ...],
+    closed: bool,
+) -> _Rule:
+    """An object with ``required`` keys, each value checked by the rule of
+    its property or of the first pattern its key matches; a key matching
+    neither is an error when ``closed``."""
 
     def rule(v: object) -> None:
-        _any_object(v)
+        if not isinstance(v, dict):
+            raise _Invalid(f"expected an object, got {_kind(v)}")
         for key in required:
-            if key not in v:  # type: ignore[operator]
+            if key not in v:
                 raise _Invalid(f"{key!r} is a required property")
-        for key, x in v.items():  # type: ignore[attr-defined]
+        for key, x in v.items():
             check = properties.get(key)
             if check is None:
-                raise _Invalid(f"unexpected property {key!r}")
+                for match, check in patterns:
+                    if isinstance(key, str) and match(key):
+                        break
+                else:
+                    if closed:
+                        raise _Invalid(f"unexpected property {key!r}")
+                    continue
             try:
                 check(x)
             except _Invalid as exc:
@@ -375,154 +387,93 @@ def _object(properties: dict[str, _Rule], required: tuple[str, ...] = ()) -> _Ru
     return rule
 
 
-_is_id_key = re.compile(_ID_KEY).search
-
-
-def _keyed(value: _Rule) -> _Rule:
-    """An object keyed by decimal ids, every value passing ``value``."""
-
+def _any_of(rules: tuple[_Rule, ...]) -> _Rule:
     def rule(v: object) -> None:
-        _any_object(v)
-        for key, x in v.items():  # type: ignore[attr-defined]
-            if not (isinstance(key, str) and _is_id_key(key)):
-                raise _Invalid(f"key {key!r} is not a decimal id")
-            try:
-                value(x)
-            except _Invalid as exc:
-                exc.keys.append(key)
-                raise
-
-    return rule
-
-
-def _any_of(message: str, *rules: _Rule) -> _Rule:
-    def rule(v: object) -> None:
+        reasons = []
         for check in rules:
             try:
                 check(v)
                 return
-            except _Invalid:
-                pass
-        raise _Invalid(message)
+            except _Invalid as exc:
+                reasons.append(str(exc))
+        raise _Invalid(f"matches none of the allowed forms ({'; '.join(reasons)})")
 
     return rule
 
 
-_count = _integer(0)
-_pair = _array(_integer(), 2, 2)
-_site_rule = _object({"chip": _count, "x": _count, "y": _count}, ("chip", "x", "y"))
-_gate = _object(
-    {"op": _string(nonempty=True), "qubits": _array(_count, 1), "tag": _string()},
-    ("op", "qubits"),
-)
-_GATE_KEYS = frozenset(("op", "qubits", "tag"))
+_ANNOTATIONS = frozenset(("$schema", "title"))
+_KEYWORDS = {
+    "integer": frozenset(("type", "minimum")),
+    "number": frozenset(("type", "minimum")),
+    "string": frozenset(("type", "minLength")),
+    "boolean": frozenset(("type",)),
+    "array": frozenset(("type", "items", "minItems", "maxItems")),
+    "object": frozenset(
+        ("type", "properties", "required", "patternProperties", "additionalProperties")
+    ),
+    "const": frozenset(("const",)),
+    "enum": frozenset(("enum",)),
+    "anyOf": frozenset(("anyOf",)),
+    "$ref": frozenset(("$ref",)),
+}
 
 
-def _gates(v: object) -> None:
-    if not isinstance(v, list):
-        raise _Invalid(f"expected an array, got {_kind(v)}")
-    for i, g in enumerate(v):
-        # Fast path for the usual shape: plain dict, str op, list of plain ints.
-        if type(g) is dict and g.keys() <= _GATE_KEYS:
-            op, qs = g.get("op"), g.get("qubits")
-            if (
-                type(op) is str
-                and op
-                and type(qs) is list
-                and qs
-                and all(type(q) is int and q >= 0 for q in qs)
-                and type(g.get("tag", "")) is str
-            ):
-                continue
-        try:
-            _gate(g)
-        except _Invalid as exc:
-            exc.keys.append(i)
-            raise
+def _compile(schema: dict, root: dict) -> _Rule:
+    """Build the rule that accepts exactly what ``schema`` accepts.
+
+    ``root`` is the document schema that local ``$ref`` pointers resolve
+    against.
+    """
+    form = next((k for k in ("const", "enum", "anyOf", "$ref") if k in schema), None)
+    form = form or schema.get("type")
+    keywords = set(schema) - _ANNOTATIONS
+    if form not in _KEYWORDS or not keywords <= _KEYWORDS[form]:
+        raise TypeError(f"unsupported schema keywords: {sorted(keywords)}")
+    if form == "$ref":
+        target = root
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[part]
+        return _compile(target, root)
+    if form == "anyOf":
+        return _any_of(tuple(_compile(s, root) for s in schema["anyOf"]))
+    if form == "const":
+        if not _is_number(schema["const"]):
+            raise TypeError("only numeric const is supported")
+        return _const(schema["const"])
+    if form == "enum":
+        if not all(isinstance(x, str) for x in schema["enum"]):
+            raise TypeError("only string enum is supported")
+        return _choice(tuple(schema["enum"]))
+    if form == "integer":
+        return _integer(schema.get("minimum"))
+    if form == "number":
+        return _number(schema.get("minimum"))
+    if form == "string":
+        return _string(schema.get("minLength", 0))
+    if form == "boolean":
+        return _boolean
+    if form == "array":
+        return _array(
+            _compile(schema["items"], root), schema.get("minItems", 0), schema.get("maxItems")
+        )
+    # object
+    properties = schema.get("properties", {})
+    patterns = schema.get("patternProperties", {})
+    additional = schema.get("additionalProperties", True)
+    if not isinstance(additional, bool) or (properties and patterns):
+        raise TypeError("unsupported object schema: needs a boolean additionalProperties "
+                        "and either properties or patternProperties")
+    return _object(
+        {key: _compile(s, root) for key, s in properties.items()},
+        tuple(schema.get("required", ())),
+        tuple((re.compile(p).search, _compile(s, root)) for p, s in patterns.items()),
+        closed=not additional,
+    )
 
 
-_circuit_rule = _object(
-    {
-        "schema_version": _const(SCHEMA_VERSION),
-        "name": _string(),
-        "n_qubits": _count,
-        "gates": _gates,
-        "partitions": _keyed(_count),
-        "partition_geometry": _keyed(
-            _object(
-                {"width": _integer(1), "height": _integer(1), "locals": _keyed(_pair)},
-                ("width", "height"),
-            )
-        ),
-        "layout_hints": _keyed(
-            _object({"dir": _choice("below", "right"), "ref": _count}, ("dir", "ref"))
-        ),
-    },
-    ("n_qubits", "gates"),
-)
-
-_backend_rule = _object(
-    {
-        "schema_version": _const(SCHEMA_VERSION),
-        "name": _string(),
-        "grid": _pair,
-        "chiplet": _pair,
-        "links": _array(
-            _object({"a": _site_rule, "b": _site_rule, "eps": _number(0)}, ("a", "b", "eps"))
-        ),
-        "defects": _array(_site_rule),
-        "auto_links": _object(
-            {
-                "per_edge": _integer(1),
-                "eps": _any_of(
-                    "expected a nonnegative number or an object with base, "
-                    "scale_range and seed",
-                    _number(0),
-                    _object(
-                        {
-                            "base": _number(0),
-                            "scale_range": _array(_number(), 2, 2),
-                            "seed": _integer(),
-                        },
-                        ("base",),
-                    ),
-                ),
-            },
-            ("per_edge",),
-        ),
-        "allow_non_pow2": _boolean,
-    },
-    ("grid", "chiplet"),
-)
-
-_link_counts = _array(_object({"a": _count, "b": _count, "count": _count}, ("a", "b", "count")))
-
-_compiled_rule = _object(
-    {
-        "schema_version": _const(SCHEMA_VERSION),
-        "n_physical": _count,
-        "gates": _gates,
-        "mapping": _keyed(_site_rule),
-        "placements": _array(
-            _object(
-                {
-                    "pid": _count,
-                    "chip": _count,
-                    "x": _count,
-                    "y": _count,
-                    "w": _integer(1),
-                    "h": _integer(1),
-                },
-                ("pid", "chip", "x", "y", "w", "h"),
-            )
-        ),
-        "link_usage": _link_counts,
-        "link_traversals": _link_counts,
-        "stats": _any_object,
-        "timings": _any_object,
-    },
-    ("schema_version", "n_physical", "gates", "mapping"),
-)
+_circuit_rule = _compile(CIRCUIT_SCHEMA, CIRCUIT_SCHEMA)
+_backend_rule = _compile(BACKEND_SCHEMA, BACKEND_SCHEMA)
+_compiled_rule = _compile(COMPILED_SCHEMA, COMPILED_SCHEMA)
 
 
 def _check(obj: object, rule: _Rule, what: str) -> None:

@@ -1,4 +1,4 @@
-"""Hand-written document checks against jsonschema as the oracle.
+"""The compiled document checks against jsonschema as the oracle.
 
 Documents are mutated in the ways that separate a hand-written check from
 the schema: dropped and added keys, wrong types, booleans for integers,
@@ -30,6 +30,7 @@ from chipmap.schema import (
     BACKEND_SCHEMA,
     CIRCUIT_SCHEMA,
     COMPILED_SCHEMA,
+    _compile,
     validate_backend_doc,
     validate_circuit_doc,
     validate_compiled_doc,
@@ -318,6 +319,25 @@ def test_rejection_names_the_json_pointer(doc, pointer):
     with pytest.raises(ValidationError) as info:
         circuit_from_json(doc)
     assert str(info.value).startswith(f"circuit document invalid at {pointer}: ")
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "integer", "maximum": 3},
+        {
+            "type": "object",
+            "properties": {"a": {"type": "integer"}},
+            "patternProperties": {"^b$": {"type": "integer"}},
+        },
+        {"type": "object", "additionalProperties": {"type": "integer"}},
+        {"enum": [1, 2]},
+        {"oneOf": [{"type": "integer"}]},
+    ],
+)
+def test_unsupported_schema_keywords_fail_at_compile(schema):
+    with pytest.raises(TypeError):
+        _compile(schema, schema)
 
 
 def test_integer_valued_floats_parse_as_integers():
