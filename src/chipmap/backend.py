@@ -121,8 +121,10 @@ class ChipletBackend:
     # -- validation ---------------------------------------------------
 
     def _check_link(self, link: InterChipLink) -> None:
-        if link.eps < 0:
-            raise ValidationError(f"link {link.key}: negative error rate")
+        if not (math.isfinite(link.eps) and link.eps >= 0):
+            raise ValidationError(
+                f"link {link.key}: error rate {link.eps!r} is not a finite nonnegative number"
+            )
         ca, cb = self.chip_of(link.a), self.chip_of(link.b)
         if ca >= cb:
             raise ValidationError(f"link {link.key}: endpoints must sit on ascending chiplet ids")
@@ -227,6 +229,10 @@ def _auto_links(
     if isinstance(eps_spec, dict):
         base = float(eps_spec["base"])
         lo, hi = eps_spec.get("scale_range", (1.0, 10.0))
+        if not math.isfinite(base):
+            raise ValidationError(f"auto_links.eps: base {base!r} is not finite")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"auto_links.eps: scale_range {[lo, hi]!r} is not finite")
         if lo > hi:
             raise ValidationError("auto_links.eps: scale_range must be ordered low to high")
         rng = random.Random(int(eps_spec.get("seed", 0)))

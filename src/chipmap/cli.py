@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .ir import circuit_from_json
-from .pipeline import CompileOptions, compile_circuit, result_to_json
+from .pipeline import CompileOptions, compile_circuit, dumps_compiled, result_to_json
 from .render import render_layout_svg
 from .schema import validate_compiled_doc
 from .route import RoutingConfig
@@ -111,9 +111,9 @@ def _load_doc(path: Path) -> object:
         raise ValidationError(f"{path}: not parseable: {exc}") from None
 
 
-def _write_json(path: Path, obj: object) -> None:
+def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(text + "\n")
     log.info("wrote %s", path)
 
 
@@ -245,7 +245,7 @@ def compile_cmd(
     if not stats_only:
         if out_file is None:
             out_file = obj.out_dir / (circuit_file.stem + ".compiled.json")
-        _write_json(out_file, result_to_json(result, backend))
+        _write(out_file, dumps_compiled(result_to_json(result, backend)))
     if svg_file is not None:
         svg_file.parent.mkdir(parents=True, exist_ok=True)
         svg_file.write_text(
@@ -310,8 +310,8 @@ def bench_gen(
         defects_per_chiplet=defects,
         seed=obj.seed,
     )
-    _write_json(out_circuit or obj.out_dir / f"{stem}.circuit.json", circuit)
-    _write_json(out_backend or obj.out_dir / f"{stem}.backend.json", backend)
+    _write(out_circuit or obj.out_dir / f"{stem}.circuit.json", json.dumps(circuit, indent=2))
+    _write(out_backend or obj.out_dir / f"{stem}.backend.json", json.dumps(backend, indent=2))
 
 
 def _sweep_row(task: dict) -> dict:

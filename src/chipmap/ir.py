@@ -35,9 +35,11 @@ class GateKind(Enum):
     RESET = "reset"
     BARRIER = "barrier"
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return self in (GateKind.OPAQUE_2Q, GateKind.CNOT, GateKind.SWAP)
+    is_two_qubit: bool
+
+    def __init__(self, value: str) -> None:
+        # a plain attribute, not a property: routing and stats read it per gate
+        self.is_two_qubit = value in ("op2", "cx", "swap")
 
 
 # Recognized op names; anything else becomes opaque by arity.
@@ -108,32 +110,44 @@ class CircuitDag:
 
     Node ids are indices into ``nodes``; the list order is a topological
     order by construction. Barriers depend on, and are depended on by,
-    every listed operand, which keeps round structure intact.
+    every listed operand, which keeps round structure intact. Only the
+    predecessor lists are built eagerly; ``edges`` and ``succs`` are
+    derived from them on first use.
     """
 
-    __slots__ = ("nodes", "edges", "n_virt", "_preds", "_succs")
+    __slots__ = ("nodes", "n_virt", "_preds", "_edges", "_succs")
 
     def __init__(
         self,
         nodes: tuple[GateNode, ...],
-        edges: tuple[tuple[int, int], ...],
         n_virt: int,
         preds: tuple[tuple[int, ...], ...],
-        succs: tuple[tuple[int, ...], ...],
     ):
         self.nodes = nodes
-        self.edges = edges
         self.n_virt = n_virt
         self._preds = preds
-        self._succs = succs
+        self._edges: tuple[tuple[int, int], ...] | None = None
+        self._succs: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """All (pred, succ) pairs, ordered by successor, then predecessor."""
+        if self._edges is None:
+            self._edges = tuple((p, i) for i, ps in enumerate(self._preds) for p in ps)
+        return self._edges
 
     def preds(self, i: int) -> tuple[int, ...]:
         return self._preds[i]
 
     def succs(self, i: int) -> tuple[int, ...]:
+        if self._succs is None:
+            succs: list[list[int]] = [[] for _ in self.nodes]
+            for p, j in self.edges:
+                succs[p].append(j)
+            self._succs = tuple(map(tuple, succs))
         return self._succs[i]
 
     def two_qubit_nodes(self) -> Iterator[tuple[int, GateNode]]:
@@ -165,28 +179,23 @@ def build_dag(gates: Sequence[GateNode], n_virt: int) -> CircuitDag:
     """
     if n_virt < 0:
         raise ValidationError(f"n_virt must be nonnegative, got {n_virt}")
-    last: list[int | None] = [None] * n_virt
-    edges: list[tuple[int, int]] = []
+    last = [-1] * n_virt  # last gate on each qubit, -1 before the first
     preds: list[tuple[int, ...]] = []
-    succs: list[list[int]] = [[] for _ in gates]
     for i, g in enumerate(gates):
-        for q in g.qubits:
+        qs = g.qubits
+        for q in qs:
             if not 0 <= q < n_virt:
                 raise ValidationError(f"gate {i}: operand {q} out of range for n_virt={n_virt}")
-        srcs = sorted({last[q] for q in g.qubits if last[q] is not None})
-        for s in srcs:
-            edges.append((s, i))
-            succs[s].append(i)
-        preds.append(tuple(srcs))
-        for q in g.qubits:
+        if len(qs) == 1:
+            p = last[qs[0]]
+            preds.append((p,) if p >= 0 else ())
+        else:
+            srcs = {last[q] for q in qs}
+            srcs.discard(-1)
+            preds.append(tuple(sorted(srcs)))
+        for q in qs:
             last[q] = i
-    return CircuitDag(
-        tuple(gates),
-        tuple(edges),
-        n_virt,
-        tuple(preds),
-        tuple(tuple(s) for s in succs),
-    )
+    return CircuitDag(tuple(gates), n_virt, tuple(preds))
 
 
 @dataclass(frozen=True)
@@ -396,6 +405,23 @@ def _parse_gate(i: int, obj: dict) -> GateNode:
         raise ValidationError(f"gates[{i}]: {exc}") from None
 
 
+def _by_id(where: str, obj: dict) -> dict:
+    """``obj`` keyed by the ids its decimal-string keys spell.
+
+    The schema admits several spellings of one id (``"3"``, ``"03"``,
+    ``"3\\n"``); two keys naming the same id are rejected rather than
+    letting the later one win.
+    """
+    out = {int(k): v for k, v in obj.items()}
+    if len(out) != len(obj):
+        first: dict[int, str] = {}
+        for k in obj:
+            seen = first.setdefault(int(k), k)
+            if seen != k:
+                raise ValidationError(f"{where}: keys {seen!r} and {k!r} spell the same id {int(k)}")
+    return out
+
+
 def circuit_from_json(obj: dict) -> CircuitInput:
     """Parse a circuit document into a CircuitInput.
 
@@ -404,8 +430,9 @@ def circuit_from_json(obj: dict) -> CircuitInput:
 
     The document is checked against ``CIRCUIT_SCHEMA`` first; the parse
     then applies the semantic rules: gate arity and distinct operands,
-    and qubit ids below ``n_qubits``. Partition boxes and cells are
-    checked when the partitions are built.
+    qubit ids below ``n_qubits``, and no id spelled by two keys of one
+    object. Partition boxes and cells are checked when the partitions are
+    built.
     """
     validate_circuit_doc(obj)
     n = int(obj["n_qubits"])
@@ -415,28 +442,32 @@ def circuit_from_json(obj: dict) -> CircuitInput:
     partitions: dict[int, int] | None = None
     if "partitions" in obj:
         partitions = {}
-        for k, v in obj["partitions"].items():
-            q = int(k)
+        for q, v in _by_id("partitions", obj["partitions"]).items():
             if q >= n:
-                raise ValidationError(f"partitions[{k}]: qubit out of range")
+                raise ValidationError(f"partitions[{q}]: qubit out of range")
             partitions[q] = int(v)
 
     geometry: dict[int, PartitionGeometry] | None = None
     if "partition_geometry" in obj:
         geometry = {
-            int(k): PartitionGeometry(
+            k: PartitionGeometry(
                 int(v["width"]),
                 int(v["height"]),
-                {int(q): (int(r), int(c)) for q, (r, c) in v.get("locals", {}).items()},
+                {
+                    q: (int(r), int(c))
+                    for q, (r, c) in _by_id(
+                        f"partition_geometry[{k}].locals", v.get("locals", {})
+                    ).items()
+                },
             )
-            for k, v in obj["partition_geometry"].items()
+            for k, v in _by_id("partition_geometry", obj["partition_geometry"]).items()
         }
 
     hints: dict[int, LayoutHint] | None = None
     if "layout_hints" in obj:
         hints = {
-            int(k): LayoutHint(v["dir"], int(v["ref"]))
-            for k, v in obj["layout_hints"].items()
+            k: LayoutHint(v["dir"], int(v["ref"]))
+            for k, v in _by_id("layout_hints", obj["layout_hints"]).items()
         }
 
     qubits = []

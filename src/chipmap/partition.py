@@ -19,8 +19,6 @@ import math
 import random
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from .errors import CompilerError, ValidationError
 from .ir import (
     CircuitDag,
@@ -62,6 +60,8 @@ def estimate_partition_count(
         )
     if not g.weights:
         return n, [1] * n
+
+    import networkx as nx  # only detection needs it; keeps it off the CLI import
 
     orig = nx.Graph()
     orig.add_nodes_from(g.nodes)

@@ -7,9 +7,11 @@ also callable on its own; this module only wires them together.
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .backend import ChipletBackend
 from .errors import ValidationError
@@ -169,3 +171,41 @@ def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
         "stats": result.stats.as_dict(),
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
+
+
+# One gate of a compiled document as json.dumps(indent=2) lays it out.
+_GATE = '{\n      "op": %s,\n      "qubits": [\n        %s\n      ]%s\n    }'
+
+
+def dumps_compiled(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` for a document from ``result_to_json``.
+
+    The gate array, which holds nearly all of a document, is written from
+    a fixed template instead of going through the generic encoder; every
+    other value is encoded by ``json.dumps``. The output is the same
+    string either way.
+    """
+    fields = []
+    for key, value in doc.items():
+        if key == "gates":
+            text = _dumps_gates(value)
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+def _dumps_gates(gates: list[dict]) -> str:
+    """The gate array, nested one level deep, as ``json.dumps(indent=2)`` writes it."""
+    if not gates:
+        return "[]"
+    enc = encode_basestring_ascii
+    items = [
+        _GATE % (
+            enc(g["op"]),
+            ",\n        ".join(map(str, g["qubits"])),
+            ',\n      "tag": ' + enc(g["tag"]) if "tag" in g else "",
+        )
+        for g in gates
+    ]
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"

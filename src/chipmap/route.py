@@ -124,8 +124,55 @@ class CompiledCircuit:
     restore_mapping: bool
 
 
-def _bfs_dist(graph: CouplingGraph, start: int, chip: int, chip_area: int) -> dict[int, int]:
-    """Hop distances from ``start`` within one chiplet."""
+class _ManhattanDist:
+    """Hop distances from ``start`` on a chiplet with no dead cell.
+
+    On a full grid they are Manhattan distances, so this answers ``get``,
+    ``[]`` and ``in`` like the BFS distance dict without flooding the
+    chiplet; cells of other chiplets are absent.
+    """
+
+    __slots__ = ("chip", "chip_w", "chip_area", "x0", "y0")
+
+    def __init__(self, start: int, chip: int, chip_w: int, chip_area: int):
+        self.chip = chip
+        self.chip_w = chip_w
+        self.chip_area = chip_area
+        self.y0, self.x0 = divmod(start - chip * chip_area, chip_w)
+
+    def get(self, gid: int) -> int | None:
+        if gid // self.chip_area != self.chip:
+            return None
+        y, x = divmod(gid - self.chip * self.chip_area, self.chip_w)
+        return abs(x - self.x0) + abs(y - self.y0)
+
+    def __getitem__(self, gid: int) -> int:
+        d = self.get(gid)
+        if d is None:
+            raise KeyError(gid)
+        return d
+
+    def __contains__(self, gid: int) -> bool:
+        return gid // self.chip_area == self.chip
+
+
+def _bfs_dist(
+    graph: CouplingGraph, backend: ChipletBackend, start: int, chip: int
+) -> dict[int, int] | _ManhattanDist:
+    """Hop distances from ``start`` within one chiplet.
+
+    A chiplet without a dead cell gets the Manhattan view; one with a
+    defect is flooded breadth-first.
+    """
+    area = backend.chip_area
+    lo = chip * area
+    if all(graph.alive[lo : lo + area]):
+        return _ManhattanDist(start, chip, backend.chip_w, area)
+    return _flood(graph, start, chip, area)
+
+
+def _flood(graph: CouplingGraph, start: int, chip: int, chip_area: int) -> dict[int, int]:
+    """Breadth-first hop distances from ``start`` within one chiplet."""
     dist = {start: 0}
     frontier = [start]
     d = 0
@@ -142,7 +189,12 @@ def _bfs_dist(graph: CouplingGraph, start: int, chip: int, chip_area: int) -> di
 
 
 def _walk_back(
-    graph: CouplingGraph, dist: dict[int, int], src: int, dst: int, chip: int, chip_area: int
+    graph: CouplingGraph,
+    dist: dict[int, int] | _ManhattanDist,
+    src: int,
+    dst: int,
+    chip: int,
+    chip_area: int,
 ) -> list[int]:
     """Reconstruct the src -> dst path from a distance map rooted at src.
 
@@ -210,8 +262,8 @@ def _select_crossing(
     def far(l: InterChipLink) -> int:
         return l.b if backend.chip_of(l.a) == chip_u else l.a
 
-    dist_u = _bfs_dist(graph, u, chip_u, area)
-    dist_v = _bfs_dist(graph, v, to_chip, area) if v is not None else None
+    dist_u = _bfs_dist(graph, backend, u, chip_u)
+    dist_v = _bfs_dist(graph, backend, v, to_chip) if v is not None else None
     reachable: list[tuple[InterChipLink, int, int]] = []
     for l in links:
         du = dist_u.get(near(l))
@@ -365,7 +417,7 @@ class _RoutingRun:
         c1, c2 = self.backend.chip_of(p1), self.backend.chip_of(p2)
         area = self.backend.chip_area
         if c1 == c2:
-            dist = _bfs_dist(self.graph, p1, c1, area)
+            dist = _bfs_dist(self.graph, self.backend, p1, c1)
             if p2 not in dist:
                 raise NoRouteError(
                     f"no coupling path between {p1} and {p2} on chiplet {c1}"

@@ -1,6 +1,8 @@
 """Backend geometry, link validation, auto-link layout, coupling graph."""
 
+import json
 import logging
+import math
 
 import pytest
 
@@ -96,6 +98,31 @@ class TestValidation:
                            "b": {"chip": 1, "x": 0, "y": 0}, "eps": -1}])
         with pytest.raises(ValidationError):
             build_backend(doc)
+
+    @pytest.mark.parametrize("eps", ["NaN", "Infinity"])
+    def test_non_finite_eps_rejected(self, eps):
+        text = (
+            '{"grid": [1, 2], "chiplet": [3, 3], "links": [{"a": {"chip": 0, "x": 2, "y": 0}, '
+            '"b": {"chip": 1, "x": 0, "y": 0}, "eps": %s}]}' % eps
+        )
+        with pytest.raises(ValidationError, match="finite"):
+            build_backend(json.loads(text))
+
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            math.nan,
+            math.inf,
+            {"base": math.nan},
+            {"base": math.inf},
+            {"base": 1e-3, "scale_range": [1.0, math.inf]},
+            {"base": 1e-3, "scale_range": [math.nan, 2.0]},
+        ],
+        ids=["nan", "inf", "base-nan", "base-inf", "scale-inf", "scale-nan"],
+    )
+    def test_non_finite_auto_link_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="finite"):
+            build_backend(_doc(auto_links={"per_edge": 1, "eps": eps}))
 
     def test_defect_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="outside"):

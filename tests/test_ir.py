@@ -40,6 +40,11 @@ class TestGateNode:
         node = barrier(0, 1, 2)
         assert node.qubits == (0, 1, 2)
 
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_is_two_qubit_per_kind(self, kind):
+        two = {GateKind.OPAQUE_2Q, GateKind.CNOT, GateKind.SWAP}
+        assert kind.is_two_qubit is (kind in two)
+
     def test_barrier_rejects_duplicates(self):
         with pytest.raises(ValidationError):
             barrier(0, 1, 0)
@@ -169,6 +174,27 @@ class TestCircuitParsing:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(ValidationError):
             circuit_from_json(doc)
+
+    @pytest.mark.parametrize("other", ["03", "3\n"])
+    @pytest.mark.parametrize(
+        "section",
+        ["partitions", "partition_geometry", "locals", "layout_hints"],
+    )
+    def test_one_id_spelled_two_ways_rejected(self, section, other):
+        doc = {"n_qubits": 4, "gates": []}
+        box = {"width": 2, "height": 2}
+        hint = {"dir": "below", "ref": 0}
+        if section == "partitions":
+            doc["partitions"] = {"3": 0, other: 1}
+        elif section == "partition_geometry":
+            doc["partition_geometry"] = {"3": box, other: box}
+        elif section == "locals":
+            doc["partition_geometry"] = {"0": {**box, "locals": {"3": [0, 0], other: [0, 1]}}}
+        else:
+            doc["layout_hints"] = {"3": hint, other: hint}
+        with pytest.raises(ValidationError) as info:
+            circuit_from_json(doc)
+        assert repr("3") in str(info.value) and repr(other) in str(info.value)
 
     def test_partitions_and_geometry_parsed(self):
         ci = circuit_from_json(

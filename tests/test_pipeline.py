@@ -1,12 +1,16 @@
 """End-to-end pipeline wiring and result serialization."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipmap.backend import build_backend
 from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from chipmap.errors import ValidationError
-from chipmap.ir import Stage, circuit_from_json
-from chipmap.pipeline import CompileOptions, compile_circuit, result_to_json
+from chipmap.ir import GateKind, GateNode, Stage, circuit_from_json, gates_to_json
+from chipmap.pipeline import CompileOptions, compile_circuit, dumps_compiled, result_to_json
 from chipmap.route import RoutingConfig
 from chipmap.schema import validate_compiled_doc
 
@@ -114,3 +118,60 @@ class TestSerialization:
         assert [p["pid"] for p in out["placements"]] == [0]
         assert out["stats"]["swap_count"] == 0
         assert all(v >= 0 for v in out["timings"].values())
+
+
+_text = st.text(alphabet=st.sampled_from('aZ0 "\\/\n\t\x00\x7f\u00e9\u221a\U0001f600'), max_size=5)
+_qubit = st.integers(0, 10**6)
+
+
+@st.composite
+def _gate_nodes(draw):
+    kind = draw(st.sampled_from(list(GateKind)))
+    if kind is GateKind.BARRIER:
+        size = (1, 40)  # wide barriers too
+    elif kind.is_two_qubit:
+        size = (2, 2)
+    else:
+        size = (1, 1)
+    qubits = draw(st.lists(_qubit, min_size=size[0], max_size=size[1], unique=True))
+    return GateNode(kind, tuple(qubits), draw(_text))
+
+
+_ints = st.integers(0, 10**6)
+_counts = st.lists(st.fixed_dictionaries({"a": _ints, "b": _ints, "count": _ints}), max_size=3)
+compiled_docs = st.fixed_dictionaries(
+    {
+        "schema_version": st.just(1),
+        "n_physical": _ints,
+        "gates": st.lists(_gate_nodes(), max_size=30).map(gates_to_json),
+        "mapping": st.dictionaries(
+            _ints.map(str),
+            st.fixed_dictionaries({"chip": _ints, "x": _ints, "y": _ints}),
+            max_size=4,
+        ),
+        "placements": st.lists(
+            st.fixed_dictionaries({k: _ints for k in ("pid", "chip", "x", "y", "w", "h")}),
+            max_size=3,
+        ),
+        "link_usage": _counts,
+        "link_traversals": _counts,
+        "stats": st.dictionaries(_text, _ints | st.floats(), max_size=4),
+        "timings": st.dictionaries(_text, st.floats(0, 10), max_size=3),
+    }
+)
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(compiled_docs)
+    def test_matches_json_dumps(self, doc):
+        assert dumps_compiled(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("empty_gates", [False, True])
+    def test_matches_json_dumps_on_a_compiled_document(self, empty_gates):
+        doc = gen_ls_cnot_circuit(3)
+        be = build_backend(gen_backend_for(doc))
+        out = result_to_json(compile_circuit(circuit_from_json(doc), be), be)
+        if empty_gates:
+            out["gates"] = []
+        assert dumps_compiled(out) == json.dumps(out, indent=2)

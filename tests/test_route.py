@@ -6,7 +6,10 @@ import re
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chipmap import route
 from chipmap.backend import build_backend, coupling_graph
 from chipmap.errors import NoRouteError, StrictPatchViolationError, ValidationError
 from chipmap.gmap import Placement
@@ -15,7 +18,10 @@ from chipmap.lmap import local_map
 from chipmap.partition import predefined_partitions
 from chipmap.route import (
     RoutingConfig,
+    _bfs_dist,
     _chip_route,
+    _flood,
+    _ManhattanDist,
     path_cost,
     route_circuit,
     select_link,
@@ -386,3 +392,68 @@ class TestInvariants:
             tracker, init = _replay(compiled, be)
             assert tracker.pos == init
             assert compiled.swap_count % 2 == 0
+
+
+class TestDistanceKernel:
+    """Manhattan view on defect-free chiplets, BFS flood where a cell is dead."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.integers(1, 6),
+        h=st.integers(1, 6),
+        per_edge=st.integers(1, 3),
+        chip=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_manhattan_view_matches_bfs_at_every_cell(self, w, h, per_edge, chip, data):
+        be = _pair_chips(auto={"per_edge": per_edge, "eps": 0.01}, w=w, h=h)
+        graph = coupling_graph(be)
+        start = be.gid(chip, data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
+        view = _bfs_dist(graph, be, start, chip)
+        bfs = _flood(graph, start, chip, be.chip_area)
+        assert isinstance(view, _ManhattanDist)
+        for gid in range(be.n_qubits):
+            assert view.get(gid) == bfs.get(gid)
+            assert (gid in view) == (gid in bfs)
+            if gid in bfs:
+                assert view[gid] == bfs[gid]
+            else:
+                with pytest.raises(KeyError):
+                    view[gid]
+
+    def test_chiplet_with_a_dead_cell_is_flooded(self):
+        be = build_backend(
+            {
+                "grid": [1, 2], "chiplet": [4, 4], "allow_non_pow2": True,
+                "auto_links": {"per_edge": 1, "eps": 0.01},
+                "defects": [{"chip": 0, "x": 1, "y": 1}],
+            }
+        )
+        graph = coupling_graph(be)
+        dist = _bfs_dist(graph, be, be.gid(0, 0, 1), 0)
+        assert type(dist) is dict
+        assert dist == _flood(graph, be.gid(0, 0, 1), 0, be.chip_area)
+        assert dist[be.gid(0, 2, 1)] == 4  # around the dead cell, not through it
+        assert isinstance(_bfs_dist(graph, be, be.gid(1, 0, 0), 1), _ManhattanDist)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_routing_matches_forced_bfs(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        be = build_backend(
+            {"grid": [2, 2], "chiplet": [4, 3], "auto_links": {"per_edge": 2, "eps": 0.01}}
+        )
+        n = rng.randint(2, 8)
+        cells = rng.sample(
+            [(c, x, y) for c in range(4) for x in range(be.chip_w) for y in range(be.chip_h)], n
+        )
+        labels, placements = _singletons(cells)
+        gates = [cx(*rng.sample(range(n), 2)) for _ in range(rng.randint(1, 20))]
+        cfg = RoutingConfig.from_policy("tradeoff", restore_mapping=bool(seed % 2))
+        fast = _route(gates, n, labels, placements, be, cfg)
+        monkeypatch.setattr(
+            route, "_bfs_dist",
+            lambda graph, backend, start, chip: _flood(graph, start, chip, backend.chip_area),
+        )
+        slow = _route(gates, n, labels, placements, be, cfg)
+        assert fast.dag.nodes == slow.dag.nodes
+        assert fast.link_usage == slow.link_usage

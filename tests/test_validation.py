@@ -378,12 +378,21 @@ def test_integer_valued_floats_parse_as_integers():
     assert [(l.a, l.b, l.eps) for l in a.links] == [(l.a, l.b, l.eps) for l in b.links]
 
 
-def test_cli_import_leaves_jsonschema_out():
+def _cli_import_leaves_out(module: str) -> None:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     subprocess.run(
-        [sys.executable, "-c", "import chipmap.cli, sys; assert 'jsonschema' not in sys.modules"],
+        [sys.executable, "-c", f"import chipmap.cli, sys; assert {module!r} not in sys.modules"],
         env={**os.environ, "PYTHONPATH": path},
         check=True,
         timeout=60,
     )
+
+
+def test_cli_import_leaves_jsonschema_out():
+    _cli_import_leaves_out("jsonschema")
+
+
+def test_cli_import_leaves_networkx_out():
+    """networkx loads only when community detection runs."""
+    _cli_import_leaves_out("networkx")
