@@ -64,6 +64,19 @@ _STAT_COLUMNS = (
 _SWEEP_AXES = ("d", "n_cnots", "n_inter", "defects", "policy", "alpha", "beta")
 
 
+def _exit_code(exc: CompilerError) -> int:
+    """The documented exit code for a compiler failure."""
+    if isinstance(exc, NoFitError):
+        return EXIT_NOFIT
+    if isinstance(exc, NoRouteError):
+        return EXIT_NOROUTE
+    if isinstance(exc, (ValidationError, StrictPatchViolationError)):
+        return EXIT_VALIDATION
+    if isinstance(exc, MappingError):
+        return EXIT_MAPPING
+    return EXIT_COMPILER  # invariant checks and any future subclass
+
+
 def _guard(fn):
     """Map compiler failures onto the documented exit codes."""
 
@@ -71,16 +84,8 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except NoFitError as exc:
-            _fail(EXIT_NOFIT, str(exc))
-        except NoRouteError as exc:
-            _fail(EXIT_NOROUTE, str(exc))
-        except (ValidationError, StrictPatchViolationError) as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-        except MappingError as exc:
-            _fail(EXIT_MAPPING, str(exc))
-        except CompilerError as exc:  # invariant checks and any future subclass
-            _fail(EXIT_COMPILER, str(exc))
+        except CompilerError as exc:
+            _fail(_exit_code(exc), str(exc))
 
     return wrapper
 
@@ -314,9 +319,28 @@ def bench_gen(
     _write(out_backend or obj.out_dir / f"{stem}.backend.json", json.dumps(backend, indent=2))
 
 
-def _sweep_row(task: dict) -> dict:
-    """Generate, compile, and measure one sweep point (worker-safe)."""
+def _sweep_row(task: dict) -> tuple[dict, int]:
+    """Generate, compile, and measure one sweep point (worker-safe).
+
+    Returns the CSV row and 0, or, when the point raises a compiler
+    error, a row with only its axis values and the message in ``error``,
+    and the error's exit code.
+    """
     values = task["values"]
+    row = {axis: values[axis] for axis in task["axis_names"]}
+    try:
+        stats = _sweep_stats(task, values)
+    except CompilerError as exc:
+        log.warning("sweep point %s failed: %s", row, exc)
+        row["error"] = str(exc)
+        return row, _exit_code(exc)
+    for col in _STAT_COLUMNS:
+        row[col] = stats[col]
+    return row, 0
+
+
+def _sweep_stats(task: dict, values: dict) -> dict:
+    """Generate and compile one sweep point; its stats dict."""
     kind = task["kind"]
     d = int(values.get("d", task.get("d", 3)))
     rounds = int(task.get("rounds", 1))
@@ -348,11 +372,7 @@ def _sweep_row(task: dict) -> dict:
     result = compile_circuit(
         circuit_from_json(circuit_doc), build_backend(backend_doc), options
     )
-    stats = result.stats.as_dict()
-    row = {axis: values[axis] for axis in task["axis_names"]}
-    for col in _STAT_COLUMNS:
-        row[col] = stats[col]
-    return row
+    return result.stats.as_dict()
 
 
 @main.command()
@@ -379,7 +399,10 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
           placement: center
 
     Rows appear in axis-product order, outermost axis first. Wall-clock
-    columns are omitted so reruns produce byte-identical files.
+    columns are omitted so reruns produce byte-identical files. A point
+    that raises a compiler error keeps its row, with empty stat cells and
+    the message in the trailing error column; the CSV is written in full,
+    then the command exits with the first failed point's code.
     """
     spec = _load_doc(spec_file)
     if not isinstance(spec, dict):
@@ -422,19 +445,23 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     log.info("sweep: %d points, %d workers", len(tasks), jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+            results = list(pool.map(_sweep_row, tasks))
     else:
-        rows = [_sweep_row(t) for t in tasks]
+        results = [_sweep_row(t) for t in tasks]
 
     if out_file is None:
         out_file = obj.out_dir / "sweep.csv"
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    columns = axis_names + list(_STAT_COLUMNS)
+    columns = axis_names + list(_STAT_COLUMNS) + ["error"]
     with out_file.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(row for row, _ in results)
     log.info("wrote %s", out_file)
+    failed = [code for _, code in results if code]
+    if failed:
+        _fail(failed[0], f"{len(failed)} of {len(results)} sweep points failed; "
+                         f"see the error column of {out_file}")
 
 
 @main.command()

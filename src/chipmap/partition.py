@@ -3,14 +3,19 @@
 Two routes produce a partition registry at the first enrichment stage:
 
 - auto: estimate how many patches the interaction graph naturally forms
-  (edge-betweenness community detection, keeping the maximum-modularity
-  level of the removal dendrogram), then split qubits into that many
-  capacity-bounded blocks with recursive bisection plus a
+  (Girvan-Newman edge-betweenness community detection, keeping the
+  maximum-modularity level of the removal dendrogram), then split qubits
+  into that many capacity-bounded blocks with recursive bisection plus a
   move-and-rollback boundary refinement pass.
 - predefined: adopt patch labels shipped with the circuit, attaching
   declared geometry or inferring the squarest box that holds each block.
 
-Detection is capped at a node budget; larger circuits must ship labels.
+Detection runs on a built-in kernel: flat adjacency lists and Brandes
+edge betweenness recomputed only on the components a removal touches. It
+sums in networkx's order, so betweenness and modularity, and with them
+the removal sequence and the result, are the same as networkx gives.
+Each removal costs O(n*m) on the touched component, so detection is
+capped at a node budget; larger circuits must ship labels.
 """
 
 from __future__ import annotations
@@ -32,10 +37,7 @@ DEFAULT_DETECTION_BUDGET = 200
 
 _BETWEENNESS_TIE_TOL = 1e-9
 _MODULARITY_TIE_TOL = 1e-12
-
-
-def _ekey(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+_REMOVED = -1.0  # below every live edge's betweenness, which is at least 1
 
 
 def estimate_partition_count(
@@ -43,12 +45,13 @@ def estimate_partition_count(
 ) -> tuple[int, list[int]]:
     """Estimate the number of qubit communities in the interaction graph.
 
-    Removes edges in descending betweenness order (ties broken toward the
-    lexicographically smallest endpoint pair) and scores every community
-    structure the removal sequence produces by weighted modularity on the
-    original graph. Returns the community count and sizes of the best
-    structure; modularity ties resolve toward fewer communities. The
-    result is invariant under uniform edge-weight scaling.
+    Girvan-Newman: removes edges in descending betweenness order (ties
+    broken toward the lexicographically smallest endpoint pair) and scores
+    every community structure the removal sequence produces by weighted
+    modularity on the original graph. Returns the community count and
+    sizes of the best structure; modularity ties resolve toward fewer
+    communities. The result is invariant under uniform edge-weight scaling.
+    Nodes are ``range(g.n_nodes)``.
     """
     n = g.n_nodes
     if n == 0:
@@ -61,53 +64,138 @@ def estimate_partition_count(
     if not g.weights:
         return n, [1] * n
 
-    import networkx as nx  # only detection needs it; keeps it off the CLI import
-
-    orig = nx.Graph()
-    orig.add_nodes_from(g.nodes)
+    # Edge ids follow the sorted endpoint pairs, so the smallest id is the
+    # lexicographic tie-break; each node lists (neighbour, edge id) in
+    # insertion order.
+    ends: list[tuple[int, int]] = []
+    weights: list[int] = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    wdeg = [0] * n
     for (a, b), w in sorted(g.weights.items()):
         if w <= 0:
             raise ValidationError(f"interaction edge {(a, b)} has nonpositive weight {w}")
-        orig.add_edge(a, b, weight=w)
+        adj[a].append((b, len(ends)))
+        adj[b].append((a, len(ends)))
+        ends.append((a, b))
+        weights.append(w)
+        wdeg[a] += w
+        wdeg[b] += w
 
-    def communities(graph: nx.Graph) -> list[set[int]]:
-        return sorted(nx.connected_components(graph), key=min)
+    bc = [0.0] * len(ends)  # betweenness of live edges, _REMOVED once cut
+    label = [-1] * n  # component id per node
+    n_comps = 0
+    for v in range(n):
+        if label[v] < 0:
+            comp = _reach(adj, v)
+            for u in comp:
+                label[u] = n_comps
+            _edge_betweenness(adj, sorted(comp), bc)
+            n_comps += 1
 
-    work = orig.copy()
-    bc: dict[tuple[int, int], float] = {}
+    deg_sum = sum(wdeg)
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
 
-    def recompute(nodes: set[int]) -> None:
-        sub = work.subgraph(nodes)
-        for (u, v), val in nx.edge_betweenness_centrality(sub, normalized=False).items():
-            bc[_ekey(u, v)] = val
+    def modularity() -> float:
+        # networkx's expression and summation order, so Q matches bit for bit
+        internal = [0] * n_comps
+        degree = [0] * n_comps
+        for (a, b), w in zip(ends, weights):
+            if label[a] == label[b]:
+                internal[label[a]] += w
+        for v, d in enumerate(wdeg):
+            degree[label[v]] += d
+        by_min = dict.fromkeys(label)  # communities in order of their smallest node
+        return sum(internal[c] / m - degree[c] * degree[c] * norm for c in by_min)
 
-    comps = communities(work)
-    for comp in comps:
-        recompute(comp)
+    def sizes() -> list[int]:
+        counts = [0] * n_comps
+        for c in label:
+            counts[c] += 1
+        return sorted(counts, reverse=True)
 
-    best = comps
-    best_q = nx.algorithms.community.modularity(orig, comps, weight="weight")
-    n_comps = len(comps)
-    while work.number_of_edges() > 0:
-        top = max(bc.values())
+    best_q = modularity()
+    best = sizes()
+    for _ in range(len(ends)):
+        top = max(bc)
         cut = top - _BETWEENNESS_TIE_TOL * max(1.0, abs(top))
-        edge = min(e for e, val in bc.items() if val >= cut)
-        work.remove_edge(*edge)
-        del bc[edge]
-        side_a = nx.node_connected_component(work, edge[0])
-        if edge[1] in side_a:
-            recompute(side_a)
-        else:
-            recompute(side_a)
-            recompute(nx.node_connected_component(work, edge[1]))
-            comps = communities(work)
-            if len(comps) > n_comps:
-                n_comps = len(comps)
-                q = nx.algorithms.community.modularity(orig, comps, weight="weight")
-                if q > best_q + _MODULARITY_TIE_TOL:
-                    best, best_q = comps, q
-    sizes = sorted((len(c) for c in best), reverse=True)
-    return len(best), sizes
+        e = next(i for i, val in enumerate(bc) if val >= cut)
+        bc[e] = _REMOVED
+        a, b = ends[e]
+        adj[a].remove((b, e))
+        adj[b].remove((a, e))
+        side_a = _reach(adj, a)
+        _edge_betweenness(adj, sorted(side_a), bc)
+        if b in side_a:
+            continue
+        side_b = _reach(adj, b)
+        _edge_betweenness(adj, sorted(side_b), bc)
+        for v in side_b:
+            label[v] = n_comps
+        n_comps += 1
+        q = modularity()
+        if q > best_q + _MODULARITY_TIE_TOL:
+            best, best_q = sizes(), q
+    return len(best), best
+
+
+def _reach(adj: list[list[tuple[int, int]]], start: int) -> set[int]:
+    """Nodes connected to ``start`` (breadth-first)."""
+    seen = {start}
+    queue = [start]
+    for v in queue:
+        for w, _ in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _edge_betweenness(adj: list[list[tuple[int, int]]], nodes: list[int],
+                      bc: list[float]) -> None:
+    """Brandes edge betweenness of one component into ``bc``, unnormalized.
+
+    Sources run in node order and each source's stack doubles as its BFS
+    queue, so every sum is taken in the order networkx takes it; the final
+    halving (one count per unordered pair) is exact.
+    """
+    eids = [e for v in nodes for w, e in adj[v] if v < w]
+    for e in eids:
+        bc[e] = 0.0
+    n = len(adj)
+    sigma = [0.0] * n
+    dist = [-1] * n
+    delta = [0.0] * n
+    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s in nodes:
+        sigma[s] = 1.0
+        dist[s] = 0
+        preds[s] = []
+        stack = [s]
+        for v in stack:
+            dv = dist[v] + 1
+            sv = sigma[v]
+            for w, e in adj[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = dv
+                    sigma[w] = sv
+                    preds[w] = [(v, e)]
+                    stack.append(w)
+                elif dw == dv:
+                    sigma[w] += sv
+                    preds[w].append((v, e))
+        for w in reversed(stack):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v, e in preds[w]:
+                c = sigma[v] * coeff
+                bc[e] += c
+                delta[v] += c
+        for v in stack:
+            dist[v] = -1
+            delta[v] = 0.0
+    for e in eids:
+        bc[e] *= 0.5
 
 
 def _infer_box(n: int) -> tuple[int, int]:
@@ -206,6 +294,8 @@ def _split(
     rng: random.Random,
     assign: dict[int, int],
 ) -> None:
+    if not nodes:  # refinement may empty a side; its blocks stay empty
+        return
     if len(caps) == 1:
         if len(nodes) > _cap_limit(caps[0], imbalance):
             raise ValidationError(
@@ -217,8 +307,10 @@ def _split(
         return
     k1 = (len(caps) + 1) // 2
     caps_l, caps_r = caps[:k1], caps[k1:]
-    hi_l = _cap_limit(sum(caps_l), imbalance)
-    hi_r = _cap_limit(sum(caps_r), imbalance)
+    # Each side may hold what its leaves may hold; _cap_limit(sum) would
+    # hand out slack the per-leaf floor then takes away.
+    hi_l = sum(_cap_limit(c, imbalance) for c in caps_l)
+    hi_r = sum(_cap_limit(c, imbalance) for c in caps_r)
     lo_l = max(0, len(nodes) - hi_r)
     if lo_l > hi_l:
         raise ValidationError("capacities infeasible under the imbalance bound")

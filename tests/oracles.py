@@ -3,13 +3,16 @@
 These deliberately avoid the package's own data structures and
 algorithms: depth comes from an availability simulation, packing checks
 from cell-set rasterization, routing checks from token replay on an
-adjacency set, and partition quality from exhaustive enumeration.
+adjacency set, partition quality from exhaustive enumeration, and the
+community count from networkx's Girvan-Newman primitives.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Mapping, Sequence
+
+import networkx as nx
 
 
 def sim_depth(gates: Sequence[tuple[str, Sequence[int]]]) -> int:
@@ -117,3 +120,56 @@ def all_partitions(elems: list[int]):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
         yield [[first]] + part
+
+
+def girvan_newman_count(g) -> tuple[int, list[int]]:
+    """Community count and sizes by Girvan-Newman on networkx.
+
+    ``g`` has ``nodes`` and ``weights`` ({(a, b): w} with a < b). Edges go
+    in descending betweenness order (relative ties within 1e-9 broken
+    toward the smallest endpoint pair); after each removal, betweenness
+    is recomputed on the touched components only. Every new community
+    structure is scored by weighted modularity on the original graph,
+    keeping the first best (ties within 1e-12 go to fewer communities).
+    """
+    if not g.weights:
+        return len(g.nodes), [1] * len(g.nodes)
+    orig = nx.Graph()
+    orig.add_nodes_from(g.nodes)
+    for (a, b), w in sorted(g.weights.items()):
+        orig.add_edge(a, b, weight=w)
+
+    def communities(graph: nx.Graph) -> list[set[int]]:
+        return sorted(nx.connected_components(graph), key=min)
+
+    work = orig.copy()
+    bc: dict[tuple[int, int], float] = {}
+
+    def recompute(nodes: set[int]) -> None:
+        sub = work.subgraph(nodes)
+        for (u, v), val in nx.edge_betweenness_centrality(sub, normalized=False).items():
+            bc[(min(u, v), max(u, v))] = val
+
+    comps = communities(work)
+    for comp in comps:
+        recompute(comp)
+    best = comps
+    best_q = nx.algorithms.community.modularity(orig, comps, weight="weight")
+    n_comps = len(comps)
+    while work.number_of_edges() > 0:
+        top = max(bc.values())
+        cut = top - 1e-9 * max(1.0, abs(top))
+        edge = min(e for e, val in bc.items() if val >= cut)
+        work.remove_edge(*edge)
+        del bc[edge]
+        side_a = nx.node_connected_component(work, edge[0])
+        recompute(side_a)
+        if edge[1] not in side_a:
+            recompute(nx.node_connected_component(work, edge[1]))
+            comps = communities(work)
+            if len(comps) > n_comps:
+                n_comps = len(comps)
+                q = nx.algorithms.community.modularity(orig, comps, weight="weight")
+                if q > best_q + 1e-12:
+                    best, best_q = comps, q
+    return len(best), sorted((len(c) for c in best), reverse=True)

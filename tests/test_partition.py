@@ -5,15 +5,20 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chipmap.benchgen import gen_ls_cnot_circuit
 from chipmap.errors import ValidationError
-from chipmap.ir import InteractionGraph, Stage, build_dag, cx
+from chipmap.ir import InteractionGraph, Stage, build_dag, circuit_from_json, cx, interaction_graph
 from chipmap.partition import (
+    _cap_limit,
+    _edge_betweenness,
     estimate_partition_count,
     kway_partition,
     predefined_partitions,
 )
-from oracles import all_partitions, brute_force_cut, cut_weight
+from oracles import all_partitions, brute_force_cut, cut_weight, girvan_newman_count
 
 
 def _clique(weights, nodes, w=1):
@@ -96,6 +101,81 @@ class TestEstimate:
                 weights[(a, b)] = rng.randint(1, 5)
         g = _graph(10, weights)
         assert estimate_partition_count(g) == estimate_partition_count(g)
+
+
+def _ls_cnot_interaction_graph(d, n_cnots):
+    """Interaction graph of an ls-cnot circuit, as ``--partitions detect`` sees it."""
+    return interaction_graph(circuit_from_json(gen_ls_cnot_circuit(d, n_cnots)).dag)
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """Random integer-weighted graphs up to about 40 nodes.
+
+    Shapes: random edge sets (often disconnected), cycles and grids (many
+    betweenness ties), and planted cliques joined by a few bridges; each
+    may carry isolated extra nodes.
+    """
+    shape = draw(st.sampled_from(["random", "cycle", "grid", "cliques"]))
+    if shape == "random":
+        n = draw(st.integers(1, 36))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=70, unique=True)) if pairs else []
+    elif shape == "cycle":
+        n = draw(st.integers(3, 36))
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    elif shape == "grid":
+        w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        n = w * h
+        edges = [(v, v + 1) for v in range(n) if (v + 1) % w]
+        edges += [(v, v + w) for v in range(n - w)]
+    else:
+        sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=6))
+        n = sum(sizes)
+        edges, start = [], 0
+        for size in sizes:
+            edges += list(itertools.combinations(range(start, start + size), 2))
+            start += size
+        pairs = [p for p in itertools.combinations(range(n), 2) if p not in set(edges)]
+        if pairs:
+            edges += draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+    if draw(st.booleans()):
+        weights = {e: 1 for e in edges}
+    else:
+        weights = {e: draw(st.integers(1, 5)) for e in edges}
+    n += draw(st.integers(0, 3))  # isolated nodes
+    return _graph(n, weights)
+
+
+class TestDetectionMatchesOracle:
+    """The built-in kernel against networkx's Girvan-Newman."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_weighted_graphs(), st.integers(1, 7))
+    def test_random_graphs(self, g, scale):
+        expected = girvan_newman_count(g)
+        assert estimate_partition_count(g) == expected
+        scaled = _graph(g.n_nodes, {e: w * scale for e, w in g.weights.items()})
+        assert estimate_partition_count(scaled) == expected
+
+    def test_detect_workload_d3(self):
+        g = _ls_cnot_interaction_graph(3, 3)
+        assert estimate_partition_count(g, 256) == girvan_newman_count(g) == (9, [25] * 9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_weighted_graphs())
+    def test_edge_betweenness_bit_for_bit(self, g):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n_nodes))
+        nxg.add_edges_from(sorted(g.weights))
+        expected = nx.edge_betweenness_centrality(nxg, normalized=False)
+        adj = [[] for _ in range(g.n_nodes)]
+        for eid, (a, b) in enumerate(sorted(g.weights)):
+            adj[a].append((b, eid))
+            adj[b].append((a, eid))
+        bc = [0.0] * len(g.weights)
+        _edge_betweenness(adj, list(range(g.n_nodes)), bc)
+        assert bc == [expected[e] for e in sorted(g.weights)]
 
 
 def _connected(n, weights):
@@ -195,6 +275,59 @@ class TestKway:
         a = kway_partition(g, 2, [(n + 1) // 2, n - (n + 1) // 2], seed=3)
         b = kway_partition(g, 2, [(n + 1) // 2, n - (n + 1) // 2], seed=3)
         assert [sorted(p.qubits) for p in a] == [sorted(p.qubits) for p in b]
+
+
+def _communities_20x10(seed=3):
+    """20 communities of 10 qubits: intra edges with p=0.5, 30 random bridges."""
+    rng = random.Random(seed)
+    weights = {}
+    for c in range(20):
+        for a, b in itertools.combinations(range(10 * c, 10 * c + 10), 2):
+            if rng.random() < 0.5:
+                weights[(a, b)] = 1
+    for _ in range(30):
+        a, b = rng.sample(range(200), 2)
+        weights.setdefault((min(a, b), max(a, b)), 1)
+    return _graph(200, weights)
+
+
+class TestCapacitySplit:
+    """Each level of the bisection may hand a side only what its leaves may hold."""
+
+    def _assert_within_caps(self, reg, n, sizes, imbalance):
+        assert reg.covered_qubits() == frozenset(range(n))
+        for p in reg:
+            assert len(p.qubits) <= _cap_limit(sizes[p.pid], imbalance)
+
+    def test_detected_sizes_split_at_default_imbalance(self):
+        g = _communities_20x10()
+        k, sizes = estimate_partition_count(g)
+        assert (k, sizes) == (20, [10] * 20)
+        for imbalance in (0.0, 0.03, 0.1):
+            reg = kway_partition(g, k, sizes, imbalance)
+            self._assert_within_caps(reg, 200, sizes, imbalance)
+
+    def test_detect_workload_d5_splits(self):
+        g = _ls_cnot_interaction_graph(5, 1)
+        k, sizes = estimate_partition_count(g, 256)
+        assert (k, sizes) == (12, [25] * 3 + [20] * 6 + [16] * 3)
+        self._assert_within_caps(kway_partition(g, k, sizes), g.n_nodes, sizes, 0.03)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=32),
+        st.one_of(st.just(0.0), st.just(0.03), st.floats(0.0, 2.0)),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_positive_sizes_split(self, sizes, imbalance, rng):
+        n = sum(sizes)
+        weights = {}
+        for _ in range(2 * n):
+            a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if a != b:
+                weights[(min(a, b), max(a, b))] = rng.randint(1, 4)
+        reg = kway_partition(_graph(n, weights), len(sizes), sizes, imbalance)
+        self._assert_within_caps(reg, n, sizes, imbalance)
 
 
 class TestPredefined:

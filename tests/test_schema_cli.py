@@ -280,6 +280,22 @@ class TestSweep:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_failed_point_keeps_every_row(self, runner, tmp_path):
+        # 30 defects per chiplet leave no region for a d=3 patch
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(yaml.safe_dump({"kind": "ls-cnot", "d": 3, "axes": {"defects": [0, 30]}}))
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(out)])
+        assert result.exit_code == EXIT_NOFIT
+        assert result.stderr.splitlines()[-1] == (
+            f"error: 1 of 2 sweep points failed; see the error column of {out}"
+        )
+        header, ok, failed = [line.split(",") for line in out.read_text().splitlines()]
+        assert header[0] == "defects" and header[-1] == "error"
+        assert ok[0] == "0" and ok[-1] == "" and all(ok[1:-1])
+        assert failed[0] == "30" and failed[1:-1] == [""] * (len(header) - 2)
+        assert failed[-1] == "no chiplet region fits partition 1"
+
     def test_unknown_axis_rejected(self, runner, tmp_path):
         spec = self._spec(tmp_path)
         spec.write_text(yaml.safe_dump({"kind": "memory", "axes": {"voltage": [1]}}))

@@ -13,6 +13,7 @@ every document the schema rejects.
 """
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from chipmap.backend import build_backend
+from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit
 from chipmap.errors import ValidationError
 from chipmap.ir import circuit_from_json
 from chipmap.schema import (
@@ -378,15 +380,19 @@ def test_integer_valued_floats_parse_as_integers():
     assert [(l.a, l.b, l.eps) for l in a.links] == [(l.a, l.b, l.eps) for l in b.links]
 
 
-def _cli_import_leaves_out(module: str) -> None:
+def _run_python(code: str, *args: str) -> None:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     subprocess.run(
-        [sys.executable, "-c", f"import chipmap.cli, sys; assert {module!r} not in sys.modules"],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
         check=True,
         timeout=60,
     )
+
+
+def _cli_import_leaves_out(module: str) -> None:
+    _run_python(f"import chipmap.cli, sys; assert {module!r} not in sys.modules")
 
 
 def test_cli_import_leaves_jsonschema_out():
@@ -394,5 +400,29 @@ def test_cli_import_leaves_jsonschema_out():
 
 
 def test_cli_import_leaves_networkx_out():
-    """networkx loads only when community detection runs."""
+    """networkx is not a runtime dependency."""
     _cli_import_leaves_out("networkx")
+
+
+def test_detect_compile_leaves_networkx_out(tmp_path):
+    """Community detection runs on the built-in kernel, not on networkx."""
+    circuit = gen_ls_cnot_circuit(3, 3)
+    backend = gen_backend_for(circuit)
+    for key in ("partitions", "partition_geometry", "layout_hints"):
+        del circuit[key]
+    circuit_file, backend_file = tmp_path / "c.json", tmp_path / "b.json"
+    circuit_file.write_text(json.dumps(circuit))
+    backend_file.write_text(json.dumps(backend))
+    out = tmp_path / "out.json"
+    _run_python(
+        "import sys\n"
+        "from chipmap.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "assert 'networkx' not in sys.modules\n",
+        "compile", str(circuit_file), str(backend_file), "--partitions", "detect",
+        "--detection-budget", "256", "-o", str(out),
+    )
+    assert json.loads(out.read_text())["stats"]["n_virtual"] == circuit["n_qubits"]
