@@ -30,18 +30,17 @@ class PhysCoord(NamedTuple):
     y: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class InterChipLink:
     """Dedicated coupler between facing edge qubits of adjacent chiplets.
 
-    ``usage`` is the congestion counter consulted by routing; it belongs
-    to a single routing run, which resets it before selecting links.
+    Immutable: the congestion counts routing consults belong to each
+    routing run, keyed by ``key``.
     """
 
     a: int  # global qubit id on the lower-numbered chiplet
     b: int  # global qubit id on the higher-numbered chiplet
     eps: float  # physical error rate of the coupler, stored raw
-    usage: int = 0
 
     @property
     def key(self) -> tuple[int, int]:
@@ -110,9 +109,6 @@ class ChipletBackend:
     def chip_at(self, row: int, col: int) -> int:
         return row * self.grid_cols + col
 
-    def is_defective(self, gid: int) -> bool:
-        return gid in self.defects
-
     def links_between(self, chip_a: int, chip_b: int) -> tuple[InterChipLink, ...]:
         if chip_a > chip_b:
             chip_a, chip_b = chip_b, chip_a
@@ -139,11 +135,6 @@ class ChipletBackend:
             ok = ay == self.chip_h - 1 and by == 0
         if not ok:
             raise ValidationError(f"link {link.key}: endpoints must lie on the facing edges")
-
-    def functional_qubits(self) -> Iterator[int]:
-        for gid in range(self.n_qubits):
-            if gid not in self.defects:
-                yield gid
 
 
 def _is_power_of_two(n: int) -> bool:

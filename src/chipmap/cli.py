@@ -31,7 +31,8 @@ from .errors import (
     ValidationError,
 )
 from .ir import circuit_from_json
-from .pipeline import CompileOptions, compile_circuit, dumps_compiled, result_to_json
+from .partition import DEFAULT_DETECTION_BUDGET
+from .pipeline import CompileOptions, compile_circuit, dumps_compiled
 from .render import render_layout_svg
 from .schema import validate_compiled_doc
 from .route import RoutingConfig
@@ -188,7 +189,8 @@ _compile_opts = [
                  help="Reference choice for relative placement."),
     click.option("--no-hints", is_flag=True, help="Ignore declared layout hints."),
     click.option("--imbalance", type=float, default=0.03, show_default=True),
-    click.option("--detection-budget", type=int, default=200, show_default=True,
+    click.option("--detection-budget", type=int, default=DEFAULT_DETECTION_BUDGET,
+                 show_default=True,
                  help="Max interaction-graph size for community detection."),
 ]
 
@@ -250,11 +252,16 @@ def compile_cmd(
     if not stats_only:
         if out_file is None:
             out_file = obj.out_dir / (circuit_file.stem + ".compiled.json")
-        _write(out_file, dumps_compiled(result_to_json(result, backend)))
+        _write(out_file, dumps_compiled(result, backend))
     if svg_file is not None:
         svg_file.parent.mkdir(parents=True, exist_ok=True)
         svg_file.write_text(
-            render_layout_svg(backend, result.placements, title=circuit_file.name)
+            render_layout_svg(
+                backend,
+                result.placements,
+                title=circuit_file.name,
+                link_usage=result.compiled.link_usage,
+            )
         )
         log.info("wrote %s", svg_file)
 
@@ -513,5 +520,12 @@ def render_layout(
     if out_file is None:
         out_file = obj.out_dir / (circuit_file.stem + ".layout.svg")
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    out_file.write_text(render_layout_svg(backend, result.placements, title=circuit_file.name))
+    out_file.write_text(
+        render_layout_svg(
+            backend,
+            result.placements,
+            title=circuit_file.name,
+            link_usage=result.compiled.link_usage,
+        )
+    )
     click.echo(str(out_file))

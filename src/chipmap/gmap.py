@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .backend import ChipletBackend
 from .errors import NoFitError, ValidationError
@@ -42,12 +42,6 @@ class Placement:
     y: int
     w: int
     h: int
-
-    @property
-    def cells(self) -> Iterable[tuple[int, int]]:
-        for yy in range(self.y, self.y + self.h):
-            for xx in range(self.x, self.x + self.w):
-                yield xx, yy
 
 
 class BinState:

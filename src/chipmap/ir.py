@@ -2,7 +2,8 @@
 
 Contains:
 - GateKind / GateNode: the gate vocabulary (unknown names load as opaque)
-- CircuitDag: immutable DAG built from per-qubit last-writer chains
+- CircuitDag: immutable gate list whose last-writer dependency edges are
+  derived on first use
 - InteractionGraph: weighted qubit graph counting two-qubit gates
 - Partition / PartitionRegistry / Stage: patch metadata enriched stage by
   stage; every enrichment returns a new registry and never rewrites a
@@ -54,7 +55,7 @@ _KIND_BY_NAME = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateNode:
     """One gate. ``qubits`` are virtual ids before routing, physical after."""
 
@@ -110,37 +111,56 @@ class CircuitDag:
 
     Node ids are indices into ``nodes``; the list order is a topological
     order by construction. Barriers depend on, and are depended on by,
-    every listed operand, which keeps round structure intact. Only the
-    predecessor lists are built eagerly; ``edges`` and ``succs`` are
-    derived from them on first use.
+    every listed operand, which keeps round structure intact. The edges
+    are not built up front: ``preds``, ``edges`` and ``succs`` derive
+    them on first use, and ``depth`` needs none of them.
     """
 
     __slots__ = ("nodes", "n_virt", "_preds", "_edges", "_succs")
 
-    def __init__(
-        self,
-        nodes: tuple[GateNode, ...],
-        n_virt: int,
-        preds: tuple[tuple[int, ...], ...],
-    ):
+    def __init__(self, nodes: tuple[GateNode, ...], n_virt: int):
         self.nodes = nodes
         self.n_virt = n_virt
-        self._preds = preds
+        self._preds: tuple[tuple[int, ...], ...] | None = None
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._succs: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def _pred_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Each gate's predecessors: the previous gate on any of its operands.
+
+        Parallel edges between the same node pair are collapsed.
+        """
+        if self._preds is None:
+            last = [-1] * self.n_virt  # last gate on each qubit, -1 before the first
+            preds: list[tuple[int, ...]] = []
+            for i, g in enumerate(self.nodes):
+                qs = g.qubits
+                if len(qs) == 1:
+                    p = last[qs[0]]
+                    preds.append((p,) if p >= 0 else ())
+                else:
+                    srcs = {last[q] for q in qs}
+                    srcs.discard(-1)
+                    preds.append(tuple(sorted(srcs)))
+                for q in qs:
+                    last[q] = i
+            self._preds = tuple(preds)
+        return self._preds
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All (pred, succ) pairs, ordered by successor, then predecessor."""
         if self._edges is None:
-            self._edges = tuple((p, i) for i, ps in enumerate(self._preds) for p in ps)
+            self._edges = tuple(
+                (p, i) for i, ps in enumerate(self._pred_lists()) for p in ps
+            )
         return self._edges
 
     def preds(self, i: int) -> tuple[int, ...]:
-        return self._preds[i]
+        return self._pred_lists()[i]
 
     def succs(self, i: int) -> tuple[int, ...]:
         if self._succs is None:
@@ -156,46 +176,43 @@ class CircuitDag:
                 yield i, g
 
     def depth(self) -> int:
-        """Critical path length with unit gate weight; barriers weigh zero."""
-        finish = [0] * len(self.nodes)
-        best = 0
-        for i, g in enumerate(self.nodes):
-            w = 0 if g.kind is GateKind.BARRIER else 1
-            longest = 0
-            for p in self._preds[i]:
-                if finish[p] > longest:
-                    longest = finish[p]
-            finish[i] = w + longest
-            if finish[i] > best:
-                best = finish[i]
-        return best
+        """Critical path length with unit gate weight; barriers weigh zero.
+
+        A gate finishes one step after the latest finish among its
+        operands, which is the longest path through its predecessors, so
+        per-qubit finish times give the depth without the edge lists.
+        """
+        finish = [0] * self.n_virt  # finish time of the last gate on each qubit
+        barrier = GateKind.BARRIER
+        for g in self.nodes:
+            qs = g.qubits
+            if g.kind is barrier:
+                t = max([finish[q] for q in qs])
+                for q in qs:
+                    finish[q] = t
+            elif len(qs) == 1:
+                finish[qs[0]] += 1
+            else:
+                a, b = qs
+                ta, tb = finish[a], finish[b]
+                finish[a] = finish[b] = (ta if ta > tb else tb) + 1
+        return max(finish, default=0)
 
 
 def build_dag(gates: Sequence[GateNode], n_virt: int) -> CircuitDag:
     """Build the dependency DAG for ``gates`` over ``n_virt`` virtual qubits.
 
     Each gate depends on the previous gate touching any of its operands;
-    parallel edges between the same node pair are collapsed.
+    only the operand range is checked here, the edges are derived when
+    first asked for.
     """
     if n_virt < 0:
         raise ValidationError(f"n_virt must be nonnegative, got {n_virt}")
-    last = [-1] * n_virt  # last gate on each qubit, -1 before the first
-    preds: list[tuple[int, ...]] = []
     for i, g in enumerate(gates):
-        qs = g.qubits
-        for q in qs:
+        for q in g.qubits:
             if not 0 <= q < n_virt:
                 raise ValidationError(f"gate {i}: operand {q} out of range for n_virt={n_virt}")
-        if len(qs) == 1:
-            p = last[qs[0]]
-            preds.append((p,) if p >= 0 else ())
-        else:
-            srcs = {last[q] for q in qs}
-            srcs.discard(-1)
-            preds.append(tuple(sorted(srcs)))
-        for q in qs:
-            last[q] = i
-    return CircuitDag(tuple(gates), n_virt, tuple(preds))
+    return CircuitDag(tuple(gates), n_virt)
 
 
 @dataclass(frozen=True)
@@ -208,9 +225,6 @@ class InteractionGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def total_weight(self) -> int:
-        return sum(self.weights.values())
 
 
 def interaction_graph(dag: CircuitDag) -> InteractionGraph:
@@ -353,15 +367,6 @@ class PartitionRegistry:
 
 
 @dataclass(frozen=True)
-class VirtualQubit:
-    """Loader-side view of one circuit qubit and its declared layout."""
-
-    qid: int
-    partition_hint: int | None = None
-    local_pos: tuple[int, int] | None = None  # (row, col) inside its patch
-
-
-@dataclass(frozen=True)
 class PartitionGeometry:
     width: int
     height: int
@@ -379,7 +384,6 @@ class CircuitInput:
     """Parsed circuit document: DAG plus optional partition declarations."""
 
     dag: CircuitDag
-    qubits: tuple[VirtualQubit, ...]
     partitions: dict[int, int] | None = None              # qubit -> partition id
     geometry: dict[int, PartitionGeometry] | None = None  # partition id -> box
     layout_hints: dict[int, LayoutHint] | None = None     # partition id -> hint
@@ -470,14 +474,7 @@ def circuit_from_json(obj: dict) -> CircuitInput:
             for k, v in _by_id("layout_hints", obj["layout_hints"]).items()
         }
 
-    qubits = []
-    for q in range(n):
-        hint = partitions.get(q) if partitions else None
-        pos = None
-        if hint is not None and geometry and hint in geometry:
-            pos = geometry[hint].cells.get(q)
-        qubits.append(VirtualQubit(q, hint, pos))
-    return CircuitInput(dag, tuple(qubits), partitions, geometry, hints)
+    return CircuitInput(dag, partitions, geometry, hints)
 
 
 def gates_to_json(nodes: Sequence[GateNode]) -> list[dict]:

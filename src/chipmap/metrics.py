@@ -66,6 +66,27 @@ def count_two_qubit(dag: CircuitDag) -> int:
     return sum(1 for g in dag.nodes if g.kind.is_two_qubit)
 
 
+def _gate_counts(dag: CircuitDag, chip_area: int) -> tuple[int, int, int]:
+    """Two-qubit, non-barrier and chiplet-crossing two-qubit gates, in one pass.
+
+    Operands are read as physical ids on chiplets of ``chip_area`` cells;
+    the crossing count means nothing for a DAG over virtual qubits.
+    """
+    two = gates = inter = 0
+    barrier = GateKind.BARRIER
+    for g in dag.nodes:
+        kind = g.kind
+        if kind.is_two_qubit:
+            two += 1
+            gates += 1
+            a, b = g.qubits
+            if a // chip_area != b // chip_area:
+                inter += 1
+        elif kind is not barrier:
+            gates += 1
+    return two, gates, inter
+
+
 def _ratio(num: int, den: int) -> float:
     if den == 0:
         return 1.0 if num == 0 else float("inf")
@@ -86,17 +107,8 @@ def stats(
     that hold at least one partition, or of the whole device when
     ``util_all_chiplets`` is set.
     """
-    two_orig = count_two_qubit(original)
-    two_comp = count_two_qubit(compiled.dag)
-    gates_orig = sum(1 for g in original.nodes if g.kind is not GateKind.BARRIER)
-    gates_comp = sum(1 for g in compiled.dag.nodes if g.kind is not GateKind.BARRIER)
-
-    inter = 0
-    for g in compiled.dag.nodes:
-        if g.kind.is_two_qubit:
-            a, b = g.qubits
-            if backend.chip_of(a) != backend.chip_of(b):
-                inter += 1
+    two_orig, gates_orig, _ = _gate_counts(original, backend.chip_area)
+    two_comp, gates_comp, inter = _gate_counts(compiled.dag, backend.chip_area)
     traversed = sum(compiled.link_traversals.values())
     if inter != traversed:
         raise CompilerError(

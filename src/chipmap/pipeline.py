@@ -12,11 +12,19 @@ import logging
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import Sequence
 
-from .backend import ChipletBackend
+from .backend import ChipletBackend, PhysCoord
 from .errors import ValidationError
 from .gmap import Placement, global_map
-from .ir import CircuitInput, PartitionRegistry, gates_to_json, interaction_graph
+from .ir import (
+    CircuitInput,
+    GateKind,
+    GateNode,
+    PartitionRegistry,
+    gates_to_json,
+    interaction_graph,
+)
 from .lmap import local_map
 from .metrics import CompileStats, stats
 from .partition import (
@@ -145,8 +153,15 @@ def compile_circuit(
     )
 
 
-def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
-    """Serialize a compilation result to the compiled-circuit document."""
+def _document(
+    result: CompileResult, backend: ChipletBackend, gates: object, mapping: object
+) -> dict:
+    """The compiled document's keys in order, with ``gates`` and ``mapping`` as given.
+
+    ``result_to_json`` passes those two blocks as JSON values and
+    ``dumps_compiled`` as text it wrote itself; every other field is
+    laid out here for both.
+    """
     compiled = result.compiled
 
     def pairs(counts: dict[tuple[int, int], int]) -> list[dict]:
@@ -157,11 +172,8 @@ def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
     return {
         "schema_version": 1,
         "n_physical": backend.n_qubits,
-        "gates": gates_to_json(compiled.dag.nodes),
-        "mapping": {
-            str(v): {"chip": c.chip, "x": c.x, "y": c.y}
-            for v, c in sorted(compiled.mapping.items())
-        },
+        "gates": gates,
+        "mapping": mapping,
         "placements": [
             {"pid": p.pid, "chip": p.chip, "x": p.x, "y": p.y, "w": p.w, "h": p.h}
             for p in (result.placements[pid] for pid in sorted(result.placements))
@@ -173,39 +185,75 @@ def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
     }
 
 
-# One gate of a compiled document as json.dumps(indent=2) lays it out.
+def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
+    """Serialize a compilation result to the compiled-circuit document."""
+    compiled = result.compiled
+    mapping = {
+        str(v): {"chip": c.chip, "x": c.x, "y": c.y}
+        for v, c in sorted(compiled.mapping.items())
+    }
+    return _document(result, backend, gates_to_json(compiled.dag.nodes), mapping)
+
+
+# One gate and one mapping entry, nested one level deep, as
+# json.dumps(indent=2) lays them out.
 _GATE = '{\n      "op": %s,\n      "qubits": [\n        %s\n      ]%s\n    }'
+_COORD = '"%d": {\n      "chip": %d,\n      "x": %d,\n      "y": %d\n    }'
 
 
-def dumps_compiled(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)`` for a document from ``result_to_json``.
+def dumps_compiled(result: CompileResult, backend: ChipletBackend) -> str:
+    """``json.dumps(result_to_json(result, backend), indent=2)``, written directly.
 
-    The gate array, which holds nearly all of a document, is written from
-    a fixed template instead of going through the generic encoder; every
-    other value is encoded by ``json.dumps``. The output is the same
-    string either way.
+    The gate array and the mapping, which hold nearly all of a document,
+    are written from the ``GateNode`` and ``PhysCoord`` objects through
+    fixed templates, without building their dicts; every other field is
+    encoded by ``json.dumps``. The output is the same string either way.
     """
+    written = {
+        "gates": _dumps_gates(result.compiled.dag.nodes),
+        "mapping": _dumps_mapping(result.compiled.mapping),
+    }
+    doc = _document(result, backend, written["gates"], written["mapping"])
     fields = []
     for key, value in doc.items():
-        if key == "gates":
-            text = _dumps_gates(value)
+        if key in written:
+            text = value
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         fields.append(f"  {encode_basestring_ascii(key)}: {text}")
     return "{\n" + ",\n".join(fields) + "\n}"
 
 
-def _dumps_gates(gates: list[dict]) -> str:
-    """The gate array, nested one level deep, as ``json.dumps(indent=2)`` writes it."""
-    if not gates:
+def _dumps_gates(nodes: Sequence[GateNode]) -> str:
+    """The gate array as ``gates_to_json`` would give it to ``json.dumps(indent=2)``."""
+    if not nodes:
         return "[]"
-    enc = encode_basestring_ascii
-    items = [
-        _GATE % (
-            enc(g["op"]),
-            ",\n        ".join(map(str, g["qubits"])),
-            ',\n      "tag": ' + enc(g["tag"]) if "tag" in g else "",
-        )
-        for g in gates
-    ]
+    templates: dict[tuple[GateKind, str, int], str] = {}
+    items = []
+    for g in nodes:
+        qs = g.qubits
+        key = (g.kind, g.tag, len(qs))
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _gate_template(*key)
+        items.append(template % qs)
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+def _gate_template(kind: GateKind, tag: str, arity: int) -> str:
+    """One gate's text with its ``arity`` operands left as ``%d`` slots."""
+    enc = encode_basestring_ascii
+    if kind in (GateKind.OPAQUE_1Q, GateKind.OPAQUE_2Q):  # the tag is the op name
+        op, tag_field = enc(tag or kind.value), ""
+    else:
+        op, tag_field = enc(kind.value), (',\n      "tag": ' + enc(tag) if tag else "")
+    slots = ",\n        ".join(["%d"] * arity)
+    return _GATE % (op.replace("%", "%%"), slots, tag_field.replace("%", "%%"))
+
+
+def _dumps_mapping(mapping: dict[int, PhysCoord]) -> str:
+    """The mapping object as ``result_to_json`` would give it to ``json.dumps(indent=2)``."""
+    if not mapping:
+        return "{}"
+    items = [_COORD % (v, c.chip, c.x, c.y) for v, c in sorted(mapping.items())]
+    return "{\n    " + ",\n    ".join(items) + "\n  }"

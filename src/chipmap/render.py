@@ -2,8 +2,9 @@
 
 Pure string assembly, no drawing dependency. The picture shows the
 chiplet grid with every cell, defective cells crossed out, inter-chiplet
-links as connecting lines, and placed partitions as labeled tinted
-rectangles.
+links as connecting lines (titled with their error rate and, given a
+routing run's counts, their usage), and placed partitions as labeled
+tinted rectangles.
 """
 
 from __future__ import annotations
@@ -35,9 +36,15 @@ def render_layout_svg(
     placements: Mapping[int, Placement] | None = None,
     *,
     title: str | None = None,
+    link_usage: Mapping[tuple[int, int], int] | None = None,
 ) -> str:
-    """Draw the device and (optionally) the partition placements."""
+    """Draw the device and (optionally) the partition placements.
+
+    ``link_usage`` is a compiled circuit's ``link_usage``; links it does
+    not list were selected zero times.
+    """
     placements = placements or {}
+    link_usage = link_usage or {}
     pitch_x = backend.chip_w * _CELL + _GUTTER
     pitch_y = backend.chip_h * _CELL + _GUTTER
     width = 2 * _MARGIN + backend.grid_cols * pitch_x - _GUTTER
@@ -120,7 +127,7 @@ def render_layout_svg(
         parts.append(
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#c22" '
             f'stroke-width="2" stroke-opacity="0.8"><title>eps={link.eps:g} '
-            f'usage={link.usage}</title></line>'
+            f'usage={link_usage.get(link.key, 0)}</title></line>'
         )
         for x, y in ((x1, y1), (x2, y2)):
             parts.append(f'<circle cx="{x}" cy="{y}" r="2.5" fill="#c22"/>')

@@ -14,8 +14,10 @@ Inter-chiplet hops pick a link by cost
 
 over the k candidate links nearest the unweighted-shortest crossing,
 scanning one boundary at a time along the chiplet-grid route. Selecting
-a link increments its usage counter, which the beta term feeds back as
-congestion pressure.
+a link increments its usage count, which the beta term feeds back as
+congestion pressure. The counts belong to one routing run, keyed by link
+endpoints; the backend and its links are never written to, so compiles
+can share a backend.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ class RoutingConfig:
     """Link-selection weights and routing behavior switches.
 
     ``alpha`` scales the link error rate (raw physical rate, not a log),
-    ``beta`` the link usage counter. The policy label must match the
-    weights: basic ignores both terms, focus weighs only noise, tradeoff
-    weighs noise and congestion.
+    ``beta`` the link's usage count in the run. The policy label must
+    match the weights: basic ignores both terms, focus weighs only noise,
+    tradeoff weighs noise and congestion.
     """
 
     alpha: float = 0.0
@@ -98,11 +100,22 @@ class RoutingConfig:
         )
 
 
-def path_cost(path: Sequence[int], link: InterChipLink, cfg: RoutingConfig) -> float:
-    """Cost of routing over ``path`` through ``link``: |P| + a*eps + b*usage."""
+# Link selections per link key in one routing run.
+LinkUsage = dict[tuple[int, int], int]
+
+
+def _link_cost(hops: int, link: InterChipLink, usage: int, cfg: RoutingConfig) -> float:
+    """|P| + alpha * eps + beta * usage, summed in that order."""
+    return hops + cfg.alpha * link.eps + cfg.beta * usage
+
+
+def path_cost(
+    path: Sequence[int], link: InterChipLink, cfg: RoutingConfig, usage: int = 0
+) -> float:
+    """Cost of routing over ``path`` through ``link`` selected ``usage`` times before."""
     if len(path) < 1:
         raise ValidationError("path must contain at least one qubit")
-    return (len(path) - 1) + cfg.alpha * link.eps + cfg.beta * link.usage
+    return _link_cost(len(path) - 1, link, usage, cfg)
 
 
 @dataclass
@@ -237,6 +250,7 @@ def _select_crossing(
     graph: CouplingGraph,
     backend: ChipletBackend,
     cfg: RoutingConfig,
+    usage: LinkUsage,
     u: int,
     to_chip: int,
     v: int | None,
@@ -245,7 +259,7 @@ def _select_crossing(
 
     Returns the chosen link and the path from ``u`` over the link; when
     the far-side target ``v`` is known the path continues down to it.
-    Increments the chosen link's usage counter.
+    Increments the chosen link's count in ``usage``.
     """
     chip_u = backend.chip_of(u)
     area = backend.chip_area
@@ -294,12 +308,12 @@ def _select_crossing(
     best, best_du, best_dv = min(
         candidates,
         key=lambda t: (
-            t[1] + 1 + t[2] + cfg.alpha * t[0].eps + cfg.beta * t[0].usage,
+            _link_cost(t[1] + 1 + t[2], t[0], usage.get(t[0].key, 0), cfg),
             t[1] + 1 + t[2],
             near(t[0]),
         ),
     )
-    best.usage += 1
+    usage[best.key] = usage.get(best.key, 0) + 1
     path = _walk_back(graph, dist_u, u, near(best), chip_u, area)
     path.append(far(best))
     if v is not None and far(best) != v:
@@ -317,18 +331,20 @@ def select_link(
     src: int,
     dst: int,
     cfg: RoutingConfig,
+    usage: LinkUsage,
 ) -> tuple[InterChipLink, list[int]]:
     """Single-crossing link selection between adjacent chiplets.
 
     ``src`` and ``dst`` are global qubit ids on grid-adjacent chiplets.
-    Returns the selected link and the full src -> dst coupling path, and
-    bumps the link's usage counter.
+    ``usage`` holds the selections made so far (by link key). Returns the
+    selected link and the full src -> dst coupling path, and bumps the
+    link's count in ``usage``.
     """
     ca, cb = backend.chip_of(src), backend.chip_of(dst)
     (ra, cca), (rb, ccb) = backend.grid_pos(ca), backend.grid_pos(cb)
     if abs(ra - rb) + abs(cca - ccb) != 1:
         raise ValidationError("select_link expects endpoints on adjacent chiplets")
-    return _select_crossing(graph, backend, cfg, src, cb, dst)
+    return _select_crossing(graph, backend, cfg, usage, src, cb, dst)
 
 
 class _RoutingRun:
@@ -359,17 +375,19 @@ class _RoutingRun:
         self.traversals: dict[tuple[int, int], int] = {}
         self.violations = 0
         self.swaps_inside: dict[int, int] = {}  # partition id -> SWAPs between its own cells
-        for link in backend.links:
-            link.usage = 0  # this run owns the congestion counters
+        self.usage: LinkUsage = {}  # this run's link selections
+        self.chip_area = backend.chip_area
 
     # -- emission -----------------------------------------------------
 
     def _emit(self, node: GateNode) -> None:
         self.out.append(node)
         if node.kind.is_two_qubit:
-            link = self.graph.link_on(*node.qubits)
-            if link is not None:
-                self.traversals[link.key] = self.traversals.get(link.key, 0) + 1
+            a, b = node.qubits
+            if a // self.chip_area != b // self.chip_area:  # only links join chiplets
+                link = self.graph.link_on(a, b)
+                if link is not None:
+                    self.traversals[link.key] = self.traversals.get(link.key, 0) + 1
 
     def _emit_swap(self, p: int, q: int) -> None:
         self._emit(GateNode(GateKind.SWAP, (p, q), "route"))
@@ -427,7 +445,9 @@ class _RoutingRun:
         cur = p1
         for chip in _chip_route(self.backend, c1, c2)[1:]:
             target = p2 if chip == c2 else None
-            _, seg = _select_crossing(self.graph, self.backend, self.cfg, cur, chip, target)
+            _, seg = _select_crossing(
+                self.graph, self.backend, self.cfg, self.usage, cur, chip, target
+            )
             path.extend(seg[1:])
             cur = path[-1]
         return path
@@ -478,7 +498,7 @@ def route_circuit(
         dag=build_dag(run.out, backend.n_qubits),
         mapping=mapping,
         swap_count=run.swap_count,
-        link_usage={l.key: l.usage for l in backend.links if l.usage},
+        link_usage=dict(sorted(run.usage.items())),
         link_traversals=dict(sorted(run.traversals.items())),
         patch_violations=run.violations,
         restore_mapping=cfg.restore_mapping,

@@ -1,7 +1,8 @@
 """Independent reference implementations used to derive expected values.
 
 These deliberately avoid the package's own data structures and
-algorithms: depth comes from an availability simulation, packing checks
+algorithms: depth comes from an availability simulation or a longest
+path over eagerly built predecessor lists, packing checks
 from cell-set rasterization, routing checks from token replay on an
 adjacency set, partition quality from exhaustive enumeration, and the
 community count from networkx's Girvan-Newman primitives.
@@ -30,6 +31,33 @@ def sim_depth(gates: Sequence[tuple[str, Sequence[int]]]) -> int:
             avail[q] = finish
         longest = max(longest, finish)
     return longest
+
+
+def eager_preds(gates: Sequence, n_virt: int) -> tuple[tuple[int, ...], ...]:
+    """Predecessor lists built up front from per-qubit last-writer chains.
+
+    The construction ``build_dag`` ran before edges became lazy: each
+    gate depends on the previous gate on any operand, parallel edges
+    collapsed, predecessors ascending.
+    """
+    last = [-1] * n_virt
+    preds = []
+    for i, g in enumerate(gates):
+        srcs = {last[q] for q in g.qubits}
+        srcs.discard(-1)
+        preds.append(tuple(sorted(srcs)))
+        for q in g.qubits:
+            last[q] = i
+    return tuple(preds)
+
+
+def longest_path_depth(gates: Sequence, preds: Sequence[Sequence[int]]) -> int:
+    """Longest path over ``preds`` with unit gate weight; barriers weigh zero."""
+    finish = []
+    for g, ps in zip(gates, preds):
+        w = 0 if g.kind.value == "barrier" else 1
+        finish.append(w + max((finish[p] for p in ps), default=0))
+    return max(finish, default=0)
 
 
 def grid_cells(w: int, h: int) -> set[tuple[int, int]]:

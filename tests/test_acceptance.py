@@ -245,8 +245,8 @@ def test_criterion_06_congestion_balancing():
     # equal eps makes the fidelity term constant, so selection reduces to
     # path length plus usage: the pure congestion objective
     cfg = RoutingConfig.from_policy("tradeoff", alpha=1e3, beta=1.0, k_nearest=4)
-    _route([cx(0, 1) for _ in range(100)], 2, labels, placements, be, cfg)
-    usage = sorted(link.usage for link in be.links)
+    compiled = _route([cx(0, 1) for _ in range(100)], 2, labels, placements, be, cfg)
+    usage = sorted(compiled.link_usage.get(link.key, 0) for link in be.links)
     dt = time.perf_counter() - t0
     ok = len(usage) == 4 and sum(usage) == 100 and usage[-1] - usage[0] <= 1 and dt < 5.0
     _line(6, ok, f"100 crossings split {usage} over 4 equidistant links, {dt:.2f}s")
@@ -270,9 +270,10 @@ def test_criterion_07_fidelity_focused_links():
     cfg = RoutingConfig.from_policy("focus", k_nearest=4)
     # detour to the nearest clean link costs 2 extra hops, far below the
     # fidelity margin alpha * (1e-2 - 1e-4) = 99
-    _route([cx(0, 1) for _ in range(100)], 2, labels, placements, be, cfg)
-    noisy = sum(link.usage for link in be.links if link.eps > 1e-3)
-    clean = sum(link.usage for link in be.links if link.eps <= 1e-3)
+    compiled = _route([cx(0, 1) for _ in range(100)], 2, labels, placements, be, cfg)
+    usage = compiled.link_usage
+    noisy = sum(usage.get(link.key, 0) for link in be.links if link.eps > 1e-3)
+    clean = sum(usage.get(link.key, 0) for link in be.links if link.eps <= 1e-3)
     dt = time.perf_counter() - t0
     ok = noisy == 0 and clean == 100 and dt < 5.0
     _line(7, ok, f"{clean}/100 crossings on clean links, {noisy} on the noisy one, {dt:.2f}s")

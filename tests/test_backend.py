@@ -1,5 +1,6 @@
 """Backend geometry, link validation, auto-link layout, coupling graph."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -14,6 +15,7 @@ from chipmap.backend import (
     coupling_graph,
 )
 from chipmap.errors import ValidationError
+from chipmap.ir import cx
 
 
 def _doc(**kw) -> dict:
@@ -247,4 +249,15 @@ class TestLinkRecord:
         assert link.key in ((4, 9), (9, 4))
 
     def test_usage_starts_at_zero(self):
-        assert InterChipLink(0, 9, 0.1).usage == 0
+        # usage is counted per routing run; the shared link record is immutable
+        from test_route import _route, _singletons
+
+        link = InterChipLink(0, 9, 0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.eps = 0.2
+        be = build_backend(_doc(auto_links={"per_edge": 3, "eps": 0.01}))
+        labels, placements = _singletons([(0, 2, 0), (1, 0, 2)])
+        compiled = _route([cx(0, 1)], 2, labels, placements, be)
+        assert sum(compiled.link_usage.values()) == 1
+        again = _route([cx(0, 1)], 2, labels, placements, be)
+        assert again.link_usage == compiled.link_usage

@@ -1,5 +1,9 @@
 """Gate DAG construction, depth, parsing, and registry staging."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +26,7 @@ from chipmap.ir import (
     reset,
     swap,
 )
-from oracles import sim_depth
+from oracles import eager_preds, longest_path_depth, sim_depth
 
 
 class TestGateNode:
@@ -48,6 +52,24 @@ class TestGateNode:
     def test_barrier_rejects_duplicates(self):
         with pytest.raises(ValidationError):
             barrier(0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "node",
+        [cx(0, 1), swap(4, 2, "route"), measure(3), barrier(0, 2, 1, tag="round")],
+    )
+    def test_value_semantics(self, node):
+        assert not hasattr(node, "__dict__")  # slotted
+        for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node), copy.copy(node)):
+            assert twin == node and hash(twin) == hash(node)
+            assert (twin.kind, twin.qubits, twin.tag) == (node.kind, node.qubits, node.tag)
+        equal = GateNode(node.kind, tuple(node.qubits), node.tag)
+        assert equal == node and hash(equal) == hash(node)
+        assert GateNode(node.kind, node.qubits, node.tag + "x") != node
+        for name, value in (("kind", GateKind.RESET), ("qubits", (7,)), ("tag", "x")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, value)
+        with pytest.raises((AttributeError, TypeError)):
+            node.extra = 1  # no attribute outside the three fields
 
 
 class TestBuildDag:
@@ -110,6 +132,23 @@ class TestDagProperties:
         n, gates = case
         dag = build_dag(gates, n)
         assert dag.depth() == sim_depth([(g.kind.value, g.qubits) for g in gates])
+
+    @given(random_gate_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_edges_and_depth_match_eager_construction(self, case):
+        n, gates = case
+        preds = eager_preds(gates, n)
+        # depth first: it must not need the edge lists
+        assert build_dag(gates, n).depth() == longest_path_depth(gates, preds)
+        dag = build_dag(gates, n)
+        assert [dag.preds(i) for i in range(len(dag))] == list(preds)
+        assert dag.edges == tuple((p, i) for i, ps in enumerate(preds) for p in ps)
+        succs = [[] for _ in gates]
+        for i, ps in enumerate(preds):
+            for p in ps:
+                succs[p].append(i)
+        assert [dag.succs(i) for i in range(len(dag))] == [tuple(s) for s in succs]
+        assert dag.depth() == longest_path_depth(gates, preds)
 
     @given(random_gate_lists())
     @settings(max_examples=60, deadline=None)

@@ -1,18 +1,39 @@
 """End-to-end pipeline wiring and result serialization."""
 
+import dataclasses
 import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipmap.backend import build_backend
+from chipmap.backend import ChipletBackend, PhysCoord, build_backend
 from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from chipmap.errors import ValidationError
-from chipmap.ir import GateKind, GateNode, Stage, circuit_from_json, gates_to_json
-from chipmap.pipeline import CompileOptions, compile_circuit, dumps_compiled, result_to_json
-from chipmap.route import RoutingConfig
+from chipmap.gmap import Placement
+from chipmap.ir import (
+    GateKind,
+    GateNode,
+    PartitionRegistry,
+    Stage,
+    build_dag,
+    circuit_from_json,
+)
+from chipmap.metrics import CompileStats
+from chipmap.pipeline import (
+    CompileOptions,
+    CompileResult,
+    compile_circuit,
+    dumps_compiled,
+    result_to_json,
+)
+from chipmap.route import CompiledCircuit, RoutingConfig
 from chipmap.schema import validate_compiled_doc
+from chipmap.sequence import SequencedOrder
 
 
 def _memory_setup(d=3, **backend_kw):
@@ -96,6 +117,36 @@ class TestCompile:
         assert result.compiled.link_usage  # selections happened under focus
 
 
+class TestSharedBackend:
+    def test_concurrent_compiles_match_a_serial_one(self):
+        # routing counts link usage per run, so compiles may share one backend
+        doc = gen_ls_cnot_circuit(5, 4)
+        be = build_backend(gen_backend_for(doc, n_inter=2))
+        circ = circuit_from_json(doc)
+        opts = CompileOptions(routing=RoutingConfig.from_policy("tradeoff"))
+        serial = compile_circuit(circ, be, opts).compiled
+        assert sum(serial.link_usage.values()) > 8  # the beta term sees congestion
+        start = threading.Barrier(8)
+
+        def run():
+            start.wait(timeout=30)
+            return compile_circuit(circ, be, opts).compiled
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the threads finely
+        t0 = time.perf_counter()
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - t0 < 60
+        for compiled in results:
+            assert compiled.link_usage == serial.link_usage
+            assert compiled.dag.nodes == serial.dag.nodes
+
+
 class TestSerialization:
     def test_document_validates_and_is_deterministic(self):
         doc = gen_ls_cnot_circuit(3)
@@ -120,7 +171,7 @@ class TestSerialization:
         assert all(v >= 0 for v in out["timings"].values())
 
 
-_text = st.text(alphabet=st.sampled_from('aZ0 "\\/\n\t\x00\x7f\u00e9\u221a\U0001f600'), max_size=5)
+_text = st.text(alphabet=st.sampled_from('aZ0 "\\/%\n\t\x00\x7f\u00e9\u221a\U0001f600'), max_size=5)
 _qubit = st.integers(0, 10**6)
 
 
@@ -138,40 +189,97 @@ def _gate_nodes(draw):
 
 
 _ints = st.integers(0, 10**6)
-_counts = st.lists(st.fixed_dictionaries({"a": _ints, "b": _ints, "count": _ints}), max_size=3)
-compiled_docs = st.fixed_dictionaries(
-    {
-        "schema_version": st.just(1),
-        "n_physical": _ints,
-        "gates": st.lists(_gate_nodes(), max_size=30).map(gates_to_json),
-        "mapping": st.dictionaries(
-            _ints.map(str),
-            st.fixed_dictionaries({"chip": _ints, "x": _ints, "y": _ints}),
-            max_size=4,
+_small = st.integers(1, 40)
+
+
+def _stats_field(f: dataclasses.Field):
+    if f.name == "wall_time_s":
+        return st.none() | st.floats()
+    return _ints if f.type == "int" else st.floats()  # NaN and infinities too
+
+
+@st.composite
+def compile_results(draw):
+    """A backend and a CompileResult with arbitrary contents in every written field.
+
+    Only the fields ``result_to_json`` reads are filled; the registry and
+    sequencing order are empty.
+    """
+    backend = ChipletBackend(*(draw(_small) for _ in range(4)))
+    placements = draw(
+        st.lists(st.builds(Placement, *[_ints] * 6), max_size=3, unique_by=lambda p: p.pid)
+    )
+    compiled = CompiledCircuit(
+        dag=build_dag(draw(st.lists(_gate_nodes(), max_size=30)), 10**6 + 1),
+        mapping=draw(
+            st.dictionaries(_ints, st.builds(PhysCoord, _ints, _ints, _ints), max_size=4)
         ),
-        "placements": st.lists(
-            st.fixed_dictionaries({k: _ints for k in ("pid", "chip", "x", "y", "w", "h")}),
-            max_size=3,
-        ),
-        "link_usage": _counts,
-        "link_traversals": _counts,
-        "stats": st.dictionaries(_text, _ints | st.floats(), max_size=4),
-        "timings": st.dictionaries(_text, st.floats(0, 10), max_size=3),
-    }
-)
+        swap_count=draw(_ints),
+        link_usage=draw(st.dictionaries(st.tuples(_ints, _ints), _ints, max_size=3)),
+        link_traversals=draw(st.dictionaries(st.tuples(_ints, _ints), _ints, max_size=3)),
+        patch_violations=draw(_ints),
+        restore_mapping=True,
+    )
+    report = CompileStats(
+        **{f.name: draw(_stats_field(f)) for f in dataclasses.fields(CompileStats)}
+    )
+    result = CompileResult(
+        compiled=compiled,
+        registry=PartitionRegistry(()),
+        placements={p.pid: p for p in placements},
+        order=SequencedOrder((), {}),
+        stats=report,
+        timings=draw(st.dictionaries(_text, st.floats(0, 10), max_size=3)),
+    )
+    return result, backend
+
+
+@st.composite
+def tagged_circuits(draw):
+    """An ls-cnot d=3 circuit with opaque and tagged gates spliced in.
+
+    Opaque gates carry their name as the tag, so the written ``op`` takes
+    the drawn text. The generated gates are kept or dropped as a whole, so
+    the list may hold only spliced gates, or none.
+    """
+    doc = gen_ls_cnot_circuit(3)
+    n = doc["n_qubits"]
+    gates = doc["gates"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        op = draw(st.sampled_from(["u", "reset"] if len(qubits) == 1 else ["u2", "cx"]))
+        tag = draw(_text)
+        gate = {"op": op, "qubits": qubits}
+        if tag:
+            gate["tag"] = tag
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    doc["gates"] = gates
+    return doc
+
+
+def _written(result, backend):
+    return json.dumps(result_to_json(result, backend), indent=2)
 
 
 class TestWriter:
     @settings(max_examples=200, deadline=None)
-    @given(compiled_docs)
-    def test_matches_json_dumps(self, doc):
-        assert dumps_compiled(doc) == json.dumps(doc, indent=2)
+    @given(compile_results())
+    def test_matches_json_dumps(self, case):
+        result, backend = case
+        assert dumps_compiled(result, backend) == _written(result, backend)
 
     @pytest.mark.parametrize("empty_gates", [False, True])
     def test_matches_json_dumps_on_a_compiled_document(self, empty_gates):
         doc = gen_ls_cnot_circuit(3)
         be = build_backend(gen_backend_for(doc))
-        out = result_to_json(compile_circuit(circuit_from_json(doc), be), be)
+        result = compile_circuit(circuit_from_json(doc), be)
         if empty_gates:
-            out["gates"] = []
-        assert dumps_compiled(out) == json.dumps(out, indent=2)
+            result.compiled.dag = build_dag([], be.n_qubits)
+        assert dumps_compiled(result, be) == _written(result, be)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tagged_circuits())
+    def test_matches_json_dumps_on_random_compiled_circuits(self, doc):
+        be = build_backend(gen_backend_for(gen_ls_cnot_circuit(3)))
+        result = compile_circuit(circuit_from_json(doc), be)
+        assert dumps_compiled(result, be) == _written(result, be)

@@ -116,10 +116,9 @@ class TestPathCost:
         from chipmap.backend import InterChipLink
 
         link = InterChipLink(0, 9, 0.01)
-        link.usage = 2
         cfg = RoutingConfig.from_policy("tradeoff")  # alpha 1e3, beta 1
-        assert path_cost([1, 2, 3], link, cfg) == 2 + 10.0 + 2.0
-        assert path_cost([5], link, RoutingConfig()) == 0.0
+        assert path_cost([1, 2, 3], link, cfg, usage=2) == 2 + 10.0 + 2.0
+        assert path_cost([5], link, RoutingConfig(), usage=2) == 0.0
 
     def test_empty_path_rejected(self):
         from chipmap.backend import InterChipLink
@@ -343,10 +342,11 @@ class TestSelectLink:
     def test_picks_min_cost_and_bumps_usage(self):
         be = _pair_chips(auto={"per_edge": 3, "eps": 0.01})
         graph = coupling_graph(be)
-        link, path = select_link(graph, be, 2, 15, RoutingConfig())
+        usage = {}
+        link, path = select_link(graph, be, 2, 15, RoutingConfig(), usage)
         assert link.key == (2, 9)
         assert path == [2, 9, 12, 15]
-        assert link.usage == 1
+        assert usage == {(2, 9): 1}
 
     def test_rejects_non_adjacent_chiplets(self):
         be = build_backend(
@@ -354,7 +354,7 @@ class TestSelectLink:
         )
         graph = coupling_graph(be)
         with pytest.raises(ValidationError, match="adjacent"):
-            select_link(graph, be, 0, be.gid(3, 0, 0), RoutingConfig())
+            select_link(graph, be, 0, be.gid(3, 0, 0), RoutingConfig(), {})
 
 
 class TestInvariants:
