@@ -304,28 +304,32 @@ class CouplingGraph:
 
     def __init__(self, backend: ChipletBackend):
         n = backend.n_qubits
+        w, h = backend.chip_w, backend.chip_h
         self.n = n
-        self.alive = [gid not in backend.defects for gid in range(n)]
+        alive = [True] * n
+        for gid in backend.defects:
+            alive[gid] = False
+        self.alive = alive
         adj: list[list[int]] = [[] for _ in range(n)]
-        for chip in range(backend.n_chiplets):
-            for y in range(backend.chip_h):
-                for x in range(backend.chip_w):
-                    gid = backend.gid(chip, x, y)
-                    if not self.alive[gid]:
-                        continue
-                    if x + 1 < backend.chip_w:
-                        right = gid + 1
-                        if self.alive[right]:
-                            adj[gid].append(right)
-                            adj[right].append(gid)
-                    if y + 1 < backend.chip_h:
-                        down = gid + backend.chip_w
-                        if self.alive[down]:
-                            adj[gid].append(down)
-                            adj[down].append(gid)
+        # ids run row by row through every chiplet, so row r starts at r * w
+        # and is a chiplet's bottom row when (r + 1) % h == 0
+        for r in range(n // w):
+            start = r * w
+            has_down = (r + 1) % h != 0
+            for gid in range(start, start + w):
+                if not alive[gid]:
+                    continue
+                right = gid + 1
+                if right < start + w and alive[right]:
+                    adj[gid].append(right)
+                    adj[right].append(gid)
+                down = gid + w
+                if has_down and alive[down]:
+                    adj[gid].append(down)
+                    adj[down].append(gid)
         self._links: dict[tuple[int, int], InterChipLink] = {}
         for link in backend.links:
-            if self.alive[link.a] and self.alive[link.b]:
+            if alive[link.a] and alive[link.b]:
                 adj[link.a].append(link.b)
                 adj[link.b].append(link.a)
                 self._links[link.key] = link

@@ -7,21 +7,19 @@ error. Options can also come from CHIPMAP_* environment variables.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import functools
+import gc
 import itertools
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import click
-import yaml
 
 from .backend import build_backend
-from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from .errors import (
     CompilerError,
     MappingError,
@@ -33,7 +31,6 @@ from .errors import (
 from .ir import circuit_from_json
 from .partition import DEFAULT_DETECTION_BUDGET
 from .pipeline import CompileOptions, compile_circuit, dumps_compiled
-from .render import render_layout_svg
 from .schema import validate_compiled_doc
 from .route import RoutingConfig
 
@@ -107,13 +104,35 @@ class _JsonLogFormatter(logging.Formatter):
         )
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, then restore it.
+
+    A compile builds ~140k gate objects and leaves almost no reference
+    cycles behind, so collections during it only re-scan live objects.
+    Reference counting still frees everything else as it goes. The
+    collector's previous state comes back even when the block raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _load_doc(path: Path) -> object:
     text = path.read_text()
+    if path.suffix in (".yaml", ".yml"):
+        import yaml  # only YAML inputs pay for the import
+
+        parse, errors = yaml.safe_load, yaml.YAMLError
+    else:
+        parse, errors = json.loads, json.JSONDecodeError
     try:
-        if path.suffix in (".yaml", ".yml"):
-            return yaml.safe_load(text)
-        return json.loads(text)
-    except (yaml.YAMLError, json.JSONDecodeError) as exc:
+        return parse(text)
+    except errors as exc:
         raise ValidationError(f"{path}: not parseable: {exc}") from None
 
 
@@ -244,16 +263,19 @@ def compile_cmd(
     **opts,
 ) -> None:
     """Compile CIRCUIT_FILE onto BACKEND_FILE and report metrics."""
-    circuit = circuit_from_json(_load_doc(circuit_file))
-    backend = build_backend(_load_doc(backend_file))
-    options = _compile_options(obj, util_all_chiplets=util_all_chiplets, **opts)
-    result = compile_circuit(circuit, backend, options)
-    click.echo(json.dumps(result.stats.as_dict(), indent=2))
-    if not stats_only:
-        if out_file is None:
-            out_file = obj.out_dir / (circuit_file.stem + ".compiled.json")
-        _write(out_file, dumps_compiled(result, backend))
+    with _collector_paused():
+        circuit = circuit_from_json(_load_doc(circuit_file))
+        backend = build_backend(_load_doc(backend_file))
+        options = _compile_options(obj, util_all_chiplets=util_all_chiplets, **opts)
+        result = compile_circuit(circuit, backend, options)
+        click.echo(json.dumps(result.stats.as_dict(), indent=2))
+        if not stats_only:
+            if out_file is None:
+                out_file = obj.out_dir / (circuit_file.stem + ".compiled.json")
+            _write(out_file, dumps_compiled(result, backend))
     if svg_file is not None:
+        from .render import render_layout_svg
+
         svg_file.parent.mkdir(parents=True, exist_ok=True)
         svg_file.write_text(
             render_layout_svg(
@@ -307,6 +329,8 @@ def bench_gen(
     out_backend: Path | None,
 ) -> None:
     """Generate a benchmark circuit with a matching backend."""
+    from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
+
     if kind == "memory":
         circuit = gen_memory_circuit(distance, rounds)
         stem = f"memory_d{distance}"
@@ -348,6 +372,8 @@ def _sweep_row(task: dict) -> tuple[dict, int]:
 
 def _sweep_stats(task: dict, values: dict) -> dict:
     """Generate and compile one sweep point; its stats dict."""
+    from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
+
     kind = task["kind"]
     d = int(values.get("d", task.get("d", 3)))
     rounds = int(task.get("rounds", 1))
@@ -376,9 +402,10 @@ def _sweep_stats(task: dict, values: dict) -> dict:
     options = CompileOptions(
         routing=routing, seed=int(task.get("seed", 0)), **task.get("compile", {})
     )
-    result = compile_circuit(
-        circuit_from_json(circuit_doc), build_backend(backend_doc), options
-    )
+    with _collector_paused():
+        result = compile_circuit(
+            circuit_from_json(circuit_doc), build_backend(backend_doc), options
+        )
     return result.stats.as_dict()
 
 
@@ -411,6 +438,9 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     the message in the trailing error column; the CSV is written in full,
     then the command exits with the first failed point's code.
     """
+    import csv
+    from concurrent.futures import ProcessPoolExecutor
+
     spec = _load_doc(spec_file)
     if not isinstance(spec, dict):
         raise ValidationError("sweep spec must be an object")
@@ -503,6 +533,8 @@ def render_layout(
     **opts,
 ) -> None:
     """Render the placed layout for CIRCUIT_FILE on BACKEND_FILE."""
+    from .render import render_layout_svg
+
     circuit = circuit_from_json(_load_doc(circuit_file))
     backend = build_backend(_load_doc(backend_file))
     options = _compile_options(

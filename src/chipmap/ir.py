@@ -55,27 +55,41 @@ _KIND_BY_NAME = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GateNode:
-    """One gate. ``qubits`` are virtual ids before routing, physical after."""
+    """One gate. ``qubits`` are virtual ids before routing, physical after.
+
+    The constructor is written out rather than generated: it checks the
+    operands, then stores the fields through the slot descriptors, which
+    is cheaper than a frozen dataclass's ``object.__setattr__`` calls on
+    the ~140k gates a large compile builds.
+    """
 
     kind: GateKind
     qubits: tuple[int, ...]
     tag: str = ""
 
-    def __post_init__(self) -> None:
-        n = len(self.qubits)
-        if self.kind.is_two_qubit:
-            if n != 2 or self.qubits[0] == self.qubits[1]:
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...], tag: str = "") -> None:
+        n = len(qubits)
+        if kind.is_two_qubit:
+            if n != 2 or qubits[0] == qubits[1]:
                 raise ValidationError(
-                    f"{self.kind.value} needs two distinct operands, got {self.qubits}"
+                    f"{kind.value} needs two distinct operands, got {qubits}"
                 )
-        elif self.kind is GateKind.BARRIER:
-            if n == 0 or len(set(self.qubits)) != n:
-                raise ValidationError(f"barrier operands must be nonempty and distinct: {self.qubits}")
-        else:
-            if n != 1:
-                raise ValidationError(f"{self.kind.value} takes one operand, got {self.qubits}")
+        elif kind is GateKind.BARRIER:
+            if n == 0 or len(set(qubits)) != n:
+                raise ValidationError(f"barrier operands must be nonempty and distinct: {qubits}")
+        elif n != 1:
+            raise ValidationError(f"{kind.value} takes one operand, got {qubits}")
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_tag(self, tag)
+
+
+# slot setters: they write past the frozen __setattr__, for __init__ only
+_set_kind = GateNode.kind.__set__
+_set_qubits = GateNode.qubits.__set__
+_set_tag = GateNode.tag.__set__
 
 
 def cx(a: int, b: int, tag: str = "") -> GateNode:

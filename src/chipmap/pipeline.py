@@ -11,6 +11,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -224,19 +225,25 @@ def dumps_compiled(result: CompileResult, backend: ChipletBackend) -> str:
     return "{\n" + ",\n".join(fields) + "\n}"
 
 
+def _gate_shape(g: GateNode) -> tuple[GateKind, str, int]:
+    return g.kind, g.tag, len(g.qubits)
+
+
 def _dumps_gates(nodes: Sequence[GateNode]) -> str:
-    """The gate array as ``gates_to_json`` would give it to ``json.dumps(indent=2)``."""
+    """The gate array as ``gates_to_json`` would give it to ``json.dumps(indent=2)``.
+
+    Consecutive gates of one shape (kind, tag, arity) share a template,
+    so each such run is formatted in one pass.
+    """
     if not nodes:
         return "[]"
     templates: dict[tuple[GateKind, str, int], str] = {}
-    items = []
-    for g in nodes:
-        qs = g.qubits
-        key = (g.kind, g.tag, len(qs))
-        template = templates.get(key)
+    items: list[str] = []
+    for shape, run in groupby(nodes, _gate_shape):
+        template = templates.get(shape)
         if template is None:
-            template = templates[key] = _gate_template(*key)
-        items.append(template % qs)
+            template = templates[shape] = _gate_template(*shape)
+        items += [template % g.qubits for g in run]
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 

@@ -385,9 +385,13 @@ class _RoutingRun:
         if node.kind.is_two_qubit:
             a, b = node.qubits
             if a // self.chip_area != b // self.chip_area:  # only links join chiplets
-                link = self.graph.link_on(a, b)
-                if link is not None:
-                    self.traversals[link.key] = self.traversals.get(link.key, 0) + 1
+                self._count_traversal(a, b)
+
+    def _count_traversal(self, a: int, b: int) -> None:
+        """Count a two-qubit gate on cells ``a`` and ``b`` of different chiplets."""
+        link = self.graph.link_on(a, b)
+        if link is not None:
+            self.traversals[link.key] = self.traversals.get(link.key, 0) + 1
 
     def _emit_swap(self, p: int, q: int) -> None:
         self._emit(GateNode(GateKind.SWAP, (p, q), "route"))
@@ -403,22 +407,11 @@ class _RoutingRun:
             self.violations += 1
             self.swaps_inside[pa] = self.swaps_inside.get(pa, 0) + 1
 
-    # -- per-gate routing ---------------------------------------------
+    # -- routed gates -------------------------------------------------
 
-    def route_node(self, g: GateNode) -> None:
-        if g.kind is GateKind.BARRIER:
-            self._emit(GateNode(GateKind.BARRIER, tuple(self.pos[q] for q in g.qubits), g.tag))
-        elif not g.kind.is_two_qubit:
-            self._emit(GateNode(g.kind, (self.pos[g.qubits[0]],), g.tag))
-        else:
-            self._route_two_qubit(g)
-
-    def _route_two_qubit(self, g: GateNode) -> None:
+    def _route_two_qubit(self, g: GateNode, p1: int, p2: int) -> None:
+        """Route ``g``, whose operands sit on the uncoupled cells ``p1`` and ``p2``."""
         v1, v2 = g.qubits
-        p1, p2 = self.pos[v1], self.pos[v2]
-        if self.graph.has_edge(p1, p2):
-            self._emit(GateNode(g.kind, (p1, p2), g.tag))
-            return
         if self.qpid[v1] == self.qpid[v2]:
             msg = (
                 f"{g.kind.value} on qubits {v1}, {v2} of partition {self.qpid[v1]} "
@@ -485,8 +478,29 @@ def route_circuit(
     cfg = cfg or RoutingConfig()
     graph = graph or coupling_graph(backend)
     run = _RoutingRun(dag, registry, backend, graph, cfg)
+    # Nearly every gate passes through on the current positions, so that
+    # case runs here on local names; only uncoupled pairs leave the loop.
+    pos = run.pos  # updated in place by every SWAP
+    emit = run.out.append
+    has_edge = graph.has_edge
+    area = backend.chip_area
+    barrier = GateKind.BARRIER
     for g in dag.nodes:  # node order is a topological order
-        run.route_node(g)
+        kind = g.kind
+        qs = g.qubits
+        if kind.is_two_qubit:
+            p1 = pos[qs[0]]
+            p2 = pos[qs[1]]
+            if not has_edge(p1, p2):
+                run._route_two_qubit(g, p1, p2)
+                continue
+            emit(GateNode(kind, (p1, p2), g.tag))
+            if p1 // area != p2 // area:  # only links join chiplets
+                run._count_traversal(p1, p2)
+        elif kind is barrier:
+            emit(GateNode(barrier, tuple([pos[q] for q in qs]), g.tag))
+        else:
+            emit(GateNode(kind, (pos[qs[0]],), g.tag))
     for pid, n in sorted(run.swaps_inside.items()):
         log.warning("%d SWAPs inside partition %d", n, pid)
     if cfg.restore_mapping and run.pos != run.phi:

@@ -51,6 +51,54 @@ def eager_preds(gates: Sequence, n_virt: int) -> tuple[tuple[int, ...], ...]:
     return tuple(preds)
 
 
+def gate_node_error(kind, qubits) -> str | None:
+    """The message ``GateNode(kind, qubits)`` must reject with, or None.
+
+    These are the operand rules as ``GateNode.__post_init__`` stated them
+    before the constructor was written out by hand.
+    """
+    n = len(qubits)
+    if kind.is_two_qubit:
+        if n != 2 or qubits[0] == qubits[1]:
+            return f"{kind.value} needs two distinct operands, got {qubits}"
+    elif kind.value == "barrier":
+        if n == 0 or len(set(qubits)) != n:
+            return f"barrier operands must be nonempty and distinct: {qubits}"
+    elif n != 1:
+        return f"{kind.value} takes one operand, got {qubits}"
+    return None
+
+
+def coupling_parts(backend) -> tuple[list[bool], list[tuple[int, ...]], dict]:
+    """``alive``, adjacency and link records, built cell by cell.
+
+    The construction ``CouplingGraph`` ran before it switched to row
+    arithmetic: one defect lookup and one ``backend.gid`` call per cell.
+    """
+    n = backend.n_qubits
+    alive = [gid not in backend.defects for gid in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for chip in range(backend.n_chiplets):
+        for y in range(backend.chip_h):
+            for x in range(backend.chip_w):
+                gid = backend.gid(chip, x, y)
+                if not alive[gid]:
+                    continue
+                if x + 1 < backend.chip_w and alive[gid + 1]:
+                    adj[gid].append(gid + 1)
+                    adj[gid + 1].append(gid)
+                if y + 1 < backend.chip_h and alive[gid + backend.chip_w]:
+                    adj[gid].append(gid + backend.chip_w)
+                    adj[gid + backend.chip_w].append(gid)
+    links = {}
+    for link in backend.links:
+        if alive[link.a] and alive[link.b]:
+            adj[link.a].append(link.b)
+            adj[link.b].append(link.a)
+            links[link.key] = link
+    return alive, [tuple(sorted(ns)) for ns in adj], links
+
+
 def longest_path_depth(gates: Sequence, preds: Sequence[Sequence[int]]) -> int:
     """Longest path over ``preds`` with unit gate weight; barriers weigh zero."""
     finish = []

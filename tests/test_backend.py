@@ -6,9 +6,12 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipmap.backend import (
     ChipletBackend,
+    CouplingGraph,
     InterChipLink,
     backend_to_json,
     build_backend,
@@ -16,6 +19,7 @@ from chipmap.backend import (
 )
 from chipmap.errors import ValidationError
 from chipmap.ir import cx
+from oracles import coupling_parts
 
 
 def _doc(**kw) -> dict:
@@ -229,6 +233,32 @@ class TestCouplingGraph:
         g = coupling_graph(b)
         for gid in range(g.n):
             assert list(g.neighbors(gid)) == sorted(g.neighbors(gid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_cell_by_cell_build(self, data):
+        rows, cols = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+        w, h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        site = st.builds(
+            lambda chip, x, y: {"chip": chip, "x": x, "y": y},
+            st.integers(0, rows * cols - 1), st.integers(0, w - 1), st.integers(0, h - 1),
+        )
+        doc = {"grid": [rows, cols], "chiplet": [w, h],
+               "defects": data.draw(st.lists(site, max_size=6))}
+        if cols > 1:  # one explicit link across the first vertical seam
+            y = data.draw(st.integers(0, h - 1))
+            doc["links"] = [{"a": {"chip": 0, "x": w - 1, "y": y},
+                             "b": {"chip": 1, "x": 0, "y": y}, "eps": 0.01}]
+        per_edge = data.draw(st.integers(0, 3))
+        if per_edge:
+            doc["auto_links"] = {"per_edge": per_edge, "eps": 0.02}
+        b = build_backend(doc)
+        g = CouplingGraph(b)
+        alive, adj, links = coupling_parts(b)
+        assert g.alive == alive
+        assert g._adj == adj
+        assert g._links == links
+        assert list(g._links) == list(links)
 
     def test_roundtrip_through_document(self):
         b = build_backend(_doc(

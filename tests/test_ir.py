@@ -26,7 +26,7 @@ from chipmap.ir import (
     reset,
     swap,
 )
-from oracles import eager_preds, longest_path_depth, sim_depth
+from oracles import eager_preds, gate_node_error, longest_path_depth, sim_depth
 
 
 class TestGateNode:
@@ -70,6 +70,28 @@ class TestGateNode:
                 setattr(node, name, value)
         with pytest.raises((AttributeError, TypeError)):
             node.extra = 1  # no attribute outside the three fields
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(list(GateKind)),
+        qubits=st.lists(st.integers(0, 3), max_size=4).map(tuple),
+        tag=st.sampled_from(["", "route", "u"]),
+    )
+    def test_constructor_matches_operand_rules(self, kind, qubits, tag):
+        expected = gate_node_error(kind, qubits)
+        valid = GateNode(kind, (0, 1) if kind.is_two_qubit else (0,), tag)
+        if expected is None:
+            node = GateNode(kind=kind, qubits=qubits, tag=tag)
+            assert (node.kind, node.qubits, node.tag) == (kind, qubits, tag)
+            assert dataclasses.replace(valid, qubits=qubits) == node
+            return
+        with pytest.raises(ValidationError) as direct:
+            GateNode(kind, qubits, tag)
+        assert str(direct.value) == expected
+        with pytest.raises(ValidationError) as replaced:
+            dataclasses.replace(valid, qubits=qubits)
+        assert str(replaced.value) == expected
 
 
 class TestBuildDag:

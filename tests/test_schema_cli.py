@@ -1,5 +1,6 @@
 """Document schemas and the command line workflow."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import chipmap.cli
 from chipmap.benchgen import gen_backend_for, gen_memory_circuit
 from chipmap.cli import (
     EXIT_COMPILER,
@@ -159,6 +161,15 @@ class TestCliWorkflow:
         result = runner.invoke(main, ["validate", "circuit", str(bad)])
         assert result.exit_code == EXIT_VALIDATION
 
+    def test_unparseable_yaml_exits_2(self, runner, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("gates: [unclosed\n")
+        backend = tmp_path / "be.json"
+        backend.write_text(json.dumps(gen_backend_for(gen_memory_circuit(3))))
+        result = runner.invoke(main, ["compile", str(bad), str(backend)])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "not parseable" in result.stderr
+
     def test_no_fit_exits_3(self, runner, tmp_path):
         circuit = tmp_path / "mem.json"
         circuit.write_text(json.dumps(gen_memory_circuit(3)))
@@ -302,3 +313,53 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", str(spec)])
         assert result.exit_code == EXIT_VALIDATION
         assert "axis" in result.stderr
+
+
+class TestCollectorPause:
+    """Compiles run with the cyclic collector off and give back its prior state."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request, monkeypatch):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        seen = []
+        compile_circuit = chipmap.cli.compile_circuit
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return compile_circuit(*args, **kwargs)
+
+        monkeypatch.setattr("chipmap.cli.compile_circuit", spy)
+        yield request.param, seen
+        (gc.enable if was else gc.disable)()
+
+    def _files(self, tmp_path, backend_doc=None):
+        circuit_doc = gen_memory_circuit(3)
+        circuit, backend = tmp_path / "mem.json", tmp_path / "be.json"
+        circuit.write_text(json.dumps(circuit_doc))
+        backend.write_text(json.dumps(backend_doc or gen_backend_for(circuit_doc)))
+        return str(circuit), str(backend)
+
+    def test_compile(self, runner, tmp_path, gc_state):
+        enabled, seen = gc_state
+        result = runner.invoke(main, ["compile", *self._files(tmp_path), "--stats-only"])
+        assert result.exit_code == 0, result.output
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_failed_compile(self, runner, tmp_path, gc_state):
+        enabled, seen = gc_state
+        tiny = {"grid": [1, 1], "chiplet": [3, 3], "allow_non_pow2": True}
+        result = runner.invoke(main, ["compile", *self._files(tmp_path, tiny)])
+        assert result.exit_code == EXIT_NOFIT
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_sweep(self, runner, tmp_path, gc_state):
+        enabled, seen = gc_state
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"kind": "memory", "d": 3, "axes": {"n_inter": [8, 1]}}))
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == 0, result.output
+        assert seen == [False, False]
+        assert gc.isenabled() is enabled

@@ -404,6 +404,14 @@ def test_cli_import_leaves_networkx_out():
     _cli_import_leaves_out("networkx")
 
 
+@pytest.mark.parametrize(
+    "module", ["yaml", "concurrent.futures", "csv", "chipmap.render", "chipmap.benchgen"]
+)
+def test_cli_import_leaves_optional_modules_out(module):
+    """Each of these is imported by the one command or branch that uses it."""
+    _cli_import_leaves_out(module)
+
+
 def test_detect_compile_leaves_networkx_out(tmp_path):
     """Community detection runs on the built-in kernel, not on networkx."""
     circuit = gen_ls_cnot_circuit(3, 3)
