@@ -13,7 +13,6 @@ from .backend import (
     PhysCoord,
     backend_to_json,
     build_backend,
-    coupling_graph,
 )
 from .errors import (
     CompilerError,
@@ -42,7 +41,7 @@ from .lmap import flat_mapping, local_map
 from .metrics import CompileStats, stats
 from .partition import estimate_partition_count, kway_partition, predefined_partitions
 from .pipeline import CompileOptions, CompileResult, compile_circuit, result_to_json
-from .route import CompiledCircuit, RoutingConfig, path_cost, route_circuit, select_link
+from .route import CompiledCircuit, RoutingConfig, route_circuit
 from .sequence import build_partition_graph, sequence, sequence_registry
 
 __version__ = "0.1.0"
@@ -79,18 +78,15 @@ __all__ = [
     "build_partition_graph",
     "circuit_from_json",
     "compile_circuit",
-    "coupling_graph",
     "estimate_partition_count",
     "flat_mapping",
     "global_map",
     "interaction_graph",
     "kway_partition",
     "local_map",
-    "path_cost",
     "predefined_partitions",
     "result_to_json",
     "route_circuit",
-    "select_link",
     "sequence",
     "sequence_registry",
     "stats",

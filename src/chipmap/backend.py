@@ -15,8 +15,8 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .schema import validate_backend_doc
@@ -47,17 +47,16 @@ class InterChipLink:
         return (self.a, self.b)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ChipletBackend:
+    """Device description; immutable, so compiles can share one backend."""
+
     grid_rows: int
     grid_cols: int
     chip_w: int
     chip_h: int
     links: tuple[InterChipLink, ...] = ()
     defects: frozenset[int] = frozenset()
-    _links_between: dict[tuple[int, int], tuple[InterChipLink, ...]] = field(
-        init=False, repr=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         for name in ("grid_rows", "grid_cols", "chip_w", "chip_h"):
@@ -66,7 +65,6 @@ class ChipletBackend:
         for gid in self.defects:
             if not 0 <= gid < self.n_qubits:
                 raise ValidationError(f"defect id {gid} out of range")
-        by_pair: dict[tuple[int, int], list[InterChipLink]] = {}
         endpoint_seen: set[int] = set()
         for link in self.links:
             self._check_link(link)
@@ -74,9 +72,6 @@ class ChipletBackend:
                 if q in endpoint_seen:
                     raise ValidationError(f"qubit {q} carries more than one inter-chiplet link")
                 endpoint_seen.add(q)
-            pair = (self.chip_of(link.a), self.chip_of(link.b))
-            by_pair.setdefault(pair, []).append(link)
-        self._links_between = {k: tuple(v) for k, v in by_pair.items()}
 
     # -- geometry -----------------------------------------------------
 
@@ -108,11 +103,6 @@ class ChipletBackend:
 
     def chip_at(self, row: int, col: int) -> int:
         return row * self.grid_cols + col
-
-    def links_between(self, chip_a: int, chip_b: int) -> tuple[InterChipLink, ...]:
-        if chip_a > chip_b:
-            chip_a, chip_b = chip_b, chip_a
-        return self._links_between.get((chip_a, chip_b), ())
 
     # -- validation ---------------------------------------------------
 
@@ -156,18 +146,15 @@ def build_backend(spec: dict) -> ChipletBackend:
                         "eps": f | {"base": f, "scale_range": [lo, hi], "seed": s}},
          "allow_non_pow2": false}
 
-    The document is checked against ``BACKEND_SCHEMA`` first; the build
-    then applies the semantic rules: positive sizes, sites inside the
-    device, links on facing edges of adjacent chiplets, and a chiplet
-    count that is a power of two unless ``allow_non_pow2`` is set.
+    The document is checked against ``BACKEND_SCHEMA`` first, positive
+    sizes included; the build then applies the semantic rules: sites
+    inside the device, links on facing edges of adjacent chiplets, and a
+    chiplet count that is a power of two unless ``allow_non_pow2`` is set.
     Links touching a defective qubit are dropped with a warning.
     """
     validate_backend_doc(spec)
     rows, cols = (int(v) for v in spec["grid"])
     chip_w, chip_h = (int(v) for v in spec["chiplet"])
-    for name, pair in (("grid", (rows, cols)), ("chiplet", (chip_w, chip_h))):
-        if min(pair) < 1:
-            raise ValidationError(f"{name} must be a pair of positive integers")
     if not _is_power_of_two(rows * cols) and not spec.get("allow_non_pow2", False):
         raise ValidationError(
             f"chiplet count {rows * cols} is not a power of two "
@@ -297,10 +284,11 @@ class CouplingGraph:
 
     Nodes are functional global qubit ids; edges are intra-chiplet grid
     couplings plus inter-chiplet links. ``link_on`` returns the link
-    record for a link edge, None for grid edges.
+    record for a link edge, None for grid edges; ``links_between`` lists
+    the functional links joining two chiplets.
     """
 
-    __slots__ = ("n", "alive", "_adj", "_links")
+    __slots__ = ("n", "alive", "_adj", "_links", "_between")
 
     def __init__(self, backend: ChipletBackend):
         n = backend.n_qubits
@@ -328,11 +316,15 @@ class CouplingGraph:
                     adj[gid].append(down)
                     adj[down].append(gid)
         self._links: dict[tuple[int, int], InterChipLink] = {}
+        between: dict[tuple[int, int], list[InterChipLink]] = {}
+        area = backend.chip_area
         for link in backend.links:
             if alive[link.a] and alive[link.b]:
                 adj[link.a].append(link.b)
                 adj[link.b].append(link.a)
                 self._links[link.key] = link
+                between.setdefault((link.a // area, link.b // area), []).append(link)
+        self._between = {pair: tuple(ls) for pair, ls in between.items()}
         self._adj: list[tuple[int, ...]] = [tuple(sorted(ns)) for ns in adj]
 
     def neighbors(self, gid: int) -> tuple[int, ...]:
@@ -344,23 +336,10 @@ class CouplingGraph:
     def link_on(self, a: int, b: int) -> InterChipLink | None:
         return self._links.get((a, b) if a < b else (b, a))
 
-    @property
-    def n_nodes(self) -> int:
-        return sum(self.alive)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(ns) for ns in self._adj) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for a in range(self.n):
-            for b in self._adj[a]:
-                if a < b:
-                    yield a, b
-
-
-def coupling_graph(backend: ChipletBackend) -> CouplingGraph:
-    return CouplingGraph(backend)
+    def links_between(self, chip_a: int, chip_b: int) -> tuple[InterChipLink, ...]:
+        """Functional links joining two chiplets, in backend order."""
+        pair = (chip_a, chip_b) if chip_a < chip_b else (chip_b, chip_a)
+        return self._between.get(pair, ())
 
 
 def backend_to_json(backend: ChipletBackend) -> dict:

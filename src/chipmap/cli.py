@@ -112,12 +112,22 @@ def _collector_paused():
     cycles behind, so collections during it only re-scan live objects.
     Reference counting still frees everything else as it goes. The
     collector's previous state comes back even when the block raises.
+
+    Before re-enabling, the block's survivors move straight to the oldest
+    generation (``gc.freeze`` then ``gc.unfreeze``); otherwise the first
+    young collection would walk every gate the compile kept alive. That
+    step is skipped when the caller froze objects of its own, which must
+    stay frozen.
     """
     was_enabled = gc.isenabled()
+    hand_off = was_enabled and gc.get_freeze_count() == 0
     gc.disable()
     try:
         yield
     finally:
+        if hand_off:
+            gc.freeze()
+            gc.unfreeze()
         if was_enabled:
             gc.enable()
 

@@ -51,21 +51,14 @@ class BinState:
         self.backend = backend
         self.chip_w = backend.chip_w
         self.chip_h = backend.chip_h
-        self.free: dict[int, list[FreeRegion]] = {}
-        self.blocked: dict[int, frozenset[tuple[int, int]]] = {}
+        self.free: dict[int, list[FreeRegion]] = {
+            chip: [FreeRegion(chip, 0, 0, self.chip_w, self.chip_h)]
+            for chip in range(backend.n_chiplets)
+        }
         self.placements: dict[int, Placement] = {}
-        for chip in range(backend.n_chiplets):
-            regions = [FreeRegion(chip, 0, 0, self.chip_w, self.chip_h)]
-            cells = frozenset(
-                (x, y)
-                for x in range(self.chip_w)
-                for y in range(self.chip_h)
-                if backend.gid(chip, x, y) in backend.defects
-            )
-            for cx, cy in sorted(cells):
-                regions = self._carve(regions, chip, cx, cy, 1, 1)
-            self.free[chip] = regions
-            self.blocked[chip] = cells
+        # each defect is a 1x1 blocked zone, carved per chip in (x, y) order
+        for chip, x, y in sorted(map(backend.coord, backend.defects)):
+            self.free[chip] = self._carve(self.free[chip], chip, x, y, 1, 1)
 
     @staticmethod
     def _carve(
@@ -85,9 +78,6 @@ class BinState:
         pl = Placement(pid, chip, x, y, w, h)
         self.placements[pid] = pl
         return pl
-
-    def free_area(self, chip: int) -> int:
-        return sum(r.w * r.h for r in self.free[chip])
 
 
 def guillotine_split(
@@ -134,11 +124,6 @@ def guillotine_split(
         if right_w:
             out.append(FreeRegion(region.chip, px + pw, py, right_w, ph))
     return out
-
-
-def init_bins(backend: ChipletBackend) -> BinState:
-    """Fresh bin state with defects carved out as no-placement zones."""
-    return BinState(backend)
 
 
 def place_partition(bins: BinState, pid: int, w: int, h: int, mode: str) -> Placement:
@@ -278,7 +263,7 @@ def global_map(
         raise ValidationError(f"unknown relative_ref {relative_ref!r}")
     if relative_ref == "weight" and pg is None:
         raise ValidationError("relative_ref='weight' needs the partition graph")
-    bins = init_bins(backend)
+    bins = BinState(backend)
     hints = hints or {}
     for comp in order.components:
         placed: list[int] = []

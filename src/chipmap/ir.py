@@ -2,16 +2,17 @@
 
 Contains:
 - GateKind / GateNode: the gate vocabulary (unknown names load as opaque)
-- CircuitDag: immutable gate list whose last-writer dependency edges are
-  derived on first use
+- CircuitDag: immutable gate list in topological order; each gate
+  depends on the previous gate on any of its operands
 - InteractionGraph: weighted qubit graph counting two-qubit gates
-- Partition / PartitionRegistry / Stage: patch metadata enriched stage by
-  stage; every enrichment returns a new registry and never rewrites a
-  field that was already set
+- Partition / PartitionRegistry / Stage: the patches and the stage the
+  registry has reached; every enrichment returns a new registry
 - circuit_from_json / gates_to_json: the circuit interchange format
 
 The DAG and the registry travel together through the pipeline: the DAG
-never changes after construction, the registry only gains fields.
+never changes after construction. The order and the placements live in
+their stages' outputs; only local mapping stores coordinates on the
+partitions.
 """
 
 from __future__ import annotations
@@ -121,68 +122,23 @@ def op2(a: int, b: int, name: str = "u2") -> GateNode:
 
 
 class CircuitDag:
-    """Gate list plus dependency edges from per-qubit last-writer chains.
+    """Immutable gate list in a topological order.
 
-    Node ids are indices into ``nodes``; the list order is a topological
-    order by construction. Barriers depend on, and are depended on by,
-    every listed operand, which keeps round structure intact. The edges
-    are not built up front: ``preds``, ``edges`` and ``succs`` derive
-    them on first use, and ``depth`` needs none of them.
+    Node ids are indices into ``nodes``; each gate depends on the previous
+    gate on any of its operands, so the list order is a topological order
+    by construction. Barriers depend on, and are depended on by, every
+    listed operand, which keeps round structure intact. No edge lists are
+    stored: ``depth`` reads the dependencies off per-qubit finish times.
     """
 
-    __slots__ = ("nodes", "n_virt", "_preds", "_edges", "_succs")
+    __slots__ = ("nodes", "n_virt")
 
     def __init__(self, nodes: tuple[GateNode, ...], n_virt: int):
         self.nodes = nodes
         self.n_virt = n_virt
-        self._preds: tuple[tuple[int, ...], ...] | None = None
-        self._edges: tuple[tuple[int, int], ...] | None = None
-        self._succs: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def _pred_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Each gate's predecessors: the previous gate on any of its operands.
-
-        Parallel edges between the same node pair are collapsed.
-        """
-        if self._preds is None:
-            last = [-1] * self.n_virt  # last gate on each qubit, -1 before the first
-            preds: list[tuple[int, ...]] = []
-            for i, g in enumerate(self.nodes):
-                qs = g.qubits
-                if len(qs) == 1:
-                    p = last[qs[0]]
-                    preds.append((p,) if p >= 0 else ())
-                else:
-                    srcs = {last[q] for q in qs}
-                    srcs.discard(-1)
-                    preds.append(tuple(sorted(srcs)))
-                for q in qs:
-                    last[q] = i
-            self._preds = tuple(preds)
-        return self._preds
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """All (pred, succ) pairs, ordered by successor, then predecessor."""
-        if self._edges is None:
-            self._edges = tuple(
-                (p, i) for i, ps in enumerate(self._pred_lists()) for p in ps
-            )
-        return self._edges
-
-    def preds(self, i: int) -> tuple[int, ...]:
-        return self._pred_lists()[i]
-
-    def succs(self, i: int) -> tuple[int, ...]:
-        if self._succs is None:
-            succs: list[list[int]] = [[] for _ in self.nodes]
-            for p, j in self.edges:
-                succs[p].append(j)
-            self._succs = tuple(map(tuple, succs))
-        return self._succs[i]
 
     def two_qubit_nodes(self) -> Iterator[tuple[int, GateNode]]:
         for i, g in enumerate(self.nodes):
@@ -217,8 +173,7 @@ def build_dag(gates: Sequence[GateNode], n_virt: int) -> CircuitDag:
     """Build the dependency DAG for ``gates`` over ``n_virt`` virtual qubits.
 
     Each gate depends on the previous gate touching any of its operands;
-    only the operand range is checked here, the edges are derived when
-    first asked for.
+    only the operand range is checked here.
     """
     if n_virt < 0:
         raise ValidationError(f"n_virt must be nonnegative, got {n_virt}")
@@ -251,22 +206,21 @@ def interaction_graph(dag: CircuitDag) -> InteractionGraph:
 
 
 class Stage(IntEnum):
-    """Registry enrichment trajectory; each stage adds one field."""
+    """How far the pipeline has taken a registry; only MAPPED adds a field."""
 
     PARTITIONED = 0  # qubit sets and boxes
-    SEQUENCED = 1    # + placement order
-    PLACED = 2       # + chiplet assignment
-    MAPPED = 3       # + physical coordinates
+    SEQUENCED = 1    # order in SequencedOrder
+    PLACED = 2       # rectangles in the Placements
+    MAPPED = 3       # + Partition.coords
 
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """One patch: qubit set, bounding box, and placement data as it lands.
+    """One patch: qubit set, bounding box, and, once mapped, coordinates.
 
     ``cells`` holds declared (row, col) positions per qubit when the
     circuit shipped explicit geometry; otherwise the local mapper fills
-    the box row-major. ``order_index``, ``chiplet``, and ``coords`` are
-    set by the sequencing, global mapping, and local mapping stages.
+    the box row-major. ``coords`` is set by the local mapping stage.
     """
 
     pid: int
@@ -274,8 +228,6 @@ class Partition:
     width: int
     height: int
     cells: Mapping[int, tuple[int, int]] | None = None
-    order_index: int | None = None
-    chiplet: int | None = None
     coords: Mapping[int, "PhysCoord"] | None = None
 
     def __post_init__(self) -> None:
@@ -350,11 +302,13 @@ class PartitionRegistry:
         return frozenset(out)
 
     def enrich(self, target: Stage, payload: Mapping[int, object]) -> "PartitionRegistry":
-        """Return a copy advanced to ``target`` with the stage's field filled.
+        """Return a copy advanced to ``target``.
 
-        ``payload`` maps partition id to the new value: placement order for
-        SEQUENCED, chiplet id for PLACED, qubit coordinate maps for MAPPED.
-        Stage skips and regressions are rejected.
+        ``payload`` maps every partition id to the stage's value: placement
+        order for SEQUENCED, chiplet id for PLACED, qubit coordinate maps
+        for MAPPED. Only MAPPED stores its value, as each partition's
+        ``coords``; the other stages keep the same partitions. Stage skips
+        and regressions are rejected.
         """
         if target != self.stage + 1:
             raise StageError(
@@ -363,21 +317,17 @@ class PartitionRegistry:
         missing = [p.pid for p in self.partitions if p.pid not in payload]
         if missing:
             raise ValidationError(f"enrichment payload missing partitions {missing}")
-        if target is Stage.SEQUENCED:
-            parts = tuple(replace(p, order_index=int(payload[p.pid])) for p in self.partitions)  # type: ignore[call-overload]
-        elif target is Stage.PLACED:
-            parts = tuple(replace(p, chiplet=int(payload[p.pid])) for p in self.partitions)  # type: ignore[call-overload]
-        else:
-            fixed = []
-            for p in self.partitions:
-                coords = dict(payload[p.pid])  # type: ignore[call-overload]
-                if set(coords) != p.qubits:
-                    raise ValidationError(
-                        f"partition {p.pid}: coordinate map must cover exactly its qubits"
-                    )
-                fixed.append(replace(p, coords=coords))
-            parts = tuple(fixed)
-        return PartitionRegistry(parts, Stage(target))
+        if target is not Stage.MAPPED:
+            return PartitionRegistry(self.partitions, Stage(target))
+        fixed = []
+        for p in self.partitions:
+            coords = dict(payload[p.pid])  # type: ignore[call-overload]
+            if set(coords) != p.qubits:
+                raise ValidationError(
+                    f"partition {p.pid}: coordinate map must cover exactly its qubits"
+                )
+            fixed.append(replace(p, coords=coords))
+        return PartitionRegistry(tuple(fixed), Stage(target))
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,6 @@ class CompileStats:
         return out
 
 
-def count_two_qubit(dag: CircuitDag) -> int:
-    return sum(1 for g in dag.nodes if g.kind.is_two_qubit)
-
-
 def _gate_counts(dag: CircuitDag, chip_area: int) -> tuple[int, int, int]:
     """Two-qubit, non-barrier and chiplet-crossing two-qubit gates, in one pass.
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
-from .backend import ChipletBackend, CouplingGraph, InterChipLink, PhysCoord, coupling_graph
+from .backend import ChipletBackend, CouplingGraph, InterChipLink, PhysCoord
 from .errors import CompilerError, NoRouteError, StrictPatchViolationError, ValidationError
 from .ir import CircuitDag, GateKind, GateNode, PartitionRegistry, Stage, build_dag
 from .lmap import flat_mapping
@@ -107,15 +106,6 @@ LinkUsage = dict[tuple[int, int], int]
 def _link_cost(hops: int, link: InterChipLink, usage: int, cfg: RoutingConfig) -> float:
     """|P| + alpha * eps + beta * usage, summed in that order."""
     return hops + cfg.alpha * link.eps + cfg.beta * usage
-
-
-def path_cost(
-    path: Sequence[int], link: InterChipLink, cfg: RoutingConfig, usage: int = 0
-) -> float:
-    """Cost of routing over ``path`` through ``link`` selected ``usage`` times before."""
-    if len(path) < 1:
-        raise ValidationError("path must contain at least one qubit")
-    return _link_cost(len(path) - 1, link, usage, cfg)
 
 
 @dataclass
@@ -259,14 +249,13 @@ def _select_crossing(
 
     Returns the chosen link and the path from ``u`` over the link; when
     the far-side target ``v`` is known the path continues down to it.
-    Increments the chosen link's count in ``usage``.
+    Increments the chosen link's count in ``usage``. Candidates are ranked
+    by (cost, hops, near endpoint); no two links share an endpoint, so
+    the order of the links in the backend never decides a choice.
     """
     chip_u = backend.chip_of(u)
     area = backend.chip_area
-    links = [
-        l for l in backend.links_between(chip_u, to_chip)
-        if graph.alive[l.a] and graph.alive[l.b]
-    ]
+    links = graph.links_between(chip_u, to_chip)
     if not links:
         raise NoRouteError(f"no functional link between chiplets {chip_u} and {to_chip}")
 
@@ -323,28 +312,6 @@ def _select_crossing(
         tail.reverse()  # far -> v
         path.extend(tail[1:])
     return best, path
-
-
-def select_link(
-    graph: CouplingGraph,
-    backend: ChipletBackend,
-    src: int,
-    dst: int,
-    cfg: RoutingConfig,
-    usage: LinkUsage,
-) -> tuple[InterChipLink, list[int]]:
-    """Single-crossing link selection between adjacent chiplets.
-
-    ``src`` and ``dst`` are global qubit ids on grid-adjacent chiplets.
-    ``usage`` holds the selections made so far (by link key). Returns the
-    selected link and the full src -> dst coupling path, and bumps the
-    link's count in ``usage``.
-    """
-    ca, cb = backend.chip_of(src), backend.chip_of(dst)
-    (ra, cca), (rb, ccb) = backend.grid_pos(ca), backend.grid_pos(cb)
-    if abs(ra - rb) + abs(cca - ccb) != 1:
-        raise ValidationError("select_link expects endpoints on adjacent chiplets")
-    return _select_crossing(graph, backend, cfg, usage, src, cb, dst)
 
 
 class _RoutingRun:
@@ -476,7 +443,7 @@ def route_circuit(
     if registry.stage is not Stage.MAPPED:
         raise ValidationError(f"route_circuit needs a mapped registry, got {registry.stage.name}")
     cfg = cfg or RoutingConfig()
-    graph = graph or coupling_graph(backend)
+    graph = graph or CouplingGraph(backend)
     run = _RoutingRun(dag, registry, backend, graph, cfg)
     # Nearly every gate passes through on the current positions, so that
     # case runs here on local names; only uncoupled pairs leave the loop.

@@ -48,6 +48,8 @@ _int_pair = {
     "maxItems": 2,
 }
 
+_size_pair = {**_int_pair, "items": {"type": "integer", "minimum": 1}}
+
 CIRCUIT_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "circuit",
@@ -125,8 +127,8 @@ BACKEND_SCHEMA: dict = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "name": {"type": "string"},
-        "grid": _int_pair,
-        "chiplet": _int_pair,
+        "grid": _size_pair,
+        "chiplet": _size_pair,
         "links": {
             "type": "array",
             "items": {

@@ -1,17 +1,8 @@
-import networkx as nx
 import pytest
 
-from chipmap.backend import ChipletBackend, CouplingGraph, build_backend
+from chipmap.backend import ChipletBackend, build_backend
 
 
 @pytest.fixture
 def single_chip() -> ChipletBackend:
     return build_backend({"grid": [1, 1], "chiplet": [5, 5]})
-
-
-def nx_coupling(graph: CouplingGraph) -> nx.Graph:
-    """Independent adjacency view for distance oracles."""
-    g = nx.Graph()
-    g.add_nodes_from(i for i in range(graph.n) if graph.alive[i])
-    g.add_edges_from(graph.edges())
-    return g

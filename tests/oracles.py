@@ -99,6 +99,60 @@ def coupling_parts(backend) -> tuple[list[bool], list[tuple[int, ...]], dict]:
     return alive, [tuple(sorted(ns)) for ns in adj], links
 
 
+def coupling_edges(backend) -> set[tuple[int, int]]:
+    """Every coupling (a, b), a < b, of ``coupling_parts``'s adjacency."""
+    _, adj, _ = coupling_parts(backend)
+    return {(a, b) for a, ns in enumerate(adj) for b in ns if a < b}
+
+
+def links_between(backend, chip_a: int, chip_b: int) -> list:
+    """Functional links joining two chiplets, in backend order.
+
+    The filter routing applied before ``CouplingGraph`` kept the links per
+    chiplet pair: the pair matches and neither endpoint is a defect.
+    """
+    pair = {chip_a, chip_b}
+    return [
+        l for l in backend.links
+        if {backend.chip_of(l.a), backend.chip_of(l.b)} == pair
+        and l.a not in backend.defects
+        and l.b not in backend.defects
+    ]
+
+
+def blocked_cells(backend, chip: int) -> set[tuple[int, int]]:
+    """(x, y) of every defective cell of ``chip``."""
+    return {
+        (x, y)
+        for x in range(backend.chip_w)
+        for y in range(backend.chip_h)
+        if backend.gid(chip, x, y) in backend.defects
+    }
+
+
+def carved_free(backend, split) -> dict[int, list]:
+    """Free regions per chip after carving each defect as a 1x1 block.
+
+    The construction ``BinState`` ran before it read the defect list: a
+    defect test on every cell of every chiplet, cells carved in (x, y)
+    order, each from the region that holds it, with ``split`` (the
+    guillotine split under test elsewhere) and regions kept sorted by
+    (y, x).
+    """
+    out = {}
+    for chip in range(backend.n_chiplets):
+        regions = [(chip, 0, 0, backend.chip_w, backend.chip_h)]
+        for x, y in sorted(blocked_cells(backend, chip)):
+            (i, reg), = [
+                (i, r) for i, r in enumerate(regions)
+                if r[1] <= x < r[1] + r[3] and r[2] <= y < r[2] + r[4]
+            ]
+            regions = regions[:i] + regions[i + 1:] + list(split(reg, (x, y, 1, 1)))
+            regions.sort(key=lambda r: (r[2], r[1]))
+        out[chip] = regions
+    return out
+
+
 def longest_path_depth(gates: Sequence, preds: Sequence[Sequence[int]]) -> int:
     """Longest path over ``preds`` with unit gate weight; barriers weigh zero."""
     finish = []

@@ -15,15 +15,22 @@ import time
 
 import pytest
 
-from chipmap.backend import build_backend, coupling_graph
+from chipmap.backend import build_backend
 from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from chipmap.errors import NoFitError, NoRouteError
-from chipmap.gmap import init_bins, place_partition, place_partition_relative
+from chipmap.gmap import BinState, place_partition, place_partition_relative
 from chipmap.ir import GateKind, InteractionGraph, circuit_from_json, cx
 from chipmap.partition import kway_partition
 from chipmap.pipeline import CompileOptions, compile_circuit
 from chipmap.route import RoutingConfig
-from oracles import TokenTracker, brute_force_cut, check_chip_partition, cut_weight
+from oracles import (
+    TokenTracker,
+    blocked_cells,
+    brute_force_cut,
+    check_chip_partition,
+    coupling_edges,
+    cut_weight,
+)
 from test_route import _route, _singletons
 
 
@@ -115,7 +122,7 @@ def test_criterion_03_routing_soundness():
             skipped += 1
             continue
         init = {v: be.gid(*pc) for v, pc in compiled.mapping.items()}
-        tracker = TokenTracker(init, set(coupling_graph(be).edges()))
+        tracker = TokenTracker(init, coupling_edges(be))
         originals = iter(gates)
         for g in compiled.dag.nodes:
             if g.kind is GateKind.CNOT:
@@ -146,7 +153,7 @@ def test_criterion_04_packing_invariants():
         doc = {"grid": [rows, cols], "chiplet": [w, h], "allow_non_pow2": True}
         if dead:
             doc["defects"] = [{"chip": c, "x": x, "y": y} for c, x, y in sorted(dead)]
-        bins = init_bins(build_backend(doc))
+        bins = BinState(build_backend(doc))
         pid = 0
         while True:
             bw, bh = rng.randint(1, 4), rng.randint(1, 4)
@@ -175,7 +182,7 @@ def test_criterion_04_packing_invariants():
                     for p in bins.placements.values()
                     if p.chip == chip
                 ],
-                bins.blocked[chip],
+                blocked_cells(bins.backend, chip),
             )
     dt = time.perf_counter() - t0
     _line(4, dt < 30.0, f"500 runs partition every chip exactly, {dt:.1f}s")

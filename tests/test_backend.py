@@ -15,16 +15,35 @@ from chipmap.backend import (
     InterChipLink,
     backend_to_json,
     build_backend,
-    coupling_graph,
 )
 from chipmap.errors import ValidationError
 from chipmap.ir import cx
-from oracles import coupling_parts
+from oracles import coupling_edges, coupling_parts, links_between
 
 
 def _doc(**kw) -> dict:
     doc = {"grid": [1, 2], "chiplet": [3, 3]}
     doc.update(kw)
+    return doc
+
+
+def draw_backend_doc(data) -> dict:
+    """A small random backend document: defects, explicit and auto links."""
+    rows, cols = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    w, h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    site = st.builds(
+        lambda chip, x, y: {"chip": chip, "x": x, "y": y},
+        st.integers(0, rows * cols - 1), st.integers(0, w - 1), st.integers(0, h - 1),
+    )
+    doc = {"grid": [rows, cols], "chiplet": [w, h],
+           "defects": data.draw(st.lists(site, max_size=6))}
+    if cols > 1:  # one explicit link across the first vertical seam
+        y = data.draw(st.integers(0, h - 1))
+        doc["links"] = [{"a": {"chip": 0, "x": w - 1, "y": y},
+                         "b": {"chip": 1, "x": 0, "y": y}, "eps": 0.01}]
+    per_edge = data.draw(st.integers(0, 3))
+    if per_edge:
+        doc["auto_links"] = {"per_edge": per_edge, "eps": 0.02}
     return doc
 
 
@@ -49,6 +68,13 @@ class TestGeometry:
         for chip in range(8):
             row, col = b.grid_pos(chip)
             assert b.chip_at(row, col) == chip
+
+    def test_fields_are_frozen(self):
+        b = build_backend(_doc(auto_links={"per_edge": 1, "eps": 0.1}))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.defects = frozenset({0})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.chip_w = 4
 
 
 class TestValidation:
@@ -206,59 +232,69 @@ class TestAutoLinks:
 class TestCouplingGraph:
     def test_single_chip_grid_edge_count(self):
         b = build_backend({"grid": [1, 1], "chiplet": [4, 5]})
-        g = coupling_graph(b)
+        g = CouplingGraph(b)
         # w*(h-1) vertical + h*(w-1) horizontal couplings
-        assert g.n_edges == 4 * 4 + 5 * 3
-        assert g.n_nodes == 20
+        assert sum(map(len, map(g.neighbors, range(g.n)))) == 2 * (4 * 4 + 5 * 3)
+        assert sum(g.alive) == 20
 
     def test_defect_removes_incident_couplings(self):
         b = build_backend({"grid": [1, 1], "chiplet": [3, 3],
                            "defects": [{"chip": 0, "x": 1, "y": 1}]})
-        g = coupling_graph(b)
+        g = CouplingGraph(b)
         assert not g.alive[4]
         assert g.neighbors(4) == ()
-        assert g.n_edges == 12 - 4
+        assert sum(map(len, map(g.neighbors, range(g.n)))) == 2 * (12 - 4)
 
     def test_links_appear_as_edges_with_records(self):
         b = build_backend(_doc(auto_links={"per_edge": 1, "eps": 0.25}))
-        g = coupling_graph(b)
+        g = CouplingGraph(b)
         (link,) = b.links
         assert g.has_edge(link.a, link.b)
         assert g.link_on(link.a, link.b) is link
         assert g.link_on(link.b, link.a) is link
         assert g.link_on(0, 1) is None
+        assert g.links_between(0, 1) == g.links_between(1, 0) == (link,)
+        assert g.links_between(0, 0) == ()
 
     def test_neighbors_sorted_ascending(self):
         b = build_backend({"grid": [1, 1], "chiplet": [3, 3]})
-        g = coupling_graph(b)
+        g = CouplingGraph(b)
         for gid in range(g.n):
             assert list(g.neighbors(gid)) == sorted(g.neighbors(gid))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_cell_by_cell_build(self, data):
-        rows, cols = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
-        w, h = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
-        site = st.builds(
-            lambda chip, x, y: {"chip": chip, "x": x, "y": y},
-            st.integers(0, rows * cols - 1), st.integers(0, w - 1), st.integers(0, h - 1),
-        )
-        doc = {"grid": [rows, cols], "chiplet": [w, h],
-               "defects": data.draw(st.lists(site, max_size=6))}
-        if cols > 1:  # one explicit link across the first vertical seam
-            y = data.draw(st.integers(0, h - 1))
-            doc["links"] = [{"a": {"chip": 0, "x": w - 1, "y": y},
-                             "b": {"chip": 1, "x": 0, "y": y}, "eps": 0.01}]
-        per_edge = data.draw(st.integers(0, 3))
-        if per_edge:
-            doc["auto_links"] = {"per_edge": per_edge, "eps": 0.02}
-        b = build_backend(doc)
+        b = build_backend(draw_backend_doc(data))
         g = CouplingGraph(b)
         alive, adj, links = coupling_parts(b)
         assert g.alive == alive
         assert g._adj == adj
         assert g._links == links
         assert list(g._links) == list(links)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_links_between_matches_pair_filter(self, data):
+        b = build_backend(draw_backend_doc(data))
+        # built directly, a backend may keep links whose endpoints are defects
+        dead = data.draw(st.sets(st.sampled_from([l.a for l in b.links] or [0])))
+        direct = dataclasses.replace(b, defects=b.defects | dead)
+        for be in (b, direct):
+            g = CouplingGraph(be)
+            for ca in range(be.n_chiplets):
+                for cb in range(be.n_chiplets):
+                    assert list(g.links_between(ca, cb)) == links_between(be, ca, cb)
+
+    def test_links_between_skips_link_on_a_defect(self):
+        # only direct construction can pair a link with a defective endpoint;
+        # build_backend drops such links
+        dead, live = InterChipLink(2, 9, 0.1), InterChipLink(5, 12, 0.2)
+        b = ChipletBackend(1, 2, 3, 3, links=(dead, live), defects=frozenset({2}))
+        g = CouplingGraph(b)
+        assert g.links_between(1, 0) == (live,)
+        assert links_between(b, 0, 1) == [live]
+        assert not g.has_edge(2, 9)
 
     def test_roundtrip_through_document(self):
         b = build_backend(_doc(

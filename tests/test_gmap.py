@@ -4,21 +4,24 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipmap.backend import build_backend
 from chipmap.errors import NoFitError, ValidationError
 from chipmap.gmap import (
+    BinState,
     FreeRegion,
     global_map,
     guillotine_split,
-    init_bins,
     place_partition,
     place_partition_relative,
 )
 from chipmap.ir import LayoutHint, Stage, build_dag, cx
 from chipmap.partition import predefined_partitions
 from chipmap.sequence import build_partition_graph, sequence, sequence_registry
-from oracles import check_chip_partition, rect_cells
+from oracles import blocked_cells, carved_free, check_chip_partition, rect_cells
+from test_backend import draw_backend_doc
 
 
 def _backend(rows=1, cols=1, w=5, h=5, defects=()):
@@ -42,7 +45,7 @@ def _raster(bins, chip):
             for p in bins.placements.values()
             if p.chip == chip
         ],
-        bins.blocked[chip],
+        blocked_cells(bins.backend, chip),
     )
 
 
@@ -94,54 +97,67 @@ class TestSplit:
 class TestBins:
     def test_defects_become_blocked_cells(self):
         be = _backend(w=3, h=3, defects=[(0, 1, 1)])
-        bins = init_bins(be)
-        assert bins.blocked[0] == {(1, 1)}
-        assert bins.free_area(0) == 8
+        bins = BinState(be)
+        assert sum(r.w * r.h for r in bins.free[0]) == 8
         _raster(bins, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_free_matches_cell_by_cell_carve(self, data):
+        self._assert_carve_matches(build_backend(draw_backend_doc(data)))
+
+    def test_defects_carve_in_x_then_y_order(self):
+        # carving (1, 0) before (0, 2) leaves other regions than (x, y) order
+        self._assert_carve_matches(_backend(w=2, h=3, defects=[(0, 0, 2), (0, 1, 0)]))
+
+    @staticmethod
+    def _assert_carve_matches(be):
+        split = lambda reg, rect: guillotine_split(FreeRegion(*reg), rect)  # noqa: E731
+        assert BinState(be).free == carved_free(be, split)
+
     def test_commit_updates_free_space(self):
-        bins = init_bins(_backend())
+        bins = BinState(_backend())
         bins.commit(0, 0, 0, 0, 2, 3)
-        assert bins.free_area(0) == 25 - 6
+        assert sum(r.w * r.h for r in bins.free[0]) == 25 - 6
         _raster(bins, 0)
 
 
 class TestFirstFit:
     def test_center_mode_centers_the_box(self):
-        bins = init_bins(_backend(w=7, h=7))
+        bins = BinState(_backend(w=7, h=7))
         pl = place_partition(bins, 0, 3, 3, "center")
         assert (pl.chip, pl.x, pl.y) == (0, 2, 2)
 
     def test_size_aware_takes_minimal_anchor(self):
-        bins = init_bins(_backend())
+        bins = BinState(_backend())
         pl = place_partition(bins, 0, 2, 2, "size-aware")
         assert (pl.chip, pl.x, pl.y) == (0, 0, 0)
 
     def test_center_skips_chip_with_blocked_center(self):
         be = _backend(rows=1, cols=2, w=3, h=3, defects=[(0, 1, 1)])
-        bins = init_bins(be)
+        bins = BinState(be)
         pl = place_partition(bins, 0, 1, 1, "center")
         assert (pl.chip, pl.x, pl.y) == (1, 1, 1)
 
     def test_overflow_moves_to_next_chiplet(self):
-        bins = init_bins(_backend(rows=1, cols=2, w=4, h=4))
+        bins = BinState(_backend(rows=1, cols=2, w=4, h=4))
         place_partition(bins, 0, 4, 4, "size-aware")
         pl = place_partition(bins, 1, 2, 2, "size-aware")
         assert pl.chip == 1
 
     def test_oversized_box_rejected(self):
-        bins = init_bins(_backend(w=4, h=4))
+        bins = BinState(_backend(w=4, h=4))
         with pytest.raises(NoFitError):
             place_partition(bins, 0, 5, 2, "size-aware")
 
     def test_full_backend_rejected(self):
-        bins = init_bins(_backend(w=2, h=2))
+        bins = BinState(_backend(w=2, h=2))
         place_partition(bins, 0, 2, 2, "size-aware")
         with pytest.raises(NoFitError):
             place_partition(bins, 1, 1, 1, "size-aware")
 
     def test_unknown_mode_rejected(self):
-        bins = init_bins(_backend())
+        bins = BinState(_backend())
         with pytest.raises(ValidationError, match="placement mode"):
             place_partition(bins, 0, 1, 1, "corner")
 
@@ -188,13 +204,13 @@ def _oracle_relative(bins, w, h, ref, direction):
 
 class TestRelative:
     def test_snuggles_beside_reference(self):
-        bins = init_bins(_backend())
+        bins = BinState(_backend())
         ref = place_partition(bins, 0, 2, 2, "size-aware")
         pl = place_partition_relative(bins, 1, 2, 2, ref)
         assert (pl.chip, pl.x, pl.y) == (0, 2, 0)
 
     def test_below_hint_constrains_anchor(self):
-        bins = init_bins(_backend())
+        bins = BinState(_backend())
         ref = place_partition(bins, 0, 2, 2, "size-aware")
         pl = place_partition_relative(bins, 1, 2, 2, ref, "below")
         assert (pl.chip, pl.x, pl.y) == (0, 0, 2)
@@ -203,7 +219,7 @@ class TestRelative:
         rng = random.Random(21)
         for trial in range(60):
             rows, cols = rng.choice([(1, 1), (1, 2), (2, 2)])
-            bins = init_bins(_backend(rows=rows, cols=cols, w=6, h=6))
+            bins = BinState(_backend(rows=rows, cols=cols, w=6, h=6))
             ref = place_partition(
                 bins, 0, rng.randint(1, 4), rng.randint(1, 4), "size-aware"
             )
@@ -223,7 +239,7 @@ class TestRelative:
                 _raster(bins, chip)
 
     def test_infeasible_hint_dropped_with_warning(self, caplog):
-        bins = init_bins(_backend())
+        bins = BinState(_backend())
         ref = place_partition(bins, 0, 5, 3, "size-aware")
         # nothing can start right of a full-width box; the free strip below can
         with caplog.at_level(logging.WARNING, logger="chipmap.gmap"):
@@ -232,7 +248,7 @@ class TestRelative:
         assert (pl.chip, pl.x, pl.y) == (0, 0, 3)
 
     def test_spills_to_nearest_chiplet(self):
-        bins = init_bins(_backend(rows=2, cols=2, w=3, h=3))
+        bins = BinState(_backend(rows=2, cols=2, w=3, h=3))
         ref = place_partition(bins, 0, 3, 3, "size-aware")
         pl = place_partition_relative(bins, 1, 3, 3, ref)
         assert pl.chip == 1  # same row beats same column on ties
@@ -272,8 +288,6 @@ class TestGlobalMap:
         reg, placements, bins = _mapped(gates, 16, labels, be)
         assert reg.stage is Stage.PLACED
         assert set(placements) == {0, 1, 2, 3}
-        for pid, pl in placements.items():
-            assert reg.by_id(pid).chiplet == pl.chip
         for chip in range(be.n_chiplets):
             _raster(bins, chip)
 
@@ -321,7 +335,7 @@ class TestGlobalMap:
         rng = random.Random(33)
         for trial in range(50):
             be = _backend(rows=2, cols=2, w=6, h=6)
-            bins = init_bins(be)
+            bins = BinState(be)
             pid = 0
             while True:
                 w, h = rng.randint(1, 4), rng.randint(1, 4)

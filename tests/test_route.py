@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipmap import route
-from chipmap.backend import build_backend, coupling_graph
+from chipmap.backend import CouplingGraph, InterChipLink, build_backend
 from chipmap.errors import NoRouteError, StrictPatchViolationError, ValidationError
 from chipmap.gmap import Placement
 from chipmap.ir import GateKind, PartitionGeometry, Stage, build_dag, cx, measure
@@ -21,13 +21,13 @@ from chipmap.route import (
     _bfs_dist,
     _chip_route,
     _flood,
+    _link_cost,
     _ManhattanDist,
-    path_cost,
+    _select_crossing,
     route_circuit,
-    select_link,
 )
 from chipmap.sequence import build_partition_graph, sequence_registry
-from oracles import TokenTracker
+from oracles import TokenTracker, coupling_edges
 
 
 def _route(gates, n, labels, placements, be, cfg=None, geometry=None):
@@ -42,9 +42,8 @@ def _route(gates, n, labels, placements, be, cfg=None, geometry=None):
 
 def _replay(compiled, be):
     """Token replay against a fresh coupling relation; asserts adjacency."""
-    graph = coupling_graph(be)
     init = {v: be.gid(*pc) for v, pc in compiled.mapping.items()}
-    tracker = TokenTracker(init, set(graph.edges()))
+    tracker = TokenTracker(init, coupling_edges(be))
     for g in compiled.dag.nodes:
         tracker.apply(g.kind.value, g.qubits)
     return tracker, init
@@ -113,18 +112,10 @@ class TestConfig:
 
 class TestPathCost:
     def test_combines_three_terms(self):
-        from chipmap.backend import InterChipLink
-
         link = InterChipLink(0, 9, 0.01)
         cfg = RoutingConfig.from_policy("tradeoff")  # alpha 1e3, beta 1
-        assert path_cost([1, 2, 3], link, cfg, usage=2) == 2 + 10.0 + 2.0
-        assert path_cost([5], link, RoutingConfig(), usage=2) == 0.0
-
-    def test_empty_path_rejected(self):
-        from chipmap.backend import InterChipLink
-
-        with pytest.raises(ValidationError):
-            path_cost([], InterChipLink(0, 9, 0.0), RoutingConfig())
+        assert _link_cost(2, link, 2, cfg) == 2 + 10.0 + 2.0
+        assert _link_cost(0, link, 2, RoutingConfig()) == 0.0
 
 
 class TestChipRoute:
@@ -179,7 +170,7 @@ class TestIntraChip:
                     "allow_non_pow2": True,
                 }
             )
-            g = nx.Graph(list(coupling_graph(be).edges()))
+            g = nx.Graph(list(coupling_edges(be)))
             labels, placements = _singletons([(0, ax, ay), (0, bx, by)])
             src, dst = be.gid(0, ax, ay), be.gid(0, bx, by)
             try:
@@ -341,20 +332,12 @@ class TestLinks:
 class TestSelectLink:
     def test_picks_min_cost_and_bumps_usage(self):
         be = _pair_chips(auto={"per_edge": 3, "eps": 0.01})
-        graph = coupling_graph(be)
+        graph = CouplingGraph(be)
         usage = {}
-        link, path = select_link(graph, be, 2, 15, RoutingConfig(), usage)
+        link, path = _select_crossing(graph, be, RoutingConfig(), usage, 2, 1, 15)
         assert link.key == (2, 9)
         assert path == [2, 9, 12, 15]
         assert usage == {(2, 9): 1}
-
-    def test_rejects_non_adjacent_chiplets(self):
-        be = build_backend(
-            {"grid": [2, 2], "chiplet": [3, 3], "auto_links": {"per_edge": 1, "eps": 0.01}}
-        )
-        graph = coupling_graph(be)
-        with pytest.raises(ValidationError, match="adjacent"):
-            select_link(graph, be, 0, be.gid(3, 0, 0), RoutingConfig(), {})
 
 
 class TestInvariants:
@@ -407,7 +390,7 @@ class TestDistanceKernel:
     )
     def test_manhattan_view_matches_bfs_at_every_cell(self, w, h, per_edge, chip, data):
         be = _pair_chips(auto={"per_edge": per_edge, "eps": 0.01}, w=w, h=h)
-        graph = coupling_graph(be)
+        graph = CouplingGraph(be)
         start = be.gid(chip, data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
         view = _bfs_dist(graph, be, start, chip)
         bfs = _flood(graph, start, chip, be.chip_area)
@@ -429,7 +412,7 @@ class TestDistanceKernel:
                 "defects": [{"chip": 0, "x": 1, "y": 1}],
             }
         )
-        graph = coupling_graph(be)
+        graph = CouplingGraph(be)
         dist = _bfs_dist(graph, be, be.gid(0, 0, 1), 0)
         assert type(dist) is dict
         assert dist == _flood(graph, be.gid(0, 0, 1), 0, be.chip_area)

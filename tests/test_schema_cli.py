@@ -155,6 +155,18 @@ class TestCliWorkflow:
         assert result.exit_code == EXIT_VALIDATION
         assert "error:" in result.stderr
 
+    @pytest.mark.parametrize(
+        "field, size, pointer", [("grid", [0, 2], "/grid/0"), ("chiplet", [3, 0], "/chiplet/1")]
+    )
+    def test_nonpositive_size_exits_2(self, runner, tmp_path, field, size, pointer):
+        circuit_doc = gen_memory_circuit(3)
+        circuit, backend = tmp_path / "mem.json", tmp_path / "be.json"
+        circuit.write_text(json.dumps(circuit_doc))
+        backend.write_text(json.dumps({**gen_backend_for(circuit_doc), field: size}))
+        result = runner.invoke(main, ["compile", str(circuit), str(backend)])
+        assert result.exit_code == EXIT_VALIDATION
+        assert f"backend document invalid at {pointer}: " in result.stderr
+
     def test_unparseable_file_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -316,12 +328,26 @@ class TestSweep:
 
 
 class TestCollectorPause:
-    """Compiles run with the cyclic collector off and give back its prior state."""
+    """Compiles run with the cyclic collector off and give back its prior state.
 
-    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    The caller's frozen objects stay frozen. Frozen objects the compile
+    frees by reference counting leave the count, so with a frozen caller
+    the count may drop but must not reach zero, and a kept probe must
+    still be outside every generation.
+    """
+
+    @pytest.fixture(
+        params=[(True, False), (False, False), (True, True)],
+        ids=["gc-on", "gc-off", "gc-on-frozen"],
+    )
     def gc_state(self, request, monkeypatch):
+        enabled, frozen = request.param
         was = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
+        (gc.enable if enabled else gc.disable)()
+        probe = [[]]
+        if frozen:
+            gc.freeze()
+        freeze_count = gc.get_freeze_count()
         seen = []
         compile_circuit = chipmap.cli.compile_circuit
 
@@ -330,8 +356,31 @@ class TestCollectorPause:
             return compile_circuit(*args, **kwargs)
 
         monkeypatch.setattr("chipmap.cli.compile_circuit", spy)
-        yield request.param, seen
-        (gc.enable if was else gc.disable)()
+        def freeze_kept() -> bool:
+            if not frozen:
+                return gc.get_freeze_count() == freeze_count == 0
+            return 0 < gc.get_freeze_count() <= freeze_count and all(
+                o is not probe for o in gc.get_objects()
+            )
+
+        try:
+            yield enabled, seen, freeze_kept
+        finally:
+            if frozen:
+                gc.unfreeze()
+            (gc.enable if was else gc.disable)()
+
+    def test_survivors_skip_the_young_generations(self):
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            with chipmap.cli._collector_paused():
+                kept = [[i] for i in range(1000)]
+            oldest = {id(o) for o in gc.get_objects(generation=2)}
+            assert all(id(x) in oldest for x in kept)
+            assert gc.get_freeze_count() == 0
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def _files(self, tmp_path, backend_doc=None):
         circuit_doc = gen_memory_circuit(3)
@@ -341,25 +390,28 @@ class TestCollectorPause:
         return str(circuit), str(backend)
 
     def test_compile(self, runner, tmp_path, gc_state):
-        enabled, seen = gc_state
+        enabled, seen, freeze_kept = gc_state
         result = runner.invoke(main, ["compile", *self._files(tmp_path), "--stats-only"])
         assert result.exit_code == 0, result.output
         assert seen == [False]
         assert gc.isenabled() is enabled
+        assert freeze_kept()
 
     def test_failed_compile(self, runner, tmp_path, gc_state):
-        enabled, seen = gc_state
+        enabled, seen, freeze_kept = gc_state
         tiny = {"grid": [1, 1], "chiplet": [3, 3], "allow_non_pow2": True}
         result = runner.invoke(main, ["compile", *self._files(tmp_path, tiny)])
         assert result.exit_code == EXIT_NOFIT
         assert seen == [False]
         assert gc.isenabled() is enabled
+        assert freeze_kept()
 
     def test_sweep(self, runner, tmp_path, gc_state):
-        enabled, seen = gc_state
+        enabled, seen, freeze_kept = gc_state
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({"kind": "memory", "d": 3, "axes": {"n_inter": [8, 1]}}))
         result = runner.invoke(main, ["sweep", str(spec), "-o", str(tmp_path / "s.csv")])
         assert result.exit_code == 0, result.output
         assert seen == [False, False]
         assert gc.isenabled() is enabled
+        assert freeze_kept()

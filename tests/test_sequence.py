@@ -85,4 +85,4 @@ def test_sequence_registry_enriches_stage():
     reg2, order = sequence_registry(reg, pg)
     assert reg.stage is Stage.PARTITIONED  # original untouched
     assert reg2.stage is Stage.SEQUENCED
-    assert {p.pid: p.order_index for p in reg2} == order.sigma
+    assert reg2.partitions == reg.partitions  # the order lives in ``order`` only
