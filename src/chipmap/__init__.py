@@ -19,7 +19,6 @@ from .errors import (
     MappingError,
     NoFitError,
     NoRouteError,
-    StageError,
     StrictPatchViolationError,
     ValidationError,
 )
@@ -32,7 +31,6 @@ from .ir import (
     InteractionGraph,
     Partition,
     PartitionRegistry,
-    Stage,
     build_dag,
     circuit_from_json,
     interaction_graph,
@@ -68,8 +66,6 @@ __all__ = [
     "PhysCoord",
     "Placement",
     "RoutingConfig",
-    "Stage",
-    "StageError",
     "StrictPatchViolationError",
     "ValidationError",
     "backend_to_json",

@@ -29,10 +29,16 @@ from .errors import (
     ValidationError,
 )
 from .ir import circuit_from_json
-from .partition import DEFAULT_DETECTION_BUDGET
-from .pipeline import CompileOptions, compile_circuit, dumps_compiled
+from .pipeline import (
+    PARTITION_MODES,
+    PLACEMENT_MODES,
+    REF_MODES,
+    CompileOptions,
+    compile_circuit,
+    dumps_compiled,
+)
 from .schema import validate_compiled_doc
-from .route import RoutingConfig
+from .route import POLICIES, RoutingConfig
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +65,20 @@ _STAT_COLUMNS = (
     "patch_violations",
 )
 
+# A sweep point's parameters are the spec's top-level values, overridden
+# by that point's axis values; an absent one takes its generator's or
+# RoutingConfig's default.
 _SWEEP_AXES = ("d", "n_cnots", "n_inter", "defects", "policy", "alpha", "beta")
+_SWEEP_PARAMS = _SWEEP_AXES + ("rounds", "headroom", "grid", "eps")
+_SWEEP_KEYS = _SWEEP_PARAMS + ("kind", "axes", "seed", "compile", "routing")
+# gen_backend_for keyword and type of each backend parameter
+_BACKEND_PARAMS = {
+    "headroom": ("headroom", float),
+    "grid": ("grid", None),
+    "n_inter": ("n_inter", int),
+    "eps": ("eps", None),
+    "defects": ("defects_per_chiplet", int),
+}
 
 
 def _exit_code(exc: CompilerError) -> int:
@@ -170,67 +189,39 @@ def main(ctx: click.Context, out_dir: Path, seed: int, json_logs: bool) -> None:
     ctx.obj = SimpleNamespace(out_dir=out_dir, seed=seed)
 
 
-def _compile_options(
-    obj: SimpleNamespace,
-    partitions: str,
-    placement: str,
-    relative_ref: str,
-    no_hints: bool,
-    imbalance: float,
-    detection_budget: int,
-    policy: str,
-    alpha: float | None,
-    beta: float | None,
-    k_nearest: int,
-    no_restore: bool,
-    strict_patches: bool,
-    util_all_chiplets: bool,
-) -> CompileOptions:
-    routing = RoutingConfig.from_policy(
-        policy,
-        alpha=alpha,
-        beta=beta,
-        k_nearest=k_nearest,
-        restore_mapping=not no_restore,
-        strict_patches=strict_patches,
-    )
-    return CompileOptions(
-        partitions=partitions,
-        imbalance=imbalance,
-        detection_budget=detection_budget,
-        placement=placement,
-        relative_ref=relative_ref,
-        use_hints=not no_hints,
-        routing=routing,
-        util_all_chiplets=util_all_chiplets,
-        seed=obj.seed,
-    )
+def _compile_options(obj: SimpleNamespace, no_hints: bool, **opts) -> CompileOptions:
+    """The options of one compile: its flags, named as ``CompileOptions`` fields."""
+    return CompileOptions(use_hints=not no_hints, seed=obj.seed, **opts)
 
+
+# The flags' choices and defaults are those of CompileOptions and RoutingConfig.
+_DEFAULTS = CompileOptions()
 
 _compile_opts = [
-    click.option("--partitions", type=click.Choice(["auto", "predefined", "detect"]),
-                 default="auto", show_default=True,
+    click.option("--partitions", type=click.Choice(PARTITION_MODES),
+                 default=_DEFAULTS.partitions, show_default=True,
                  help="Where partition labels come from."),
-    click.option("--placement", type=click.Choice(["center", "size-aware"]),
-                 default="center", show_default=True),
-    click.option("--relative-ref", type=click.Choice(["weight", "order"]),
-                 default="weight", show_default=True,
+    click.option("--placement", type=click.Choice(PLACEMENT_MODES),
+                 default=_DEFAULTS.placement, show_default=True),
+    click.option("--relative-ref", type=click.Choice(REF_MODES),
+                 default=_DEFAULTS.relative_ref, show_default=True,
                  help="Reference choice for relative placement."),
     click.option("--no-hints", is_flag=True, help="Ignore declared layout hints."),
-    click.option("--imbalance", type=float, default=0.03, show_default=True),
-    click.option("--detection-budget", type=int, default=DEFAULT_DETECTION_BUDGET,
+    click.option("--imbalance", type=float, default=_DEFAULTS.imbalance, show_default=True),
+    click.option("--detection-budget", type=int, default=_DEFAULTS.detection_budget,
                  show_default=True,
                  help="Max interaction-graph size for community detection."),
 ]
 
 _routing_opts = [
-    click.option("--policy", type=click.Choice(["basic", "focus", "tradeoff"]),
-                 default="basic", show_default=True),
+    click.option("--policy", type=click.Choice(tuple(POLICIES)),
+                 default=_DEFAULTS.routing.policy, show_default=True),
     click.option("--alpha", type=float, default=None,
                  help="Link error-rate weight (overrides the policy default)."),
     click.option("--beta", type=float, default=None,
                  help="Link congestion weight (overrides the policy default)."),
-    click.option("--k-nearest", type=int, default=3, show_default=True,
+    click.option("--k-nearest", type=int, default=_DEFAULTS.routing.k_nearest,
+                 show_default=True,
                  help="Candidate links considered per boundary crossing."),
     click.option("--no-restore", is_flag=True,
                  help="Keep tokens where routing parks them."),
@@ -269,14 +260,27 @@ def compile_cmd(
     out_file: Path | None,
     stats_only: bool,
     svg_file: Path | None,
-    util_all_chiplets: bool,
+    policy: str,
+    alpha: float | None,
+    beta: float | None,
+    k_nearest: int,
+    no_restore: bool,
+    strict_patches: bool,
     **opts,
 ) -> None:
     """Compile CIRCUIT_FILE onto BACKEND_FILE and report metrics."""
     with _collector_paused():
         circuit = circuit_from_json(_load_doc(circuit_file))
         backend = build_backend(_load_doc(backend_file))
-        options = _compile_options(obj, util_all_chiplets=util_all_chiplets, **opts)
+        routing = RoutingConfig.from_policy(
+            policy,
+            alpha=alpha,
+            beta=beta,
+            k_nearest=k_nearest,
+            restore_mapping=not no_restore,
+            strict_patches=strict_patches,
+        )
+        options = _compile_options(obj, routing=routing, **opts)
         result = compile_circuit(circuit, backend, options)
         click.echo(json.dumps(result.stats.as_dict(), indent=2))
         if not stats_only:
@@ -367,10 +371,9 @@ def _sweep_row(task: dict) -> tuple[dict, int]:
     error, a row with only its axis values and the message in ``error``,
     and the error's exit code.
     """
-    values = task["values"]
-    row = {axis: values[axis] for axis in task["axis_names"]}
+    row = {axis: task["params"][axis] for axis in task["axis_names"]}
     try:
-        stats = _sweep_stats(task, values)
+        stats = _sweep_stats(task)
     except CompilerError as exc:
         log.warning("sweep point %s failed: %s", row, exc)
         row["error"] = str(exc)
@@ -380,38 +383,35 @@ def _sweep_row(task: dict) -> tuple[dict, int]:
     return row, 0
 
 
-def _sweep_stats(task: dict, values: dict) -> dict:
+def _sweep_stats(task: dict) -> dict:
     """Generate and compile one sweep point; its stats dict."""
     from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 
-    kind = task["kind"]
-    d = int(values.get("d", task.get("d", 3)))
-    rounds = int(task.get("rounds", 1))
-    if kind == "memory":
-        circuit_doc = gen_memory_circuit(d, rounds)
+    params = task["params"]
+    seed = int(task["seed"])
+    d = int(params.get("d", 3))
+    circuit_kw = {"rounds": int(params["rounds"])} if "rounds" in params else {}
+    if task["kind"] == "memory":
+        circuit_doc = gen_memory_circuit(d, **circuit_kw)
     else:
-        circuit_doc = gen_ls_cnot_circuit(d, int(values.get("n_cnots", 1)), rounds)
-    backend_doc = gen_backend_for(
-        circuit_doc,
-        headroom=float(task.get("headroom", 0.30)),
-        grid=task.get("grid"),
-        n_inter=int(values.get("n_inter", 8)),
-        eps=task.get("eps", 1e-3),
-        defects_per_chiplet=int(values.get("defects", 0)),
-        seed=int(task.get("seed", 0)),
-    )
-    policy = str(values.get("policy", "basic"))
-    alpha = values.get("alpha")
-    beta = values.get("beta")
+        if "n_cnots" in params:
+            circuit_kw["n_cnots"] = int(params["n_cnots"])
+        circuit_doc = gen_ls_cnot_circuit(d, **circuit_kw)
+    backend_kw = {
+        keyword: params[name] if convert is None else convert(params[name])
+        for name, (keyword, convert) in _BACKEND_PARAMS.items()
+        if name in params
+    }
+    backend_doc = gen_backend_for(circuit_doc, seed=seed, **backend_kw)
+    alpha = params.get("alpha")
+    beta = params.get("beta")
     routing = RoutingConfig.from_policy(
-        policy,
+        str(params.get("policy", RoutingConfig.policy)),
         alpha=None if alpha is None else float(alpha),
         beta=None if beta is None else float(beta),
-        **task.get("routing", {}),
+        **task["routing"],
     )
-    options = CompileOptions(
-        routing=routing, seed=int(task.get("seed", 0)), **task.get("compile", {})
-    )
+    options = CompileOptions(routing=routing, seed=seed, **task["compile"])
     with _collector_paused():
         result = compile_circuit(
             circuit_from_json(circuit_doc), build_backend(backend_doc), options
@@ -442,6 +442,12 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
         compile:
           placement: center
 
+    A point's parameters are the top-level values, overridden by that
+    point's axis values. The axes may sweep d, n_cnots, n_inter, defects,
+    policy, alpha and beta; the top level also takes kind, rounds,
+    headroom, grid, eps, seed, compile and routing, and rejects any other
+    key.
+
     Rows appear in axis-product order, outermost axis first. Wall-clock
     columns are omitted so reruns produce byte-identical files. A point
     that raises a compiler error keeps its row, with empty stat cells and
@@ -454,6 +460,11 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     spec = _load_doc(spec_file)
     if not isinstance(spec, dict):
         raise ValidationError("sweep spec must be an object")
+    for key in spec:
+        if key not in _SWEEP_KEYS:
+            raise ValidationError(
+                f"unknown sweep spec key {key!r}; choose from {', '.join(_SWEEP_KEYS)}"
+            )
     kind = spec.get("kind", "memory")
     if kind not in ("memory", "ls-cnot"):
         raise ValidationError(f"unknown sweep kind {kind!r}")
@@ -475,18 +486,14 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
 
     base = {
         "kind": kind,
-        "rounds": spec.get("rounds", 1),
-        "d": spec.get("d", 3),
-        "headroom": spec.get("headroom", 0.30),
-        "grid": spec.get("grid"),
-        "eps": spec.get("eps", 1e-3),
         "seed": spec.get("seed", obj.seed),
         "compile": spec.get("compile", {}),
         "routing": spec.get("routing", {}),
         "axis_names": axis_names,
     }
+    fixed = {name: spec[name] for name in _SWEEP_PARAMS if name in spec}
     tasks = [
-        {**base, "values": dict(zip(axis_names, combo))}
+        {**base, "params": {**fixed, **dict(zip(axis_names, combo))}}
         for combo in itertools.product(*axis_values)
     ]
     log.info("sweep: %d points, %d workers", len(tasks), jobs)
@@ -547,17 +554,7 @@ def render_layout(
 
     circuit = circuit_from_json(_load_doc(circuit_file))
     backend = build_backend(_load_doc(backend_file))
-    options = _compile_options(
-        obj,
-        policy="basic",
-        alpha=None,
-        beta=None,
-        k_nearest=3,
-        no_restore=False,
-        strict_patches=False,
-        util_all_chiplets=False,
-        **opts,
-    )
+    options = _compile_options(obj, **opts)
     result = compile_circuit(circuit, backend, options)
     if out_file is None:
         out_file = obj.out_dir / (circuit_file.stem + ".layout.svg")

@@ -9,10 +9,6 @@ class ValidationError(CompilerError):
     """Malformed or inconsistent input: circuit, backend, or configuration."""
 
 
-class StageError(ValidationError):
-    """Partition registry enrichment applied out of order."""
-
-
 class MappingError(CompilerError):
     """Physical assignment broke an invariant (defect hit, duplicate cell)."""
 

@@ -20,10 +20,13 @@ from typing import Mapping, NamedTuple
 
 from .backend import ChipletBackend
 from .errors import NoFitError, ValidationError
-from .ir import LayoutHint, PartitionRegistry, Stage
+from .ir import LayoutHint, PartitionRegistry
 from .sequence import PartitionGraph, SequencedOrder
 
 log = logging.getLogger(__name__)
+
+PLACEMENT_MODES = ("center", "size-aware")
+REF_MODES = ("weight", "order")  # reference choice for relative placement
 
 
 class FreeRegion(NamedTuple):
@@ -133,7 +136,7 @@ def place_partition(bins: BinState, pid: int, w: int, h: int, mode: str) -> Plac
     is free; ``size-aware`` drops it at the minimal (y, x) anchor of any
     fitting free region.
     """
-    if mode not in ("center", "size-aware"):
+    if mode not in PLACEMENT_MODES:
         raise ValidationError(f"unknown placement mode {mode!r}")
     if w > bins.chip_w or h > bins.chip_h:
         raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
@@ -255,11 +258,15 @@ def global_map(
     place relative to a reference: the most entangled already placed
     partition (``relative_ref="weight"``, requires ``pg``), or simply the
     previous partition in the order (``"order"``). An explicit layout
-    hint overrides the reference choice.
+    hint overrides the reference choice. Every partition of ``registry``
+    must appear in ``order``. The registry comes back unchanged; the
+    placements are the stage's product.
     """
-    if registry.stage is not Stage.SEQUENCED:
-        raise ValidationError(f"global_map needs a sequenced registry, got {registry.stage.name}")
-    if relative_ref not in ("weight", "order"):
+    ordered = {pid for comp in order.components for pid in comp}
+    unplaced = [p.pid for p in registry if p.pid not in ordered]
+    if unplaced:
+        raise ValidationError(f"order leaves partitions {unplaced} unplaced")
+    if relative_ref not in REF_MODES:
         raise ValidationError(f"unknown relative_ref {relative_ref!r}")
     if relative_ref == "weight" and pg is None:
         raise ValidationError("relative_ref='weight' needs the partition graph")
@@ -290,8 +297,7 @@ def global_map(
                 )
             placed.append(pid)
             log.debug("placed partition %d at %s", pid, bins_pl)
-    alpha = {pid: pl.chip for pid, pl in bins.placements.items()}
-    return registry.enrich(Stage.PLACED, alpha), dict(bins.placements), bins
+    return registry, dict(bins.placements), bins
 
 
 def _pick_ref(

@@ -5,23 +5,23 @@ Contains:
 - CircuitDag: immutable gate list in topological order; each gate
   depends on the previous gate on any of its operands
 - InteractionGraph: weighted qubit graph counting two-qubit gates
-- Partition / PartitionRegistry / Stage: the patches and the stage the
-  registry has reached; every enrichment returns a new registry
+- Partition / PartitionRegistry: the patches of one circuit; local
+  mapping returns a new registry whose partitions carry coordinates
 - circuit_from_json / gates_to_json: the circuit interchange format
 
 The DAG and the registry travel together through the pipeline: the DAG
-never changes after construction. The order and the placements live in
-their stages' outputs; only local mapping stores coordinates on the
-partitions.
+never changes after construction. Each stage's product lives in that
+stage's output: the order in ``SequencedOrder``, the rectangles in the
+placements, and the coordinates on the partitions local mapping returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum, IntEnum
+from dataclasses import dataclass
+from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .errors import StageError, ValidationError
+from .errors import ValidationError
 from .schema import validate_circuit_doc
 
 if TYPE_CHECKING:
@@ -205,15 +205,6 @@ def interaction_graph(dag: CircuitDag) -> InteractionGraph:
     return InteractionGraph(tuple(range(dag.n_virt)), weights)
 
 
-class Stage(IntEnum):
-    """How far the pipeline has taken a registry; only MAPPED adds a field."""
-
-    PARTITIONED = 0  # qubit sets and boxes
-    SEQUENCED = 1    # order in SequencedOrder
-    PLACED = 2       # rectangles in the Placements
-    MAPPED = 3       # + Partition.coords
-
-
 @dataclass(frozen=True, eq=False)
 class Partition:
     """One patch: qubit set, bounding box, and, once mapped, coordinates.
@@ -251,6 +242,10 @@ class Partition:
                 if (r, c) in seen:
                     raise ValidationError(f"partition {self.pid}: duplicate cell ({r}, {c})")
                 seen.add((r, c))
+        if self.coords is not None and set(self.coords) != self.qubits:
+            raise ValidationError(
+                f"partition {self.pid}: coordinate map must cover exactly its qubits"
+            )
 
     @property
     def size(self) -> int:
@@ -259,10 +254,9 @@ class Partition:
 
 @dataclass(frozen=True)
 class PartitionRegistry:
-    """All partitions of one circuit, at a common enrichment stage."""
+    """All partitions of one circuit."""
 
     partitions: tuple[Partition, ...]
-    stage: Stage = Stage.PARTITIONED
 
     def __post_init__(self) -> None:
         ids = [p.pid for p in self.partitions]
@@ -300,34 +294,6 @@ class PartitionRegistry:
         for p in self.partitions:
             out |= p.qubits
         return frozenset(out)
-
-    def enrich(self, target: Stage, payload: Mapping[int, object]) -> "PartitionRegistry":
-        """Return a copy advanced to ``target``.
-
-        ``payload`` maps every partition id to the stage's value: placement
-        order for SEQUENCED, chiplet id for PLACED, qubit coordinate maps
-        for MAPPED. Only MAPPED stores its value, as each partition's
-        ``coords``; the other stages keep the same partitions. Stage skips
-        and regressions are rejected.
-        """
-        if target != self.stage + 1:
-            raise StageError(
-                f"registry at stage {self.stage.name} cannot be enriched to {Stage(target).name}"
-            )
-        missing = [p.pid for p in self.partitions if p.pid not in payload]
-        if missing:
-            raise ValidationError(f"enrichment payload missing partitions {missing}")
-        if target is not Stage.MAPPED:
-            return PartitionRegistry(self.partitions, Stage(target))
-        fixed = []
-        for p in self.partitions:
-            coords = dict(payload[p.pid])  # type: ignore[call-overload]
-            if set(coords) != p.qubits:
-                raise ValidationError(
-                    f"partition {p.pid}: coordinate map must cover exactly its qubits"
-                )
-            fixed.append(replace(p, coords=coords))
-        return PartitionRegistry(tuple(fixed), Stage(target))
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,19 @@ Declared patch geometry is honored verbatim: a qubit at local (row, col)
 lands on (x0 + col, y0 + row) of its partition's rectangle. Partitions
 without geometry fill their box row-major by ascending qubit id. Cells of
 the rectangle left unused stay reserved for the patch; they are never
-handed back to the free pool.
+handed back to the free pool. The stage returns a new registry whose
+partitions carry these coordinates.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
 from .backend import ChipletBackend, PhysCoord
 from .errors import MappingError
 from .gmap import Placement
-from .ir import PartitionRegistry, Stage
+from .ir import PartitionRegistry
 
 
 def local_map(
@@ -22,18 +24,19 @@ def local_map(
     registry: PartitionRegistry,
     placements: Mapping[int, Placement],
 ) -> PartitionRegistry:
-    """Produce the physical coordinate map and advance the registry.
+    """The registry's partitions with their physical coordinates set.
 
-    Raises MappingError if an assignment would land on a defective cell or
-    collide with another qubit; placements that avoid blocked zones make
-    both impossible, so a failure here points at a mapper bug.
+    Raises MappingError if a partition has no placement, or if an
+    assignment would land on a defective cell or collide with another
+    qubit; placements that avoid blocked zones make the last two
+    impossible, so such a failure points at a mapper bug.
     """
-    if registry.stage is not Stage.PLACED:
-        raise MappingError(f"local_map needs a placed registry, got {registry.stage.name}")
     taken: dict[int, tuple[int, int]] = {}  # gid -> (pid, qubit)
-    payload: dict[int, dict[int, PhysCoord]] = {}
+    mapped = []
     for part in registry:
-        pl = placements[part.pid]
+        pl = placements.get(part.pid)
+        if pl is None:
+            raise MappingError(f"partition {part.pid} has no placement")
         coords: dict[int, PhysCoord] = {}
         if part.cells is not None:
             for q in sorted(part.qubits):
@@ -55,8 +58,8 @@ def local_map(
                     f"and qubit {taken[gid][1]} of partition {taken[gid][0]}"
                 )
             taken[gid] = (part.pid, q)
-        payload[part.pid] = coords
-    return registry.enrich(Stage.MAPPED, payload)
+        mapped.append(replace(part, coords=coords))
+    return PartitionRegistry(tuple(mapped))
 
 
 def flat_mapping(registry: PartitionRegistry, backend: ChipletBackend) -> dict[int, int]:

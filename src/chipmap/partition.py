@@ -1,6 +1,6 @@
 """Circuit partitioning.
 
-Two routes produce a partition registry at the first enrichment stage:
+Two routes produce the partition registry, the first stage's product:
 
 - auto: estimate how many patches the interaction graph naturally forms
   (Girvan-Newman edge-betweenness community detection, keeping the

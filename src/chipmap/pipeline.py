@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .backend import ChipletBackend, PhysCoord
 from .errors import ValidationError
-from .gmap import Placement, global_map
+from .gmap import PLACEMENT_MODES, REF_MODES, Placement, global_map
 from .ir import (
     CircuitInput,
     GateKind,
@@ -35,13 +35,11 @@ from .partition import (
     predefined_partitions,
 )
 from .route import CompiledCircuit, RoutingConfig, route_circuit
-from .sequence import SequencedOrder, build_partition_graph, sequence_registry
+from .sequence import SequencedOrder, build_partition_graph, sequence
 
 log = logging.getLogger(__name__)
 
-_PARTITION_MODES = ("auto", "predefined", "detect")
-_PLACEMENT_MODES = ("center", "size-aware")
-_REF_MODES = ("weight", "order")
+PARTITION_MODES = ("auto", "predefined", "detect")
 
 
 @dataclass(frozen=True)
@@ -65,12 +63,12 @@ class CompileOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.partitions not in _PARTITION_MODES:
-            raise ValidationError(f"partitions must be one of {_PARTITION_MODES}")
-        if self.placement not in _PLACEMENT_MODES:
-            raise ValidationError(f"placement must be one of {_PLACEMENT_MODES}")
-        if self.relative_ref not in _REF_MODES:
-            raise ValidationError(f"relative_ref must be one of {_REF_MODES}")
+        if self.partitions not in PARTITION_MODES:
+            raise ValidationError(f"partitions must be one of {PARTITION_MODES}")
+        if self.placement not in PLACEMENT_MODES:
+            raise ValidationError(f"placement must be one of {PLACEMENT_MODES}")
+        if self.relative_ref not in REF_MODES:
+            raise ValidationError(f"relative_ref must be one of {REF_MODES}")
         if self.imbalance < 0:
             raise ValidationError("imbalance must be nonnegative")
         if self.detection_budget < 1:
@@ -112,12 +110,12 @@ def compile_circuit(
 
     t0 = time.perf_counter()
     pg = build_partition_graph(registry, circuit.dag)
-    registry, order = sequence_registry(registry, pg)
+    order = sequence(pg)
     timings["sequence"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     hints = circuit.layout_hints if opts.use_hints else None
-    registry, placements, _bins = global_map(
+    _, placements, _ = global_map(
         backend,
         order,
         registry,

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 from .backend import ChipletBackend, CouplingGraph, InterChipLink, PhysCoord
 from .errors import CompilerError, NoRouteError, StrictPatchViolationError, ValidationError
-from .ir import CircuitDag, GateKind, GateNode, PartitionRegistry, Stage, build_dag
+from .ir import CircuitDag, GateKind, GateNode, PartitionRegistry, build_dag
 from .lmap import flat_mapping
 
 log = logging.getLogger(__name__)
 
-# policy name -> (alpha, beta)
-_POLICIES = {
+# policy name -> default (alpha, beta); a config's weight is positive
+# exactly where its policy's default is
+POLICIES = {
     "basic": (0.0, 0.0),
     "focus": (1e4, 0.0),
     "tradeoff": (1e3, 1.0),
@@ -62,14 +63,10 @@ class RoutingConfig:
             raise ValidationError("alpha and beta must be nonnegative")
         if self.k_nearest < 1:
             raise ValidationError("k_nearest must be >= 1")
-        if self.policy not in _POLICIES:
+        if self.policy not in POLICIES:
             raise ValidationError(f"unknown routing policy {self.policy!r}")
-        ok = {
-            "basic": self.alpha == 0 and self.beta == 0,
-            "focus": self.alpha > 0 and self.beta == 0,
-            "tradeoff": self.alpha > 0 and self.beta > 0,
-        }[self.policy]
-        if not ok:
+        weights = zip((self.alpha, self.beta), POLICIES[self.policy])
+        if not all(w > 0 if w0 > 0 else w == 0 for w, w0 in weights):
             raise ValidationError(
                 f"policy {self.policy!r} is inconsistent with alpha={self.alpha}, "
                 f"beta={self.beta}"
@@ -82,20 +79,21 @@ class RoutingConfig:
         *,
         alpha: float | None = None,
         beta: float | None = None,
-        k_nearest: int = 3,
-        restore_mapping: bool = True,
-        strict_patches: bool = False,
+        **rest,
     ) -> "RoutingConfig":
-        if policy not in _POLICIES:
+        """The config of ``policy`` at that policy's weights.
+
+        ``alpha`` or ``beta`` overrides a weight; ``rest`` sets the other
+        fields, which keep their defaults otherwise.
+        """
+        if policy not in POLICIES:
             raise ValidationError(f"unknown routing policy {policy!r}")
-        da, db = _POLICIES[policy]
+        da, db = POLICIES[policy]
         return cls(
             alpha=da if alpha is None else alpha,
             beta=db if beta is None else beta,
-            k_nearest=k_nearest,
             policy=policy,
-            restore_mapping=restore_mapping,
-            strict_patches=strict_patches,
+            **rest,
         )
 
 
@@ -317,13 +315,11 @@ def _select_crossing(
 class _RoutingRun:
     def __init__(
         self,
-        dag: CircuitDag,
         registry: PartitionRegistry,
         backend: ChipletBackend,
         graph: CouplingGraph,
         cfg: RoutingConfig,
     ):
-        self.dag = dag
         self.backend = backend
         self.graph = graph
         self.cfg = cfg
@@ -440,11 +436,9 @@ def route_circuit(
     graph: CouplingGraph | None = None,
 ) -> CompiledCircuit:
     """Route every gate of ``dag`` in topological order onto ``backend``."""
-    if registry.stage is not Stage.MAPPED:
-        raise ValidationError(f"route_circuit needs a mapped registry, got {registry.stage.name}")
     cfg = cfg or RoutingConfig()
     graph = graph or CouplingGraph(backend)
-    run = _RoutingRun(dag, registry, backend, graph, cfg)
+    run = _RoutingRun(registry, backend, graph, cfg)
     # Nearly every gate passes through on the current positions, so that
     # case runs here on local names; only uncoupled pairs leave the loop.
     pos = run.pos  # updated in place by every SWAP

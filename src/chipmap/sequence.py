@@ -3,7 +3,8 @@
 Partitions that exchange many two-qubit gates should land near each other,
 so placement visits them in BFS order from the most entangled partition of
 each connected component, expanding heavy edges first. Components are
-emitted largest first (by total qubit count).
+emitted largest first (by total qubit count). The ``SequencedOrder`` is
+the stage's only product; the registry is not touched.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .ir import CircuitDag, PartitionRegistry, Stage
+from .ir import CircuitDag, PartitionRegistry
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,9 @@ def sequence(pg: PartitionGraph) -> SequencedOrder:
 def sequence_registry(
     registry: PartitionRegistry, pg: PartitionGraph
 ) -> tuple[PartitionRegistry, SequencedOrder]:
-    """Convenience: sequence and enrich the registry in one step."""
-    order = sequence(pg)
-    return registry.enrich(Stage.SEQUENCED, order.sigma), order
+    """``(registry, sequence(pg))``: the registry as given, and its order.
+
+    The order is the stage's only product. This pair form remains because
+    ``bench/spans.py`` unpacks it; the pipeline calls ``sequence``.
+    """
+    return registry, sequence(pg)

@@ -17,9 +17,9 @@ from chipmap.gmap import (
     place_partition,
     place_partition_relative,
 )
-from chipmap.ir import LayoutHint, Stage, build_dag, cx
+from chipmap.ir import LayoutHint, build_dag, cx
 from chipmap.partition import predefined_partitions
-from chipmap.sequence import build_partition_graph, sequence, sequence_registry
+from chipmap.sequence import SequencedOrder, build_partition_graph, sequence_registry
 from oracles import blocked_cells, carved_free, check_chip_partition, rect_cells
 from test_backend import draw_backend_doc
 
@@ -263,13 +263,12 @@ def _mapped(gates, n, labels, be, **kw):
 
 
 class TestGlobalMap:
-    def test_requires_sequenced_registry(self):
-        dag = build_dag([], 2)
-        reg = predefined_partitions(dag, {0: 0, 1: 0})
-        pg = build_partition_graph(reg, dag)
-        order = sequence(pg)
-        with pytest.raises(ValidationError, match="sequenced"):
-            global_map(_backend(), order, reg, pg=pg)
+    def test_order_must_cover_all_partitions(self):
+        dag = build_dag([], 3)
+        reg = predefined_partitions(dag, {0: 0, 1: 1, 2: 2})
+        order = SequencedOrder(((1,),), {1: 0})
+        with pytest.raises(ValidationError, match=r"partitions \[0, 2\] unplaced"):
+            global_map(_backend(), order, reg, relative_ref="order")
 
     def test_weight_ref_needs_partition_graph(self):
         dag = build_dag([], 2)
@@ -286,7 +285,6 @@ class TestGlobalMap:
         labels = {q: q // 4 for q in range(16)}
         gates = [cx(0, 4), cx(4, 8), cx(8, 12), cx(0, 4)]
         reg, placements, bins = _mapped(gates, 16, labels, be)
-        assert reg.stage is Stage.PLACED
         assert set(placements) == {0, 1, 2, 3}
         for chip in range(be.n_chiplets):
             _raster(bins, chip)

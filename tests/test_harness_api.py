@@ -9,8 +9,11 @@ import pytest
 import chipmap
 from chipmap.backend import build_backend
 from chipmap.benchgen import gen_backend_for, gen_memory_circuit
-from chipmap.ir import circuit_from_json
+from chipmap.gmap import global_map
+from chipmap.ir import build_dag, circuit_from_json, cx
+from chipmap.partition import predefined_partitions
 from chipmap.pipeline import compile_circuit, result_to_json
+from chipmap.sequence import build_partition_graph, sequence, sequence_registry
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -25,6 +28,20 @@ def test_bench_modules_import(module, monkeypatch):
 def test_every_exported_name_resolves():
     missing = [name for name in chipmap.__all__ if not hasattr(chipmap, name)]
     assert not missing
+
+
+def test_stage_calls_return_the_registry_they_were_given():
+    """spans.py unpacks ``sequence_registry``'s pair and ``global_map``'s triple."""
+    dag = build_dag([cx(0, 2)], 4)
+    reg = predefined_partitions(dag, {0: 0, 1: 0, 2: 1, 3: 1})
+    pg = build_partition_graph(reg, dag)
+    same, order = sequence_registry(reg, pg)
+    assert same is reg
+    assert order == sequence(pg)
+    backend = build_backend({"grid": [1, 1], "chiplet": [4, 4], "allow_non_pow2": True})
+    placed, placements, _ = global_map(backend, order, reg, pg=pg)
+    assert placed is reg
+    assert set(placements) == {0, 1}
 
 
 def test_traced_compile_matches_compile_circuit(tmp_path, monkeypatch):

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipmap.errors import StageError, ValidationError
+from chipmap.backend import PhysCoord
+from chipmap.errors import ValidationError
 from chipmap.ir import (
     CircuitInput,
     GateKind,
     GateNode,
     Partition,
     PartitionRegistry,
-    Stage,
     barrier,
     build_dag,
     circuit_from_json,
@@ -311,20 +311,11 @@ class TestPartitionRegistry:
         with pytest.raises(ValidationError):
             Partition(0, frozenset({0}), 2, 2, cells={0: (2, 0)})
 
-    def test_enrichment_must_follow_stage_order(self):
-        reg = _parts({0}, {1})
-        assert reg.stage is Stage.PARTITIONED
-        with pytest.raises(StageError):
-            reg.enrich(Stage.PLACED, {0: 0, 1: 0})
-        seq = reg.enrich(Stage.SEQUENCED, {0: 0, 1: 1})
-        assert seq.stage is Stage.SEQUENCED
-        with pytest.raises(StageError):
-            seq.enrich(Stage.SEQUENCED, {0: 0, 1: 1})
-
-    def test_enrichment_payload_must_cover_all_partitions(self):
-        reg = _parts({0}, {1})
-        with pytest.raises(ValidationError):
-            reg.enrich(Stage.SEQUENCED, {0: 0})
+    @pytest.mark.parametrize("covered", [(0,), (0, 1, 2)], ids=["short", "extra"])
+    def test_coordinate_map_must_cover_exactly_its_qubits(self, covered):
+        coords = {q: PhysCoord(0, q, 0) for q in covered}
+        with pytest.raises(ValidationError, match="partition 4: coordinate map"):
+            Partition(4, frozenset({0, 1}), 2, 1, coords=coords)
 
     def test_qubit_map_covers_partitions(self):
         reg = _parts({0, 2}, {1})

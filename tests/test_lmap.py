@@ -5,10 +5,9 @@ import pytest
 from chipmap.backend import PhysCoord, build_backend
 from chipmap.errors import MappingError
 from chipmap.gmap import Placement
-from chipmap.ir import PartitionGeometry, Stage, build_dag
+from chipmap.ir import PartitionGeometry, build_dag
 from chipmap.lmap import flat_mapping, local_map
 from chipmap.partition import predefined_partitions
-from chipmap.sequence import build_partition_graph, sequence_registry
 
 
 def _backend(rows=1, cols=1, w=5, h=5, defects=()):
@@ -22,20 +21,15 @@ def _backend(rows=1, cols=1, w=5, h=5, defects=()):
     )
 
 
-def _placed_registry(n, labels, geometry=None):
-    dag = build_dag([], n)
-    reg = predefined_partitions(dag, labels, geometry)
-    pg = build_partition_graph(reg, dag)
-    reg, _ = sequence_registry(reg, pg)
-    return reg.enrich(Stage.PLACED, {p.pid: 0 for p in reg})
+def _registry(n, labels, geometry=None):
+    return predefined_partitions(build_dag([], n), labels, geometry)
 
 
 def test_declared_cells_are_honored():
     geo = {0: PartitionGeometry(2, 2, {0: (0, 1), 1: (1, 0), 2: (1, 1)})}
-    reg = _placed_registry(3, {0: 0, 1: 0, 2: 0}, geo)
+    reg = _registry(3, {0: 0, 1: 0, 2: 0}, geo)
     placements = {0: Placement(0, 0, 2, 1, 2, 2)}
     mapped = local_map(_backend(), reg, placements)
-    assert mapped.stage is Stage.MAPPED
     coords = mapped.by_id(0).coords
     assert coords == {
         0: PhysCoord(0, 3, 1),  # (row 0, col 1) from anchor (2, 1)
@@ -45,7 +39,7 @@ def test_declared_cells_are_honored():
 
 
 def test_row_major_fill_by_ascending_qubit():
-    reg = _placed_registry(5, {q: 0 for q in range(5)})
+    reg = _registry(5, {q: 0 for q in range(5)})
     placements = {0: Placement(0, 0, 1, 1, 3, 2)}
     mapped = local_map(_backend(), reg, placements)
     coords = mapped.by_id(0).coords
@@ -60,7 +54,7 @@ def test_row_major_fill_by_ascending_qubit():
 
 def test_unused_box_cells_stay_reserved():
     # 3 qubits in a 2x2 box: cell (x0+1, y0+1) is absent from the map
-    reg = _placed_registry(3, {0: 0, 1: 0, 2: 0})
+    reg = _registry(3, {0: 0, 1: 0, 2: 0})
     placements = {0: Placement(0, 0, 0, 0, 2, 2)}
     mapped = local_map(_backend(), reg, placements)
     used = set(mapped.by_id(0).coords.values())
@@ -69,14 +63,13 @@ def test_unused_box_cells_stay_reserved():
 
 
 def test_requires_placed_stage():
-    dag = build_dag([], 2)
-    reg = predefined_partitions(dag, {0: 0, 1: 0})
-    with pytest.raises(MappingError, match="placed"):
-        local_map(_backend(), reg, {})
+    reg = _registry(3, {0: 0, 1: 1, 2: 1})
+    with pytest.raises(MappingError, match="partition 1 has no placement"):
+        local_map(_backend(), reg, {0: Placement(0, 0, 0, 0, 1, 1)})
 
 
 def test_defective_cell_rejected():
-    reg = _placed_registry(2, {0: 0, 1: 0})
+    reg = _registry(2, {0: 0, 1: 0})
     placements = {0: Placement(0, 0, 0, 0, 2, 1)}
     be = _backend(defects=[(0, 1, 0)])
     with pytest.raises(MappingError, match="defective"):
@@ -84,7 +77,7 @@ def test_defective_cell_rejected():
 
 
 def test_cell_collision_rejected():
-    reg = _placed_registry(4, {0: 0, 1: 0, 2: 1, 3: 1})
+    reg = _registry(4, {0: 0, 1: 0, 2: 1, 3: 1})
     placements = {
         0: Placement(0, 0, 0, 0, 2, 1),
         1: Placement(1, 0, 1, 0, 2, 1),  # overlaps qubit 1's cell
@@ -95,7 +88,7 @@ def test_cell_collision_rejected():
 
 def test_flat_mapping_uses_global_ids():
     be = _backend(rows=1, cols=2, w=3, h=3)
-    reg = _placed_registry(2, {0: 0, 1: 0})
+    reg = _registry(2, {0: 0, 1: 0})
     mapped = local_map(be, reg, {0: Placement(0, 1, 1, 2, 2, 1)})
     flat = flat_mapping(mapped, be)
     assert flat == {0: be.gid(1, 1, 2), 1: be.gid(1, 2, 2)}

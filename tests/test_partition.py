@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from chipmap.benchgen import gen_ls_cnot_circuit
 from chipmap.errors import ValidationError
-from chipmap.ir import InteractionGraph, Stage, build_dag, circuit_from_json, cx, interaction_graph
+from chipmap.ir import InteractionGraph, build_dag, circuit_from_json, cx, interaction_graph
 from chipmap.partition import (
     _cap_limit,
     _edge_betweenness,
@@ -334,7 +334,6 @@ class TestPredefined:
     def test_adopts_labels_and_infers_squarest_box(self):
         dag = build_dag([cx(0, 1), cx(2, 3)], 5)
         reg = predefined_partitions(dag, {0: 0, 1: 0, 2: 1, 3: 1, 4: 1})
-        assert reg.stage is Stage.PARTITIONED
         p0, p1 = reg.by_id(0), reg.by_id(1)
         assert p0.qubits == frozenset({0, 1})
         assert (p0.width, p0.height) == (2, 1)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from chipmap import route
 from chipmap.backend import CouplingGraph, InterChipLink, build_backend
-from chipmap.errors import NoRouteError, StrictPatchViolationError, ValidationError
+from chipmap.errors import MappingError, NoRouteError, StrictPatchViolationError, ValidationError
 from chipmap.gmap import Placement
-from chipmap.ir import GateKind, PartitionGeometry, Stage, build_dag, cx, measure
+from chipmap.ir import GateKind, PartitionGeometry, build_dag, cx, measure
 from chipmap.lmap import local_map
 from chipmap.partition import predefined_partitions
 from chipmap.route import (
@@ -26,17 +26,12 @@ from chipmap.route import (
     _select_crossing,
     route_circuit,
 )
-from chipmap.sequence import build_partition_graph, sequence_registry
 from oracles import TokenTracker, coupling_edges
 
 
 def _route(gates, n, labels, placements, be, cfg=None, geometry=None):
     dag = build_dag(gates, n)
-    reg = predefined_partitions(dag, labels, geometry)
-    pg = build_partition_graph(reg, dag)
-    reg, _ = sequence_registry(reg, pg)
-    reg = reg.enrich(Stage.PLACED, {p.pid: placements[p.pid].chip for p in reg})
-    reg = local_map(be, reg, placements)
+    reg = local_map(be, predefined_partitions(dag, labels, geometry), placements)
     return route_circuit(dag, reg, be, cfg)
 
 
@@ -345,7 +340,7 @@ class TestInvariants:
         be = _chip()
         dag = build_dag([], 2)
         reg = predefined_partitions(dag, {0: 0, 1: 1})
-        with pytest.raises(ValidationError, match="mapped"):
+        with pytest.raises(MappingError, match="no physical coordinates"):
             route_circuit(dag, reg, be)
 
     def test_random_circuits_replay_cleanly(self):

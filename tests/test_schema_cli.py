@@ -326,6 +326,41 @@ class TestSweep:
         assert result.exit_code == EXIT_VALIDATION
         assert "axis" in result.stderr
 
+    def _rows(self, runner, tmp_path, spec):
+        """Exit code and CSV rows (lists of cells, header first) of one sweep."""
+        path, out = tmp_path / "spec.yaml", tmp_path / "out.csv"
+        path.write_text(yaml.safe_dump({"kind": "ls-cnot", **spec}))
+        result = runner.invoke(main, ["sweep", str(path), "-o", str(out)])
+        return result.exit_code, [line.split(",") for line in out.read_text().splitlines()]
+
+    def test_top_level_parameter_holds_for_every_point(self, runner, tmp_path):
+        fixed = self._rows(runner, tmp_path, {"policy": "tradeoff", "axes": {"n_cnots": [1]}})
+        swept = self._rows(runner, tmp_path, {"axes": {"policy": ["tradeoff"]}})
+        basic = self._rows(runner, tmp_path, {"axes": {"n_cnots": [1]}})
+        assert fixed[0] == swept[0] == basic[0] == 0
+        # the same stat columns after the one axis column
+        assert fixed[1][1][1:] == swept[1][1][1:]
+        assert fixed[1][1][1:] != basic[1][1][1:]
+
+    def test_top_level_defects_fail_like_the_axis(self, runner, tmp_path):
+        fixed = self._rows(runner, tmp_path, {"defects": 30, "axes": {"n_cnots": [1]}})
+        swept = self._rows(runner, tmp_path, {"axes": {"defects": [30]}})
+        assert fixed[0] == swept[0] == EXIT_NOFIT
+        assert fixed[1][1][-1] == swept[1][1][-1] == "no chiplet region fits partition 1"
+
+    def test_axis_value_overrides_top_level(self, runner, tmp_path):
+        both = self._rows(runner, tmp_path, {"defects": 30, "axes": {"defects": [0]}})
+        assert both[0] == 0
+        assert both[1][1][0] == "0" and both[1][1][-1] == ""
+
+    def test_unknown_spec_key_rejected(self, runner, tmp_path):
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(yaml.safe_dump({"kind": "ls-cnot", "n_intre": 1, "axes": {"d": [3]}}))
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "'n_intre'" in result.stderr
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestCollectorPause:
     """Compiles run with the cyclic collector off and give back its prior state.

@@ -3,14 +3,9 @@
 import pytest
 
 from chipmap.errors import ValidationError
-from chipmap.ir import Stage, build_dag, cx
+from chipmap.ir import build_dag, cx
 from chipmap.partition import predefined_partitions
-from chipmap.sequence import (
-    PartitionGraph,
-    build_partition_graph,
-    sequence,
-    sequence_registry,
-)
+from chipmap.sequence import PartitionGraph, build_partition_graph, sequence
 
 
 def _pg(nodes, weights, sizes=None):
@@ -76,13 +71,3 @@ class TestSequence:
         order = sequence(pg)
         assert order.components == ((1,), (2,), (0,))
         assert order.sigma == {1: 0, 2: 1, 0: 2}
-
-
-def test_sequence_registry_enriches_stage():
-    dag = build_dag([cx(0, 2)], 4)
-    reg = predefined_partitions(dag, {0: 0, 1: 0, 2: 1, 3: 1})
-    pg = build_partition_graph(reg, dag)
-    reg2, order = sequence_registry(reg, pg)
-    assert reg.stage is Stage.PARTITIONED  # original untouched
-    assert reg2.stage is Stage.SEQUENCED
-    assert reg2.partitions == reg.partitions  # the order lives in ``order`` only
