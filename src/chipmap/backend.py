@@ -286,9 +286,14 @@ class CouplingGraph:
     couplings plus inter-chiplet links. ``link_on`` returns the link
     record for a link edge, None for grid edges; ``links_between`` lists
     the functional links joining two chiplets.
+
+    ``alive_masks`` maps each chiplet with a dead cell, and only those, to
+    its live cells as a bitboard: cell (x, y) is bit ``y * (chip_w + 1) +
+    x``. Bit ``chip_w`` of each row is a spare column that is always zero,
+    so shifting a mask by one never carries a cell into the next row.
     """
 
-    __slots__ = ("n", "alive", "_adj", "_links", "_between")
+    __slots__ = ("n", "alive", "alive_masks", "_adj", "_links", "_between")
 
     def __init__(self, backend: ChipletBackend):
         n = backend.n_qubits
@@ -298,6 +303,13 @@ class CouplingGraph:
         for gid in backend.defects:
             alive[gid] = False
         self.alive = alive
+        stride = w + 1
+        full = sum(((1 << w) - 1) << (y * stride) for y in range(h))
+        masks: dict[int, int] = {}
+        for gid in backend.defects:
+            chip, off = divmod(gid, w * h)
+            masks[chip] = masks.get(chip, full) & ~(1 << (off + off // w))
+        self.alive_masks = masks
         adj: list[list[int]] = [[] for _ in range(n)]
         # ids run row by row through every chiplet, so row r starts at r * w
         # and is a chiplet's bottom row when (r + 1) % h == 0

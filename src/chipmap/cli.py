@@ -8,6 +8,7 @@ error. Options can also come from CHIPMAP_* environment variables.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import gc
 import itertools
@@ -71,6 +72,11 @@ _STAT_COLUMNS = (
 _SWEEP_AXES = ("d", "n_cnots", "n_inter", "defects", "policy", "alpha", "beta")
 _SWEEP_PARAMS = _SWEEP_AXES + ("rounds", "headroom", "grid", "eps")
 _SWEEP_KEYS = _SWEEP_PARAMS + ("kind", "axes", "seed", "compile", "routing")
+# spec block -> the class its keys set, and the fields the sweep sets itself
+_SWEEP_BLOCKS = {
+    "compile": (CompileOptions, ("routing", "seed")),
+    "routing": (RoutingConfig, ("policy", "alpha", "beta")),
+}
 # gen_backend_for keyword and type of each backend parameter
 _BACKEND_PARAMS = {
     "headroom": ("headroom", float),
@@ -446,7 +452,9 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     point's axis values. The axes may sweep d, n_cnots, n_inter, defects,
     policy, alpha and beta; the top level also takes kind, rounds,
     headroom, grid, eps, seed, compile and routing, and rejects any other
-    key.
+    key. n_cnots applies to kind ls-cnot only. compile and routing take
+    the fields of CompileOptions and RoutingConfig that the sweep does not
+    set itself.
 
     Rows appear in axis-product order, outermost axis first. Wall-clock
     columns are omitted so reruns produce byte-identical files. A point
@@ -468,6 +476,8 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     kind = spec.get("kind", "memory")
     if kind not in ("memory", "ls-cnot"):
         raise ValidationError(f"unknown sweep kind {kind!r}")
+    if kind == "memory" and "n_cnots" in spec:
+        raise ValidationError("sweep spec key 'n_cnots' applies only to kind ls-cnot")
     axes = spec.get("axes")
     if not isinstance(axes, dict) or not axes:
         raise ValidationError("sweep spec needs a nonempty axes object")
@@ -476,6 +486,18 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
             raise ValidationError(
                 f"unknown sweep axis {name!r}; choose from {', '.join(_SWEEP_AXES)}"
             )
+        if kind == "memory" and name == "n_cnots":
+            raise ValidationError("sweep axis 'n_cnots' applies only to kind ls-cnot")
+    for block, (cls, owned) in _SWEEP_BLOCKS.items():
+        given = spec.get(block, {})
+        if not isinstance(given, dict):
+            raise ValidationError(f"sweep spec {block!r} must be an object")
+        choices = [f.name for f in dataclasses.fields(cls) if f.name not in owned]
+        for key in given:
+            if key not in choices:
+                raise ValidationError(
+                    f"unknown {block} option {key!r}; choose from {', '.join(choices)}"
+                )
     axis_names = list(axes)
     axis_values = []
     for name in axis_names:

@@ -1,12 +1,15 @@
 """Noise- and congestion-aware routing onto the fixed physical mapping.
 
 Gates whose operands are already coupled pass through untouched. A
-non-adjacent pair gets a shortest coupling path (breadth-first layers,
-ties resolved toward the lexicographically smallest predecessor) and a
-bifurcated SWAP chain: both tokens walk toward the middle edge, the
-source side taking the extra hop on uneven splits. By default mirrored
-un-SWAPs restore the mapping after every routed gate; persistent-SWAP
-mode leaves tokens where they land.
+non-adjacent pair gets a shortest coupling path and a bifurcated SWAP
+chain: both tokens walk toward the middle edge, the source side taking
+the extra hop on uneven splits. Hop distances inside a chiplet are
+Manhattan distances when it has no dead cell; where a cell is dead they
+are breadth-first levels flooded on the chiplet's alive bitboard, one
+Python integer per level. Either way the path walks back from the
+target, ties resolved toward the smallest predecessor id. By default
+mirrored un-SWAPs restore the mapping after every routed gate;
+persistent-SWAP mode leaves tokens where they land.
 
 Inter-chiplet hops pick a link by cost
 
@@ -157,41 +160,98 @@ class _ManhattanDist:
         return gid // self.chip_area == self.chip
 
 
+class _LevelDist:
+    """Hop distances from ``start`` on a chiplet with a dead cell.
+
+    A breadth-first flood over the chiplet's alive bitboard (see
+    ``CouplingGraph.alive_masks``). One level is every live, unreached cell
+    beside the last level, found for all cells at once with four shifts;
+    ``levels[d]`` holds the cells exactly ``d`` hops from ``start``, which
+    must be live. Answers ``get``, ``[]`` and ``in`` like the BFS distance
+    dict; cells of other chiplets and cells cut off from ``start`` are
+    absent.
+    """
+
+    __slots__ = ("chip", "chip_w", "chip_area", "levels")
+
+    def __init__(self, start: int, chip: int, chip_w: int, chip_area: int, alive: int):
+        self.chip = chip
+        self.chip_w = chip_w
+        self.chip_area = chip_area
+        stride = chip_w + 1
+        off = start - chip * chip_area
+        front = 1 << (off + off // chip_w)
+        free = alive & ~front
+        levels = [front]
+        while True:
+            front = ((front << 1) | (front >> 1) | (front << stride) | (front >> stride)) & free
+            if not front:
+                break
+            free ^= front
+            levels.append(front)
+        self.levels = levels
+
+    def get(self, gid: int) -> int | None:
+        off = gid - self.chip * self.chip_area
+        if not 0 <= off < self.chip_area:
+            return None
+        bit = 1 << (off + off // self.chip_w)
+        for d, level in enumerate(self.levels):
+            if level & bit:
+                return d
+        return None
+
+    def __getitem__(self, gid: int) -> int:
+        d = self.get(gid)
+        if d is None:
+            raise KeyError(gid)
+        return d
+
+    def __contains__(self, gid: int) -> bool:
+        return self.get(gid) is not None
+
+    def walk_back(self, dst: int) -> list[int]:
+        """The path from ``start`` to ``dst``, found level by level.
+
+        Each step tests the same-chiplet neighbours in ascending id order
+        (up, left, right, down), so the smallest predecessor wins, as in
+        ``_walk_back``.
+        """
+        w = self.chip_w
+        stride = w + 1
+        base = self.chip * self.chip_area
+        off = dst - base
+        b = off + off // w
+        path = [dst]
+        for level in reversed(self.levels[: self[dst]]):
+            for q in (b - stride, b - 1, b + 1, b + stride):
+                if q >= 0 and level >> q & 1:
+                    b = q
+                    break
+            else:
+                raise CompilerError(f"distance levels are inconsistent at {path[-1]}")
+            path.append(base + b - b // stride)
+        path.reverse()
+        return path
+
+
 def _bfs_dist(
     graph: CouplingGraph, backend: ChipletBackend, start: int, chip: int
-) -> dict[int, int] | _ManhattanDist:
+) -> _ManhattanDist | _LevelDist:
     """Hop distances from ``start`` within one chiplet.
 
     A chiplet without a dead cell gets the Manhattan view; one with a
-    defect is flooded breadth-first.
+    defect is flooded level by level on its bitboard.
     """
-    area = backend.chip_area
-    lo = chip * area
-    if all(graph.alive[lo : lo + area]):
-        return _ManhattanDist(start, chip, backend.chip_w, area)
-    return _flood(graph, start, chip, area)
-
-
-def _flood(graph: CouplingGraph, start: int, chip: int, chip_area: int) -> dict[int, int]:
-    """Breadth-first hop distances from ``start`` within one chiplet."""
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in graph.neighbors(u):
-                if w not in dist and w // chip_area == chip:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+    alive = graph.alive_masks.get(chip)
+    if alive is None:
+        return _ManhattanDist(start, chip, backend.chip_w, backend.chip_area)
+    return _LevelDist(start, chip, backend.chip_w, backend.chip_area, alive)
 
 
 def _walk_back(
     graph: CouplingGraph,
-    dist: dict[int, int] | _ManhattanDist,
+    dist: dict[int, int] | _ManhattanDist | _LevelDist,
     src: int,
     dst: int,
     chip: int,
@@ -200,8 +260,10 @@ def _walk_back(
     """Reconstruct the src -> dst path from a distance map rooted at src.
 
     At every step the smallest eligible predecessor id wins, which pins
-    the path down uniquely.
+    the path down uniquely. BFS levels walk back in bit space.
     """
+    if isinstance(dist, _LevelDist):
+        return dist.walk_back(dst)
     path = [dst]
     cur = dst
     while cur != src:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own data structures and
 algorithms: depth comes from an availability simulation or a longest
-path over eagerly built predecessor lists, packing checks
+path over eagerly built predecessor lists, hop distances from a dict
+flood, packing checks
 from cell-set rasterization, routing checks from token replay on an
 adjacency set, partition quality from exhaustive enumeration, and the
 community count from networkx's Girvan-Newman primitives.
@@ -97,6 +98,27 @@ def coupling_parts(backend) -> tuple[list[bool], list[tuple[int, ...]], dict]:
             adj[link.b].append(link.a)
             links[link.key] = link
     return alive, [tuple(sorted(ns)) for ns in adj], links
+
+
+def bfs_dist(graph, start: int, chip: int, chip_area: int) -> dict[int, int]:
+    """Breadth-first hop distances from ``start`` within one chiplet.
+
+    The dict flood routing ran before it switched to bitboard levels: one
+    ``neighbors`` call per reached cell, keeping the cells of ``chip``.
+    """
+    dist = {start: 0}
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in graph.neighbors(u):
+                if w not in dist and w // chip_area == chip:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def coupling_edges(backend) -> set[tuple[int, int]]:

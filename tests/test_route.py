@@ -20,13 +20,14 @@ from chipmap.route import (
     RoutingConfig,
     _bfs_dist,
     _chip_route,
-    _flood,
+    _LevelDist,
     _link_cost,
     _ManhattanDist,
     _select_crossing,
+    _walk_back,
     route_circuit,
 )
-from oracles import TokenTracker, coupling_edges
+from oracles import TokenTracker, bfs_dist, coupling_edges
 
 
 def _route(gates, n, labels, placements, be, cfg=None, geometry=None):
@@ -372,8 +373,20 @@ class TestInvariants:
             assert compiled.swap_count % 2 == 0
 
 
+def _assert_same_distances(view, oracle, n):
+    """``view`` answers get, [] and in like the oracle dict at every gid."""
+    for gid in range(n):
+        assert view.get(gid) == oracle.get(gid)
+        assert (gid in view) == (gid in oracle)
+        if gid in oracle:
+            assert view[gid] == oracle[gid]
+        else:
+            with pytest.raises(KeyError):
+                view[gid]
+
+
 class TestDistanceKernel:
-    """Manhattan view on defect-free chiplets, BFS flood where a cell is dead."""
+    """Manhattan view on defect-free chiplets, bitboard BFS levels where a cell is dead."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -388,16 +401,57 @@ class TestDistanceKernel:
         graph = CouplingGraph(be)
         start = be.gid(chip, data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
         view = _bfs_dist(graph, be, start, chip)
-        bfs = _flood(graph, start, chip, be.chip_area)
         assert isinstance(view, _ManhattanDist)
-        for gid in range(be.n_qubits):
-            assert view.get(gid) == bfs.get(gid)
-            assert (gid in view) == (gid in bfs)
-            if gid in bfs:
-                assert view[gid] == bfs[gid]
-            else:
-                with pytest.raises(KeyError):
-                    view[gid]
+        _assert_same_distances(view, bfs_dist(graph, start, chip, be.chip_area), be.n_qubits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.integers(1, 8),
+        h=st.integers(1, 8),
+        per_edge=st.integers(1, 3),
+        chip=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_level_view_matches_bfs_at_every_cell(self, w, h, per_edge, chip, data):
+        cells = [(c, x, y) for c in range(2) for x in range(w) for y in range(h)]
+        start = data.draw(st.sampled_from([c for c in cells if c[0] == chip]))
+        dead = data.draw(st.sets(st.sampled_from([c for c in cells if c != start])))
+        be = build_backend({
+            "grid": [1, 2], "chiplet": [w, h], "allow_non_pow2": True,
+            "auto_links": {"per_edge": per_edge, "eps": 0.01},
+            "defects": [{"chip": c, "x": x, "y": y} for c, x, y in sorted(dead)],
+        })
+        graph = CouplingGraph(be)
+        start_gid = be.gid(*start)
+        view = _bfs_dist(graph, be, start_gid, chip)
+        assert isinstance(view, _LevelDist) == any(c[0] == chip for c in dead)
+        oracle = bfs_dist(graph, start_gid, chip, be.chip_area)
+        _assert_same_distances(view, oracle, be.n_qubits)
+        for dst in oracle:
+            want = _walk_back(graph, oracle, start_gid, dst, chip, be.chip_area)
+            assert _walk_back(graph, view, start_gid, dst, chip, be.chip_area) == want
+
+    @pytest.mark.parametrize(
+        "w, h, dead, start, cut_off",
+        [
+            (5, 3, [(2, 0), (2, 1), (2, 2)], (0, 1), [(3, 0), (4, 2)]),  # a dead column
+            (1, 6, [(0, 3)], (0, 5), [(0, 0), (0, 2)]),  # a width-1 chip cut in two
+            (4, 4, [(1, 0), (0, 1)], (3, 3), [(0, 0)]),  # a walled-in corner
+        ],
+        ids=["dead-column", "width-1", "walled-corner"],
+    )
+    def test_cells_cut_off_by_dead_cells_are_absent(self, w, h, dead, start, cut_off):
+        be = build_backend({
+            "grid": [1, 1], "chiplet": [w, h], "allow_non_pow2": True,
+            "defects": [{"chip": 0, "x": x, "y": y} for x, y in dead],
+        })
+        graph = CouplingGraph(be)
+        view = _bfs_dist(graph, be, be.gid(0, *start), 0)
+        assert isinstance(view, _LevelDist)
+        oracle = bfs_dist(graph, be.gid(0, *start), 0, be.chip_area)
+        _assert_same_distances(view, oracle, be.n_qubits)
+        for x, y in cut_off:
+            assert be.gid(0, x, y) not in view
 
     def test_chiplet_with_a_dead_cell_is_flooded(self):
         be = build_backend(
@@ -409,28 +463,35 @@ class TestDistanceKernel:
         )
         graph = CouplingGraph(be)
         dist = _bfs_dist(graph, be, be.gid(0, 0, 1), 0)
-        assert type(dist) is dict
-        assert dist == _flood(graph, be.gid(0, 0, 1), 0, be.chip_area)
+        assert isinstance(dist, _LevelDist)
+        _assert_same_distances(dist, bfs_dist(graph, be.gid(0, 0, 1), 0, be.chip_area), be.n_qubits)
         assert dist[be.gid(0, 2, 1)] == 4  # around the dead cell, not through it
         assert isinstance(_bfs_dist(graph, be, be.gid(1, 0, 0), 1), _ManhattanDist)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_routing_matches_forced_bfs(self, seed, monkeypatch):
         rng = random.Random(seed)
+        w, h = 5, 4
+        # one to three dead cells inside each chiplet keep its border ring,
+        # and so every chiplet and link, connected
+        inner = [(x, y) for x in range(1, w - 1) for y in range(1, h - 1)]
+        dead = [(c, x, y) for c in range(4) for x, y in rng.sample(inner, rng.randint(1, 3))]
         be = build_backend(
-            {"grid": [2, 2], "chiplet": [4, 3], "auto_links": {"per_edge": 2, "eps": 0.01}}
+            {
+                "grid": [2, 2], "chiplet": [w, h], "auto_links": {"per_edge": 2, "eps": 0.01},
+                "defects": [{"chip": c, "x": x, "y": y} for c, x, y in dead],
+            }
         )
         n = rng.randint(2, 8)
-        cells = rng.sample(
-            [(c, x, y) for c in range(4) for x in range(be.chip_w) for y in range(be.chip_h)], n
-        )
-        labels, placements = _singletons(cells)
+        live = [(c, x, y) for c in range(4) for x in range(w) for y in range(h)
+                if (c, x, y) not in dead]
+        labels, placements = _singletons(rng.sample(live, n))
         gates = [cx(*rng.sample(range(n), 2)) for _ in range(rng.randint(1, 20))]
         cfg = RoutingConfig.from_policy("tradeoff", restore_mapping=bool(seed % 2))
         fast = _route(gates, n, labels, placements, be, cfg)
         monkeypatch.setattr(
             route, "_bfs_dist",
-            lambda graph, backend, start, chip: _flood(graph, start, chip, backend.chip_area),
+            lambda graph, backend, start, chip: bfs_dist(graph, start, chip, backend.chip_area),
         )
         slow = _route(gates, n, labels, placements, be, cfg)
         assert fast.dag.nodes == slow.dag.nodes

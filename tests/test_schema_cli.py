@@ -361,6 +361,57 @@ class TestSweep:
         assert "'n_intre'" in result.stderr
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize(
+        "block, key, choice",
+        [
+            ("compile", "placment", "placement"),
+            ("compile", "seed", "placement"),  # the sweep sets it from the spec
+            ("routing", "k_neares", "k_nearest"),
+            ("routing", "policy", "k_nearest"),  # an axis or top-level parameter
+        ],
+    )
+    def test_unknown_block_option_rejected(self, runner, tmp_path, block, key, choice):
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(yaml.safe_dump(
+            {"kind": "ls-cnot", "axes": {"d": [3]}, block: {key: 1}}
+        ))
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        message = result.stderr.splitlines()[-1]
+        assert f"unknown {block} option {key!r}" in message
+        assert choice in message.split("choose from")[1]
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("block", ["compile", "routing"])
+    def test_block_must_be_an_object(self, runner, tmp_path, block):
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(yaml.safe_dump({"kind": "ls-cnot", "axes": {"d": [3]}, block: [1]}))
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert f"'{block}' must be an object" in result.stderr
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_block_options_reach_every_point(self, runner, tmp_path):
+        base = {"axes": {"d": [3]}, "routing": {"k_nearest": 1}}
+        plain = self._rows(runner, tmp_path, base)
+        tuned = self._rows(runner, tmp_path, {**base, "compile": {"util_all_chiplets": True}})
+        assert tuned[0] == plain[0] == 0
+        column = plain[1][0].index("utilization")
+        assert tuned[1][1][column] != plain[1][1][column]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"n_cnots": 4, "axes": {"d": [3]}}, {"axes": {"n_cnots": [1, 4]}}],
+        ids=["top-level", "axis"],
+    )
+    def test_n_cnots_rejected_for_memory(self, runner, tmp_path, spec):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump({"kind": "memory", **spec}))
+        result = runner.invoke(main, ["sweep", str(path), "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert "'n_cnots'" in result.stderr and "ls-cnot" in result.stderr
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestCollectorPause:
     """Compiles run with the cyclic collector off and give back its prior state.

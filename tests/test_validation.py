@@ -412,25 +412,58 @@ def test_cli_import_leaves_optional_modules_out(module):
     _cli_import_leaves_out(module)
 
 
+def _cli_compile_leaves_out(
+    tmp_path, circuit: dict, backend: dict, *options: str
+) -> tuple[dict, int]:
+    """CLI-compile in a fresh interpreter; no numpy, scipy or networkx loads.
+
+    Returns the compiled document and the number of BFS floods routing
+    ran, counted by wrapping ``route._bfs_dist``.
+    """
+    circuit_file, backend_file = tmp_path / "c.json", tmp_path / "b.json"
+    circuit_file.write_text(json.dumps(circuit))
+    backend_file.write_text(json.dumps(backend))
+    out, floods = tmp_path / "out.json", tmp_path / "floods.txt"
+    _run_python(
+        "import sys\n"
+        "from chipmap import route\n"
+        "from chipmap.cli import main\n"
+        "bfs_dist, floods = route._bfs_dist, []\n"
+        "def counted(*args):\n"
+        "    dist = bfs_dist(*args)\n"
+        "    floods.append(isinstance(dist, route._LevelDist))\n"
+        "    return dist\n"
+        "route._bfs_dist = counted\n"
+        "try:\n"
+        "    main(sys.argv[2:])\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "for module in ('numpy', 'scipy', 'networkx'):\n"
+        "    assert module not in sys.modules, module\n"
+        "open(sys.argv[1], 'w').write(str(sum(floods)))\n",
+        str(floods), "compile", str(circuit_file), str(backend_file), *options, "-o", str(out),
+    )
+    return json.loads(out.read_text()), int(floods.read_text())
+
+
 def test_detect_compile_leaves_networkx_out(tmp_path):
     """Community detection runs on the built-in kernel, not on networkx."""
     circuit = gen_ls_cnot_circuit(3, 3)
     backend = gen_backend_for(circuit)
     for key in ("partitions", "partition_geometry", "layout_hints"):
         del circuit[key]
-    circuit_file, backend_file = tmp_path / "c.json", tmp_path / "b.json"
-    circuit_file.write_text(json.dumps(circuit))
-    backend_file.write_text(json.dumps(backend))
-    out = tmp_path / "out.json"
-    _run_python(
-        "import sys\n"
-        "from chipmap.cli import main\n"
-        "try:\n"
-        "    main(sys.argv[1:])\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n"
-        "assert 'networkx' not in sys.modules\n",
-        "compile", str(circuit_file), str(backend_file), "--partitions", "detect",
-        "--detection-budget", "256", "-o", str(out),
+    doc, _ = _cli_compile_leaves_out(
+        tmp_path, circuit, backend, "--partitions", "detect", "--detection-budget", "256"
     )
-    assert json.loads(out.read_text())["stats"]["n_virtual"] == circuit["n_qubits"]
+    assert doc["stats"]["n_virtual"] == circuit["n_qubits"]
+
+
+def test_defect_compile_floods_on_plain_integers(tmp_path):
+    """Routing around dead cells floods bitboards without numpy or scipy."""
+    circuit = gen_ls_cnot_circuit(3, 4)
+    backend = gen_backend_for(circuit, headroom=8, n_inter=2, defects_per_chiplet=6)
+    doc, floods = _cli_compile_leaves_out(
+        tmp_path, circuit, backend, "--placement", "size-aware", "--policy", "tradeoff"
+    )
+    assert doc["stats"]["n_virtual"] == circuit["n_qubits"]
+    assert floods > 0
