@@ -14,6 +14,7 @@ import gc
 import itertools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -77,13 +78,13 @@ _SWEEP_BLOCKS = {
     "compile": (CompileOptions, ("routing", "seed")),
     "routing": (RoutingConfig, ("policy", "alpha", "beta")),
 }
-# gen_backend_for keyword and type of each backend parameter
+# gen_backend_for keyword of each backend parameter
 _BACKEND_PARAMS = {
-    "headroom": ("headroom", float),
-    "grid": ("grid", None),
-    "n_inter": ("n_inter", int),
-    "eps": ("eps", None),
-    "defects": ("defects_per_chiplet", int),
+    "headroom": "headroom",
+    "grid": "grid",
+    "n_inter": "n_inter",
+    "eps": "eps",
+    "defects": "defects_per_chiplet",
 }
 
 
@@ -377,7 +378,7 @@ def _sweep_row(task: dict) -> tuple[dict, int]:
     error, a row with only its axis values and the message in ``error``,
     and the error's exit code.
     """
-    row = {axis: task["params"][axis] for axis in task["axis_names"]}
+    row = dict(task["row"])
     try:
         stats = _sweep_stats(task)
     except CompilerError as exc:
@@ -389,32 +390,74 @@ def _sweep_row(task: dict) -> tuple[dict, int]:
     return row, 0
 
 
+def _as_int(value: object) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _as_float(value: object) -> float:
+    if isinstance(value, bool):
+        raise ValueError(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
+def _as_grid(value: object) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    rows, cols = value
+    return _as_int(rows), _as_int(cols)
+
+
+def _as_eps(value: object) -> object:
+    return value if isinstance(value, dict) else _as_float(value)
+
+
+# converter and expected form of each point parameter and the seed
+_PARAM_TYPES = {
+    **dict.fromkeys(("seed", "d", "n_cnots", "rounds", "n_inter", "defects"),
+                    (_as_int, "an integer")),
+    **dict.fromkeys(("headroom", "alpha", "beta"), (_as_float, "a finite number")),
+    "policy": (str, "a string"),
+    "grid": (_as_grid, "a list of two integers"),
+    "eps": (_as_eps, "a finite number or an object"),
+}
+
+
+def _point_param(name: str, value: object) -> object:
+    """A sweep parameter as the type its consumer takes; exit 2 naming a bad one."""
+    convert, form = _PARAM_TYPES[name]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"sweep parameter {name!r} must be {form}, got {value!r}") from None
+
+
 def _sweep_stats(task: dict) -> dict:
     """Generate and compile one sweep point; its stats dict."""
     from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 
     params = task["params"]
-    seed = int(task["seed"])
-    d = int(params.get("d", 3))
-    circuit_kw = {"rounds": int(params["rounds"])} if "rounds" in params else {}
+    seed = task["seed"]
+    d = params.get("d", 3)
+    circuit_kw = {"rounds": params["rounds"]} if "rounds" in params else {}
     if task["kind"] == "memory":
         circuit_doc = gen_memory_circuit(d, **circuit_kw)
     else:
         if "n_cnots" in params:
-            circuit_kw["n_cnots"] = int(params["n_cnots"])
+            circuit_kw["n_cnots"] = params["n_cnots"]
         circuit_doc = gen_ls_cnot_circuit(d, **circuit_kw)
     backend_kw = {
-        keyword: params[name] if convert is None else convert(params[name])
-        for name, (keyword, convert) in _BACKEND_PARAMS.items()
-        if name in params
+        keyword: params[name] for name, keyword in _BACKEND_PARAMS.items() if name in params
     }
     backend_doc = gen_backend_for(circuit_doc, seed=seed, **backend_kw)
-    alpha = params.get("alpha")
-    beta = params.get("beta")
     routing = RoutingConfig.from_policy(
-        str(params.get("policy", RoutingConfig.policy)),
-        alpha=None if alpha is None else float(alpha),
-        beta=None if beta is None else float(beta),
+        params.get("policy", RoutingConfig.policy),
+        alpha=params.get("alpha"),
+        beta=params.get("beta"),
         **task["routing"],
     )
     options = CompileOptions(routing=routing, seed=seed, **task["compile"])
@@ -454,7 +497,8 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     headroom, grid, eps, seed, compile and routing, and rejects any other
     key. n_cnots applies to kind ls-cnot only. compile and routing take
     the fields of CompileOptions and RoutingConfig that the sweep does not
-    set itself.
+    set itself. Every key and value is checked before the first point
+    runs; numeric parameters may be given as numbers or numeric strings.
 
     Rows appear in axis-product order, outermost axis first. Wall-clock
     columns are omitted so reruns produce byte-identical files. A point
@@ -506,18 +550,21 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
             raise ValidationError(f"axis {name!r} must list at least one value")
         axis_values.append(vals)
 
+    for block, (cls, _) in _SWEEP_BLOCKS.items():
+        cls(**spec.get(block, {}))  # wrong types and values fail before any point runs
+
     base = {
         "kind": kind,
-        "seed": spec.get("seed", obj.seed),
+        "seed": _point_param("seed", spec.get("seed", obj.seed)),
         "compile": spec.get("compile", {}),
         "routing": spec.get("routing", {}),
-        "axis_names": axis_names,
     }
     fixed = {name: spec[name] for name in _SWEEP_PARAMS if name in spec}
-    tasks = [
-        {**base, "params": {**fixed, **dict(zip(axis_names, combo))}}
-        for combo in itertools.product(*axis_values)
-    ]
+    tasks = []
+    for combo in itertools.product(*axis_values):
+        row = dict(zip(axis_names, combo))
+        params = {name: _point_param(name, v) for name, v in {**fixed, **row}.items()}
+        tasks.append({**base, "row": row, "params": params})
     log.info("sweep: %d points, %d workers", len(tasks), jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,5 +1,7 @@
 """Exception types shared across the compiler pipeline."""
 
+import math
+
 
 class CompilerError(Exception):
     """Base class for every failure raised by this package."""
@@ -7,6 +9,28 @@ class CompilerError(Exception):
 
 class ValidationError(CompilerError):
     """Malformed or inconsistent input: circuit, backend, or configuration."""
+
+
+_NOUNS = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def check_field_types(obj: object, kinds: dict[str, type]) -> None:
+    """Reject the first field of ``obj`` whose value is not of its kind.
+
+    ``float`` fields take any finite int or float, ``int`` fields only
+    ints; neither takes a boolean. The error names the class and field.
+    """
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if kind is float:
+            ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        else:
+            ok = isinstance(value, kind)
+        if not ok or (isinstance(value, bool) and kind is not bool):
+            noun = _NOUNS.get(kind, f"a {kind.__name__}")
+            raise ValidationError(
+                f"{type(obj).__name__}.{name} must be {noun}, got {value!r}"
+            )
 
 
 class MappingError(CompilerError):

@@ -14,12 +14,16 @@ Detection runs on a built-in kernel: flat adjacency lists and Brandes
 edge betweenness recomputed only on the components a removal touches. It
 sums in networkx's order, so betweenness and modularity, and with them
 the removal sequence and the result, are the same as networkx gives.
+A touched component whose shape (relabelled adjacency) already came up
+in the same detection call takes its betweenness from a per-call memo
+instead of a new kernel run; the values are bit-identical either way.
 Each removal costs O(n*m) on the touched component, so detection is
 capped at a node budget; larger circuits must ship labels.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Mapping, Sequence
@@ -82,6 +86,7 @@ def estimate_partition_count(
         wdeg[b] += w
 
     bc = [0.0] * len(ends)  # betweenness of live edges, _REMOVED once cut
+    memo: dict[tuple, list[float]] = {}  # component shape -> its betweenness
     label = [-1] * n  # component id per node
     n_comps = 0
     for v in range(n):
@@ -89,7 +94,7 @@ def estimate_partition_count(
             comp = _reach(adj, v)
             for u in comp:
                 label[u] = n_comps
-            _edge_betweenness(adj, sorted(comp), bc)
+            _component_betweenness(adj, sorted(comp), bc, memo)
             n_comps += 1
 
     deg_sum = sum(wdeg)
@@ -125,11 +130,11 @@ def estimate_partition_count(
         adj[a].remove((b, e))
         adj[b].remove((a, e))
         side_a = _reach(adj, a)
-        _edge_betweenness(adj, sorted(side_a), bc)
+        _component_betweenness(adj, sorted(side_a), bc, memo)
         if b in side_a:
             continue
         side_b = _reach(adj, b)
-        _edge_betweenness(adj, sorted(side_b), bc)
+        _component_betweenness(adj, sorted(side_b), bc, memo)
         for v in side_b:
             label[v] = n_comps
         n_comps += 1
@@ -149,6 +154,35 @@ def _reach(adj: list[list[tuple[int, int]]], start: int) -> set[int]:
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def _component_betweenness(adj: list[list[tuple[int, int]]], nodes: list[int],
+                           bc: list[float], memo: dict[tuple, list[float]]) -> None:
+    """``_edge_betweenness`` of one component, served from ``memo`` on a repeat.
+
+    The key relabels the component: node ``nodes[i]`` becomes ``i`` and
+    each edge gets its rank in order of first appearance, and the key
+    lists, node by node in ``nodes`` order, every ``adj`` entry as
+    (local neighbour, local edge) in ``adj`` order. The kernel looks at
+    node ids only to index its arrays and to compare endpoints, and the
+    relabelling keeps both, since ``nodes`` is ascending. So two
+    components with equal keys make the kernel visit sources, push the
+    stack, add to ``sigma``, ``delta`` and ``bc`` and halve in the same
+    order on the same values: their betweenness, stored per local edge,
+    is equal bit for bit, and a repeat copies it instead of recomputing.
+    """
+    local = {v: i for i, v in enumerate(nodes)}
+    rank: dict[int, int] = {}  # global edge id -> local edge id
+    key = tuple(
+        tuple((local[w], rank.setdefault(e, len(rank))) for w, e in adj[v]) for v in nodes
+    )
+    known = memo.get(key)
+    if known is None:
+        _edge_betweenness(adj, nodes, bc)
+        memo[key] = [bc[e] for e in rank]
+    else:
+        for e, val in zip(rank, known):
+            bc[e] = val
 
 
 def _edge_betweenness(adj: list[list[tuple[int, int]]], nodes: list[int],
@@ -364,17 +398,29 @@ def _bisect(
 
 def _grow(nodes: list[int], ladj: dict[int, dict[int, int]],
           seed_node: int, target: int) -> set[int]:
+    """Greedy growth from ``seed_node`` to ``target`` nodes.
+
+    Each step takes the free node with the largest attraction (edge
+    weight into the side), the smallest id among ties. The heap holds
+    (-attraction, node) and gets a new entry on every change; an entry
+    whose node is taken or whose value is out of date is skipped.
+    """
     side = {seed_node}
     attraction = {v: 0 for v in nodes if v != seed_node}
     for u, w in ladj[seed_node].items():
         attraction[u] = w
+    heap = [(-a, v) for v, a in attraction.items()]
+    heapq.heapify(heap)
     while len(side) < target:
-        pick = max(attraction, key=lambda v: (attraction[v], -v))
+        neg, pick = heapq.heappop(heap)
+        if attraction.get(pick) != -neg:
+            continue
         del attraction[pick]
         side.add(pick)
         for u, w in ladj[pick].items():
             if u in attraction:
                 attraction[u] += w
+                heapq.heappush(heap, (-attraction[u], u))
     return side
 
 

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .backend import ChipletBackend, PhysCoord
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 from .gmap import PLACEMENT_MODES, REF_MODES, Placement, global_map
 from .ir import (
     CircuitInput,
@@ -63,6 +63,11 @@ class CompileOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self, {
+            "partitions": str, "imbalance": float, "detection_budget": int,
+            "placement": str, "relative_ref": str, "use_hints": bool,
+            "routing": RoutingConfig, "util_all_chiplets": bool, "seed": int,
+        })
         if self.partitions not in PARTITION_MODES:
             raise ValidationError(f"partitions must be one of {PARTITION_MODES}")
         if self.placement not in PLACEMENT_MODES:

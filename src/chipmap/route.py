@@ -29,7 +29,13 @@ import logging
 from dataclasses import dataclass
 
 from .backend import ChipletBackend, CouplingGraph, InterChipLink, PhysCoord
-from .errors import CompilerError, NoRouteError, StrictPatchViolationError, ValidationError
+from .errors import (
+    CompilerError,
+    NoRouteError,
+    StrictPatchViolationError,
+    ValidationError,
+    check_field_types,
+)
 from .ir import CircuitDag, GateKind, GateNode, PartitionRegistry, build_dag
 from .lmap import flat_mapping
 
@@ -62,6 +68,10 @@ class RoutingConfig:
     strict_patches: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self, {
+            "alpha": float, "beta": float, "k_nearest": int, "policy": str,
+            "restore_mapping": bool, "strict_patches": bool,
+        })
         if self.alpha < 0 or self.beta < 0:
             raise ValidationError("alpha and beta must be nonnegative")
         if self.k_nearest < 1:

@@ -5,8 +5,9 @@ algorithms: depth comes from an availability simulation or a longest
 path over eagerly built predecessor lists, hop distances from a dict
 flood, packing checks
 from cell-set rasterization, routing checks from token replay on an
-adjacency set, partition quality from exhaustive enumeration, and the
-community count from networkx's Girvan-Newman primitives.
+adjacency set, partition quality from exhaustive enumeration, bisection
+growth from a linear scan over the free nodes, and the community count
+from networkx's Girvan-Newman primitives.
 """
 
 from __future__ import annotations
@@ -260,6 +261,28 @@ def brute_force_cut(
 
 def cut_weight(side: set[int], weights: Mapping[tuple[int, int], int]) -> int:
     return sum(w for (a, b), w in weights.items() if (a in side) != (b in side))
+
+
+def grow_by_scan(nodes: list[int], ladj: Mapping[int, Mapping[int, int]],
+                 seed_node: int, target: int) -> set[int]:
+    """Greedy growth from ``seed_node`` to ``target`` nodes, by linear scan.
+
+    The construction ``partition._grow`` ran before its heap: every step
+    scans all free nodes for the largest attraction (edge weight into the
+    side), smallest id among ties.
+    """
+    side = {seed_node}
+    attraction = {v: 0 for v in nodes if v != seed_node}
+    for u, w in ladj[seed_node].items():
+        attraction[u] = w
+    while len(side) < target:
+        pick = max(attraction, key=lambda v: (attraction[v], -v))
+        del attraction[pick]
+        side.add(pick)
+        for u, w in ladj[pick].items():
+            if u in attraction:
+                attraction[u] += w
+    return side
 
 
 def all_partitions(elems: list[int]):

@@ -8,17 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chipmap.partition as partition
 from chipmap.benchgen import gen_ls_cnot_circuit
 from chipmap.errors import ValidationError
 from chipmap.ir import InteractionGraph, build_dag, circuit_from_json, cx, interaction_graph
 from chipmap.partition import (
     _cap_limit,
+    _component_betweenness,
     _edge_betweenness,
+    _grow,
     estimate_partition_count,
     kway_partition,
     predefined_partitions,
 )
-from oracles import all_partitions, brute_force_cut, cut_weight, girvan_newman_count
+from oracles import (
+    all_partitions,
+    brute_force_cut,
+    cut_weight,
+    girvan_newman_count,
+    grow_by_scan,
+)
 
 
 def _clique(weights, nodes, w=1):
@@ -176,6 +185,151 @@ class TestDetectionMatchesOracle:
         bc = [0.0] * len(g.weights)
         _edge_betweenness(adj, list(range(g.n_nodes)), bc)
         assert bc == [expected[e] for e in sorted(g.weights)]
+
+
+@st.composite
+def _repeated_graphs(draw):
+    """2-4 disjoint copies of one ``_weighted_graphs`` draw.
+
+    Copies sit at shifted labels, so their components share shapes and
+    detection serves them from its memo; the last copy may go under a
+    non-monotone relabelling, whose components are new shapes.
+    """
+    g = draw(_weighted_graphs())
+    copies = draw(st.integers(2, 4))
+    n = g.n_nodes
+    maps = [[c * n + v for v in range(n)] for c in range(copies)]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        maps[-1] = [(copies - 1) * n + p for p in perm]
+    weights = {}
+    for relabel in maps:
+        for (a, b), w in g.weights.items():
+            a, b = relabel[a], relabel[b]
+            weights[(min(a, b), max(a, b))] = w
+    return _graph(copies * n, weights)
+
+
+class _CountingKernel:
+    """Counts ``_edge_betweenness`` runs and checks every memo answer.
+
+    Each ``_component_betweenness`` call is followed by a fresh kernel run
+    on a copy of ``bc``; the component's slice must match it bit for bit.
+    """
+
+    def __init__(self, monkeypatch):
+        self.runs = self.lookups = 0
+        self._kernel = _edge_betweenness
+        self._component = _component_betweenness
+        monkeypatch.setattr(partition, "_edge_betweenness", self._counted)
+        monkeypatch.setattr(partition, "_component_betweenness", self._checked)
+
+    def _counted(self, adj, nodes, bc):
+        self.runs += 1
+        self._kernel(adj, nodes, bc)
+
+    def _checked(self, adj, nodes, bc, memo):
+        self.lookups += 1
+        self._component(adj, nodes, bc, memo)
+        fresh = list(bc)
+        self._kernel(adj, nodes, fresh)
+        edges = [e for v in nodes for _, e in adj[v]]
+        assert [bc[e] for e in edges] == [fresh[e] for e in edges]
+
+
+class TestBetweennessMemo:
+    """Repeated component shapes are served from a per-call memo."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_repeated_graphs())
+    def test_repeated_copies_match_oracle(self, g):
+        assert estimate_partition_count(g, 256) == girvan_newman_count(g)
+
+    @pytest.mark.parametrize(
+        "d, n_cnots, expected",
+        [(3, 3, (9, [25] * 9)), (5, 1, (12, [25] * 3 + [20] * 6 + [16] * 3))],
+    )
+    def test_served_values_equal_fresh_runs(self, monkeypatch, d, n_cnots, expected):
+        counter = _CountingKernel(monkeypatch)
+        g = _ls_cnot_interaction_graph(d, n_cnots)
+        assert estimate_partition_count(g, 256) == expected
+        assert 0 < counter.runs < counter.lookups
+
+    def test_d3_kernel_runs_per_call(self, monkeypatch):
+        # 603 component lookups, 575 of them repeats; a second call starts
+        # from an empty memo and runs the kernel as often again
+        counter = _CountingKernel(monkeypatch)
+        g = _ls_cnot_interaction_graph(3, 3)
+        for call in (1, 2):
+            estimate_partition_count(g, 256)
+            assert (counter.runs, counter.lookups) == (28 * call, 603 * call)
+
+    def test_key_follows_adjacency_order(self, monkeypatch):
+        # Same graph twice; the second copy lists neighbours in edge order
+        # instead of ascending, which changes one betweenness in its last bit.
+        edges = [(3, 7), (3, 6), (4, 6), (1, 2), (4, 7), (1, 5), (2, 5), (6, 7),
+                 (5, 6), (2, 3), (4, 5), (1, 3), (3, 5), (0, 1), (0, 2)]
+        adj = [[] for _ in range(16)]
+        for e, (a, b) in enumerate(sorted(edges)):
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+        for e, (a, b) in enumerate(edges, start=len(edges)):
+            adj[a + 8].append((b + 8, e))
+            adj[b + 8].append((a + 8, e))
+        counter = _CountingKernel(monkeypatch)
+        bc, memo = [0.0] * (2 * len(edges)), {}
+        partition._component_betweenness(adj, list(range(8)), bc, memo)
+        partition._component_betweenness(adj, list(range(8, 16)), bc, memo)
+        assert counter.runs == 2
+        assert sorted(bc[:15]) != sorted(bc[15:])
+
+    def test_key_follows_edge_pairing(self, monkeypatch):
+        # Two double edges whose entries pair up the other way round at one
+        # end: a different kernel input, since ``bc`` targets follow edge ids.
+        adj = [[(1, 0), (1, 1)], [(0, 0), (0, 1)], [(3, 2), (3, 3)], [(2, 3), (2, 2)]]
+        counter = _CountingKernel(monkeypatch)
+        bc, memo = [0.0] * 4, {}
+        partition._component_betweenness(adj, [0, 1], bc, memo)
+        partition._component_betweenness(adj, [2, 3], bc, memo)
+        assert counter.runs == 2
+        partition._component_betweenness(adj, [0, 1], bc, memo)
+        assert counter.runs == 2
+
+
+@st.composite
+def _growth_cases(draw):
+    """A node subset with small integer weights (many equal attractions)."""
+    nodes = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=30)))
+    pairs = list(itertools.combinations(nodes, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=60, unique=True)) if pairs else []
+    ladj = {v: {} for v in nodes}
+    for a, b in edges:
+        ladj[a][b] = ladj[b][a] = draw(st.integers(1, 2))
+    seed_node = draw(st.sampled_from(nodes))
+    target = draw(st.integers(1, len(nodes)))
+    return nodes, ladj, seed_node, target
+
+
+class TestGrowMatchesScan:
+    """Heap-ordered growth picks what the linear scan picks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_growth_cases())
+    def test_random_graphs(self, case):
+        assert _grow(*case) == grow_by_scan(*case)
+
+    @pytest.mark.parametrize("graph", ["d3", "d5", "communities"])
+    def test_kway_blocks_unchanged(self, monkeypatch, graph):
+        if graph == "communities":
+            g, sizes = _communities_20x10(), [10] * 20
+        elif graph == "d3":
+            g, sizes = _ls_cnot_interaction_graph(3, 3), [25] * 9
+        else:
+            g, sizes = _ls_cnot_interaction_graph(5, 1), [25] * 3 + [20] * 6 + [16] * 3
+        heap = kway_partition(g, len(sizes), sizes)
+        monkeypatch.setattr(partition, "_grow", grow_by_scan)
+        scan = kway_partition(g, len(sizes), sizes)
+        assert [sorted(p.qubits) for p in heap] == [sorted(p.qubits) for p in scan]
 
 
 def _connected(n, weights):

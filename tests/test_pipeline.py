@@ -62,6 +62,24 @@ class TestOptions:
         with pytest.raises(ValidationError):
             CompileOptions(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"imbalance": "abc"}, "CompileOptions.imbalance must be a finite number, got 'abc'"),
+            ({"imbalance": True}, "CompileOptions.imbalance must be a finite number, got True"),
+            ({"imbalance": float("inf")}, "CompileOptions.imbalance must be a finite number"),
+            ({"detection_budget": 2.0}, "CompileOptions.detection_budget must be an integer"),
+            ({"seed": False}, "CompileOptions.seed must be an integer, got False"),
+            ({"use_hints": 1}, "CompileOptions.use_hints must be a boolean, got 1"),
+            ({"partitions": ["auto"]}, "CompileOptions.partitions must be a string"),
+            ({"routing": {}}, "CompileOptions.routing must be a RoutingConfig, got {}"),
+        ],
+    )
+    def test_wrong_types_rejected_by_name(self, kw, message):
+        with pytest.raises(ValidationError) as info:
+            CompileOptions(**kw)
+        assert str(info.value).startswith(message)
+
 
 class TestCompile:
     def test_memory_patch_compiles_clean(self):

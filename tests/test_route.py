@@ -105,6 +105,21 @@ class TestConfig:
         with pytest.raises(ValidationError, match="k_nearest"):
             RoutingConfig(k_nearest=0)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"alpha": "1e-3"}, "RoutingConfig.alpha must be a finite number, got '1e-3'"),
+            ({"beta": float("nan")}, "RoutingConfig.beta must be a finite number, got nan"),
+            ({"k_nearest": True}, "RoutingConfig.k_nearest must be an integer, got True"),
+            ({"policy": ["basic"]}, "RoutingConfig.policy must be a string, got ['basic']"),
+            ({"strict_patches": "yes"}, "RoutingConfig.strict_patches must be a boolean"),
+        ],
+    )
+    def test_wrong_types_rejected_by_name(self, kw, message):
+        with pytest.raises(ValidationError) as info:
+            RoutingConfig(**kw)
+        assert str(info.value).startswith(message)
+
 
 class TestPathCost:
     def test_combines_three_terms(self):

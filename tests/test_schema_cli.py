@@ -413,6 +413,42 @@ class TestSweep:
         assert not (tmp_path / "s.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"axes": {"d": ["abc"]}}, "sweep parameter 'd' must be an integer, got 'abc'"),
+            ({"d": 3.5, "axes": {"n_inter": [1]}},
+             "sweep parameter 'd' must be an integer, got 3.5"),
+            ({"axes": {"d": [3], "alpha": [True]}},
+             "sweep parameter 'alpha' must be a finite number, got True"),
+            ({"seed": "x", "axes": {"d": [3]}},
+             "sweep parameter 'seed' must be an integer, got 'x'"),
+            ({"grid": "abc", "axes": {"d": [3]}},
+             "sweep parameter 'grid' must be a list of two integers, got 'abc'"),
+            ({"eps": "abc", "axes": {"d": [3]}},
+             "sweep parameter 'eps' must be a finite number or an object, got 'abc'"),
+            ({"axes": {"d": [3]}, "compile": {"imbalance": "abc"}},
+             "CompileOptions.imbalance must be a finite number, got 'abc'"),
+            ({"axes": {"d": [3]}, "routing": {"k_nearest": "2"}},
+             "RoutingConfig.k_nearest must be an integer, got '2'"),
+        ],
+        ids=["axis", "top-level", "bool", "seed", "grid", "eps", "compile", "routing"],
+    )
+    def test_wrong_typed_value_names_key_and_value(self, runner, tmp_path, spec, message):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump({"kind": "ls-cnot", **spec}))
+        result = runner.invoke(main, ["sweep", str(path), "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert result.stderr.splitlines()[-1].startswith(f"error: {message}")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_numeric_strings_convert(self, runner, tmp_path):
+        spec = {"grid": ["2", 2], "axes": {"d": ["3"], "n_inter": ["2"]}}
+        code, rows = self._rows(runner, tmp_path, spec)
+        assert code == 0
+        assert rows[1][:2] == ["3", "2"] and rows[1][-1] == ""
+
+
 class TestCollectorPause:
     """Compiles run with the cyclic collector off and give back its prior state.
 
