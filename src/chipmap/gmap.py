@@ -68,13 +68,13 @@ class BinState:
         regions: list[FreeRegion], chip: int, x: int, y: int, w: int, h: int
     ) -> list[FreeRegion]:
         """Remove the rect from whichever region contains it (guillotine split)."""
-        for i, reg in enumerate(regions):
-            if reg.x <= x and reg.y <= y and x + w <= reg.x + reg.w and y + h <= reg.y + reg.h:
-                rest = regions[:i] + regions[i + 1 :]
-                rest.extend(guillotine_split(reg, (x, y, w, h)))
-                rest.sort(key=lambda r: (r.y, r.x))
-                return rest
-        raise ValidationError(f"rect {(x, y, w, h)} not inside a free region of chiplet {chip}")
+        reg = _region_containing(regions, x, y, w, h)
+        if reg is None:
+            raise ValidationError(f"rect {(x, y, w, h)} not inside a free region of chiplet {chip}")
+        rest = [r for r in regions if r is not reg]
+        rest.extend(guillotine_split(reg, (x, y, w, h)))
+        rest.sort(key=lambda r: (r.y, r.x))
+        return rest
 
     def commit(self, pid: int, chip: int, x: int, y: int, w: int, h: int) -> Placement:
         self.free[chip] = self._carve(self.free[chip], chip, x, y, w, h)
@@ -94,12 +94,7 @@ def guillotine_split(
     bottom), interior placements up to four.
     """
     px, py, pw, ph = placed
-    if not (
-        region.x <= px
-        and region.y <= py
-        and px + pw <= region.x + region.w
-        and py + ph <= region.y + region.h
-    ):
+    if not _contains(region, px, py, pw, ph):
         raise ValidationError(f"placed rect {placed} not contained in region {region}")
     left_w = px - region.x
     top_h = py - region.y
@@ -153,11 +148,16 @@ def place_partition(bins: BinState, pid: int, w: int, h: int, mode: str) -> Plac
     raise NoFitError(pid)
 
 
+def _contains(reg: FreeRegion, x: int, y: int, w: int, h: int) -> bool:
+    """Whether the rect (x, y, w, h) lies inside ``reg``."""
+    return reg.x <= x and reg.y <= y and x + w <= reg.x + reg.w and y + h <= reg.y + reg.h
+
+
 def _region_containing(
     regions: list[FreeRegion], x: int, y: int, w: int, h: int
 ) -> FreeRegion | None:
     for reg in regions:
-        if reg.x <= x and reg.y <= y and x + w <= reg.x + reg.w and y + h <= reg.y + reg.h:
+        if _contains(reg, x, y, w, h):
             return reg
     return None
 

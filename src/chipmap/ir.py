@@ -7,7 +7,7 @@ Contains:
 - InteractionGraph: weighted qubit graph counting two-qubit gates
 - Partition / PartitionRegistry: the patches of one circuit; local
   mapping returns a new registry whose partitions carry coordinates
-- circuit_from_json / gates_to_json: the circuit interchange format
+- circuit_from_json: the circuit interchange format
 
 The DAG and the registry travel together through the pipeline: the DAG
 never changes after construction. Each stage's product lives in that
@@ -111,14 +111,6 @@ def reset(q: int, tag: str = "") -> GateNode:
 
 def barrier(*qs: int, tag: str = "") -> GateNode:
     return GateNode(GateKind.BARRIER, tuple(qs), tag)
-
-
-def op1(q: int, name: str = "u") -> GateNode:
-    return GateNode(GateKind.OPAQUE_1Q, (q,), name)
-
-
-def op2(a: int, b: int, name: str = "u2") -> GateNode:
-    return GateNode(GateKind.OPAQUE_2Q, (a, b), name)
 
 
 class CircuitDag:
@@ -405,18 +397,3 @@ def circuit_from_json(obj: dict) -> CircuitInput:
         }
 
     return CircuitInput(dag, partitions, geometry, hints)
-
-
-def gates_to_json(nodes: Sequence[GateNode]) -> list[dict]:
-    """Serialize gates back to the interchange form."""
-    out = []
-    for g in nodes:
-        if g.kind in (GateKind.OPAQUE_1Q, GateKind.OPAQUE_2Q):
-            op = g.tag or g.kind.value
-            entry = {"op": op, "qubits": list(g.qubits)}
-        else:
-            entry = {"op": g.kind.value, "qubits": list(g.qubits)}
-            if g.tag:
-                entry["tag"] = g.tag
-        out.append(entry)
-    return out

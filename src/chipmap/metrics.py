@@ -6,7 +6,7 @@ end, so repeated runs on the same inputs report identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .backend import ChipletBackend
 from .errors import CompilerError
@@ -38,27 +38,10 @@ class CompileStats:
     wall_time_s: float | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "n_virtual": self.n_virtual,
-            "n_physical": self.n_physical,
-            "depth_original": self.depth_original,
-            "depth_compiled": self.depth_compiled,
-            "depth_ratio": self.depth_ratio,
-            "gates_original": self.gates_original,
-            "gates_compiled": self.gates_compiled,
-            "two_qubit_original": self.two_qubit_original,
-            "two_qubit_compiled": self.two_qubit_compiled,
-            "gate_overhead": self.gate_overhead,
-            "cx_expanded_two_qubit": self.cx_expanded_two_qubit,
-            "cx_expanded_overhead": self.cx_expanded_overhead,
-            "swap_count": self.swap_count,
-            "inter_chiplet_two_qubit": self.inter_chiplet_two_qubit,
-            "chiplets_used": self.chiplets_used,
-            "utilization": self.utilization,
-            "patch_violations": self.patch_violations,
-        }
-        if self.wall_time_s is not None:
-            out["wall_time_s"] = self.wall_time_s
+        """Every field in declaration order; ``wall_time_s`` only when it is set."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.wall_time_s is None:
+            del out["wall_time_s"]
         return out
 
 

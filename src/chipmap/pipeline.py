@@ -23,7 +23,6 @@ from .ir import (
     GateKind,
     GateNode,
     PartitionRegistry,
-    gates_to_json,
     interaction_graph,
 )
 from .lmap import local_map
@@ -157,46 +156,9 @@ def compile_circuit(
     )
 
 
-def _document(
-    result: CompileResult, backend: ChipletBackend, gates: object, mapping: object
-) -> dict:
-    """The compiled document's keys in order, with ``gates`` and ``mapping`` as given.
-
-    ``result_to_json`` passes those two blocks as JSON values and
-    ``dumps_compiled`` as text it wrote itself; every other field is
-    laid out here for both.
-    """
-    compiled = result.compiled
-
-    def pairs(counts: dict[tuple[int, int], int]) -> list[dict]:
-        return [
-            {"a": a, "b": b, "count": n} for (a, b), n in sorted(counts.items())
-        ]
-
-    return {
-        "schema_version": 1,
-        "n_physical": backend.n_qubits,
-        "gates": gates,
-        "mapping": mapping,
-        "placements": [
-            {"pid": p.pid, "chip": p.chip, "x": p.x, "y": p.y, "w": p.w, "h": p.h}
-            for p in (result.placements[pid] for pid in sorted(result.placements))
-        ],
-        "link_usage": pairs(compiled.link_usage),
-        "link_traversals": pairs(compiled.link_traversals),
-        "stats": result.stats.as_dict(),
-        "timings": {k: round(v, 6) for k, v in result.timings.items()},
-    }
-
-
 def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
-    """Serialize a compilation result to the compiled-circuit document."""
-    compiled = result.compiled
-    mapping = {
-        str(v): {"chip": c.chip, "x": c.x, "y": c.y}
-        for v, c in sorted(compiled.mapping.items())
-    }
-    return _document(result, backend, gates_to_json(compiled.dag.nodes), mapping)
+    """The compiled-circuit document as a dict: ``dumps_compiled``'s text, parsed."""
+    return json.loads(dumps_compiled(result, backend))
 
 
 # One gate and one mapping entry, nested one level deep, as
@@ -206,26 +168,36 @@ _COORD = '"%d": {\n      "chip": %d,\n      "x": %d,\n      "y": %d\n    }'
 
 
 def dumps_compiled(result: CompileResult, backend: ChipletBackend) -> str:
-    """``json.dumps(result_to_json(result, backend), indent=2)``, written directly.
+    """The compiled-circuit document, laid out as ``json.dumps(indent=2)`` does.
 
     The gate array and the mapping, which hold nearly all of a document,
     are written from the ``GateNode`` and ``PhysCoord`` objects through
     fixed templates, without building their dicts; every other field is
-    encoded by ``json.dumps``. The output is the same string either way.
+    encoded by ``json.dumps``.
     """
-    written = {
-        "gates": _dumps_gates(result.compiled.dag.nodes),
-        "mapping": _dumps_mapping(result.compiled.mapping),
+    compiled = result.compiled
+
+    def encoded(value: object) -> str:
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+    def pairs(counts: dict[tuple[int, int], int]) -> str:
+        return encoded([{"a": a, "b": b, "count": n} for (a, b), n in sorted(counts.items())])
+
+    fields = {
+        "schema_version": encoded(1),
+        "n_physical": encoded(backend.n_qubits),
+        "gates": _dumps_gates(compiled.dag.nodes),
+        "mapping": _dumps_mapping(compiled.mapping),
+        "placements": encoded([
+            {"pid": p.pid, "chip": p.chip, "x": p.x, "y": p.y, "w": p.w, "h": p.h}
+            for p in (result.placements[pid] for pid in sorted(result.placements))
+        ]),
+        "link_usage": pairs(compiled.link_usage),
+        "link_traversals": pairs(compiled.link_traversals),
+        "stats": encoded(result.stats.as_dict()),
+        "timings": encoded({k: round(v, 6) for k, v in result.timings.items()}),
     }
-    doc = _document(result, backend, written["gates"], written["mapping"])
-    fields = []
-    for key, value in doc.items():
-        if key in written:
-            text = value
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {encode_basestring_ascii(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}"
 
 
 def _gate_shape(g: GateNode) -> tuple[GateKind, str, int]:
@@ -233,7 +205,10 @@ def _gate_shape(g: GateNode) -> tuple[GateKind, str, int]:
 
 
 def _dumps_gates(nodes: Sequence[GateNode]) -> str:
-    """The gate array as ``gates_to_json`` would give it to ``json.dumps(indent=2)``.
+    """The gate array in its interchange form, as ``json.dumps(indent=2)`` lays it out.
+
+    An opaque gate's op is its tag (or its kind's name); any other gate
+    writes its kind's name, and its tag when it has one.
 
     Consecutive gates of one shape (kind, tag, arity) share a template,
     so each such run is formatted in one pass.
@@ -262,7 +237,7 @@ def _gate_template(kind: GateKind, tag: str, arity: int) -> str:
 
 
 def _dumps_mapping(mapping: dict[int, PhysCoord]) -> str:
-    """The mapping object as ``result_to_json`` would give it to ``json.dumps(indent=2)``."""
+    """The mapping, id to chip and cell, as ``json.dumps(indent=2)`` lays it out."""
     if not mapping:
         return "{}"
     items = [_COORD % (v, c.chip, c.x, c.y) for v, c in sorted(mapping.items())]

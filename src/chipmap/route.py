@@ -141,9 +141,9 @@ class CompiledCircuit:
 class _ManhattanDist:
     """Hop distances from ``start`` on a chiplet with no dead cell.
 
-    On a full grid they are Manhattan distances, so this answers ``get``,
-    ``[]`` and ``in`` like the BFS distance dict without flooding the
-    chiplet; cells of other chiplets are absent.
+    On a full grid they are Manhattan distances, so this answers ``get``
+    like the BFS flood without flooding the chiplet; cells of other
+    chiplets are absent.
     """
 
     __slots__ = ("chip", "chip_w", "chip_area", "x0", "y0")
@@ -160,14 +160,22 @@ class _ManhattanDist:
         y, x = divmod(gid - self.chip * self.chip_area, self.chip_w)
         return abs(x - self.x0) + abs(y - self.y0)
 
-    def __getitem__(self, gid: int) -> int:
-        d = self.get(gid)
-        if d is None:
-            raise KeyError(gid)
-        return d
+    def walk_back(self, dst: int) -> list[int]:
+        """The path from ``start`` to ``dst``, the smallest predecessor winning each step.
 
-    def __contains__(self, gid: int) -> bool:
-        return gid // self.chip_area == self.chip
+        Walking back from ``dst``, the neighbours in ascending id order
+        are up, left, right and down, and each stays a step toward
+        ``start`` until its row or column is reached. So the walk takes
+        every up step first, then the sideways steps, then the down steps.
+        """
+        w = self.chip_w
+        y, x = divmod(dst - self.chip * self.chip_area, w)
+        path = [dst]
+        for step, n in ((-w, y - self.y0), (-1, x - self.x0), (1, self.x0 - x), (w, self.y0 - y)):
+            for _ in range(n):
+                path.append(path[-1] + step)
+        path.reverse()
+        return path
 
 
 class _LevelDist:
@@ -177,9 +185,8 @@ class _LevelDist:
     ``CouplingGraph.alive_masks``). One level is every live, unreached cell
     beside the last level, found for all cells at once with four shifts;
     ``levels[d]`` holds the cells exactly ``d`` hops from ``start``, which
-    must be live. Answers ``get``, ``[]`` and ``in`` like the BFS distance
-    dict; cells of other chiplets and cells cut off from ``start`` are
-    absent.
+    must be live. Answers ``get`` like the BFS flood; cells of other
+    chiplets and cells cut off from ``start`` are absent.
     """
 
     __slots__ = ("chip", "chip_w", "chip_area", "levels")
@@ -211,21 +218,11 @@ class _LevelDist:
                 return d
         return None
 
-    def __getitem__(self, gid: int) -> int:
-        d = self.get(gid)
-        if d is None:
-            raise KeyError(gid)
-        return d
-
-    def __contains__(self, gid: int) -> bool:
-        return self.get(gid) is not None
-
     def walk_back(self, dst: int) -> list[int]:
         """The path from ``start`` to ``dst``, found level by level.
 
         Each step tests the same-chiplet neighbours in ascending id order
-        (up, left, right, down), so the smallest predecessor wins, as in
-        ``_walk_back``.
+        (up, left, right, down), so the smallest predecessor wins.
         """
         w = self.chip_w
         stride = w + 1
@@ -233,7 +230,7 @@ class _LevelDist:
         off = dst - base
         b = off + off // w
         path = [dst]
-        for level in reversed(self.levels[: self[dst]]):
+        for level in reversed(self.levels[: self.get(dst)]):
             for q in (b - stride, b - 1, b + 1, b + stride):
                 if q >= 0 and level >> q & 1:
                     b = q
@@ -257,38 +254,6 @@ def _bfs_dist(
     if alive is None:
         return _ManhattanDist(start, chip, backend.chip_w, backend.chip_area)
     return _LevelDist(start, chip, backend.chip_w, backend.chip_area, alive)
-
-
-def _walk_back(
-    graph: CouplingGraph,
-    dist: dict[int, int] | _ManhattanDist | _LevelDist,
-    src: int,
-    dst: int,
-    chip: int,
-    chip_area: int,
-) -> list[int]:
-    """Reconstruct the src -> dst path from a distance map rooted at src.
-
-    At every step the smallest eligible predecessor id wins, which pins
-    the path down uniquely. BFS levels walk back in bit space.
-    """
-    if isinstance(dist, _LevelDist):
-        return dist.walk_back(dst)
-    path = [dst]
-    cur = dst
-    while cur != src:
-        step = None
-        want = dist[cur] - 1
-        for u in graph.neighbors(cur):  # neighbors are sorted ascending
-            if u // chip_area == chip and dist.get(u) == want:
-                step = u
-                break
-        if step is None:
-            raise CompilerError(f"distance map is inconsistent at {cur}")
-        path.append(step)
-        cur = step
-    path.reverse()
-    return path
 
 
 def _chip_route(backend: ChipletBackend, chip_a: int, chip_b: int) -> list[int]:
@@ -324,61 +289,46 @@ def _select_crossing(
     the order of the links in the backend never decides a choice.
     """
     chip_u = backend.chip_of(u)
-    area = backend.chip_area
     links = graph.links_between(chip_u, to_chip)
     if not links:
         raise NoRouteError(f"no functional link between chiplets {chip_u} and {to_chip}")
-
-    def near(l: InterChipLink) -> int:
-        return l.a if backend.chip_of(l.a) == chip_u else l.b
-
-    def far(l: InterChipLink) -> int:
-        return l.b if backend.chip_of(l.a) == chip_u else l.a
+    forward = chip_u < to_chip  # links keep the lower chiplet's endpoint as ``a``
 
     dist_u = _bfs_dist(graph, backend, u, chip_u)
     dist_v = _bfs_dist(graph, backend, v, to_chip) if v is not None else None
-    reachable: list[tuple[InterChipLink, int, int]] = []
+    # (link, near endpoint, far endpoint, hops from u over the link to v)
+    reachable: list[tuple[InterChipLink, int, int, int]] = []
     for l in links:
-        du = dist_u.get(near(l))
-        if du is None:
+        near, far = (l.a, l.b) if forward else (l.b, l.a)
+        du = dist_u.get(near)
+        dv = 0 if dist_v is None else dist_v.get(far)
+        if du is None or dv is None:
             continue
-        dv = 0
-        if dist_v is not None:
-            dv_opt = dist_v.get(far(l))
-            if dv_opt is None:
-                continue
-            dv = dv_opt
-        reachable.append((l, du, dv))
+        reachable.append((l, near, far, du + 1 + dv))
     if not reachable:
         raise NoRouteError(
             f"no link between chiplets {chip_u} and {to_chip} is reachable around defects"
         )
 
     # crossing point: where the unweighted shortest path would cross
-    cross = min(reachable, key=lambda t: (t[1] + 1 + t[2], near(t[0])))
-    cpt = backend.coord(near(cross[0]))
+    cross = min(reachable, key=lambda t: (t[3], t[1]))
+    cpt = backend.coord(cross[1])
 
-    def boundary_offset(t: tuple[InterChipLink, int, int]) -> int:
-        c = backend.coord(near(t[0]))
+    def boundary_offset(t: tuple[InterChipLink, int, int, int]) -> int:
+        c = backend.coord(t[1])
         return abs(c.x - cpt.x) + abs(c.y - cpt.y)
 
-    reachable.sort(key=lambda t: (boundary_offset(t), near(t[0])))
+    reachable.sort(key=lambda t: (boundary_offset(t), t[1]))
     candidates = reachable[: cfg.k_nearest]
-    best, best_du, best_dv = min(
+    best, near, far, _ = min(
         candidates,
-        key=lambda t: (
-            _link_cost(t[1] + 1 + t[2], t[0], usage.get(t[0].key, 0), cfg),
-            t[1] + 1 + t[2],
-            near(t[0]),
-        ),
+        key=lambda t: (_link_cost(t[3], t[0], usage.get(t[0].key, 0), cfg), t[3], t[1]),
     )
     usage[best.key] = usage.get(best.key, 0) + 1
-    path = _walk_back(graph, dist_u, u, near(best), chip_u, area)
-    path.append(far(best))
-    if v is not None and far(best) != v:
-        if dist_v is None:
-            raise CompilerError(f"no distance map for the far side of link {best.key}")
-        tail = _walk_back(graph, dist_v, v, far(best), to_chip, area)
+    path = dist_u.walk_back(near)
+    path.append(far)
+    if dist_v is not None and far != v:
+        tail = dist_v.walk_back(far)
         tail.reverse()  # far -> v
         path.extend(tail[1:])
     return best, path
@@ -461,14 +411,13 @@ class _RoutingRun:
 
     def _find_path(self, p1: int, p2: int) -> list[int]:
         c1, c2 = self.backend.chip_of(p1), self.backend.chip_of(p2)
-        area = self.backend.chip_area
         if c1 == c2:
             dist = _bfs_dist(self.graph, self.backend, p1, c1)
-            if p2 not in dist:
+            if dist.get(p2) is None:
                 raise NoRouteError(
                     f"no coupling path between {p1} and {p2} on chiplet {c1}"
                 )
-            return _walk_back(self.graph, dist, p1, p2, c1, area)
+            return dist.walk_back(p2)
         path = [p1]
         cur = p1
         for chip in _chip_route(self.backend, c1, c2)[1:]:

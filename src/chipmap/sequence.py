@@ -30,7 +30,6 @@ class PartitionGraph:
 @dataclass(frozen=True)
 class SequencedOrder:
     components: tuple[tuple[int, ...], ...]
-    sigma: dict[int, int]  # partition id -> global placement index
 
 
 def build_partition_graph(registry: PartitionRegistry, dag: CircuitDag) -> PartitionGraph:
@@ -86,11 +85,7 @@ def sequence(pg: PartitionGraph) -> SequencedOrder:
         components.append(tuple(order))
 
     components.sort(key=lambda comp: (-sum(pg.sizes[p] for p in comp), min(comp)))
-    sigma: dict[int, int] = {}
-    for comp in components:
-        for p in comp:
-            sigma[p] = len(sigma)
-    return SequencedOrder(tuple(components), sigma)
+    return SequencedOrder(tuple(components))
 
 
 def sequence_registry(

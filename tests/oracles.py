@@ -2,12 +2,13 @@
 
 These deliberately avoid the package's own data structures and
 algorithms: depth comes from an availability simulation or a longest
-path over eagerly built predecessor lists, hop distances from a dict
-flood, packing checks
-from cell-set rasterization, routing checks from token replay on an
-adjacency set, partition quality from exhaustive enumeration, bisection
-growth from a linear scan over the free nodes, and the community count
-from networkx's Girvan-Newman primitives.
+path over eagerly built predecessor lists, hop distances and paths from
+a dict flood and a neighbour scan, the compiled document from a dict
+tree for ``json.dumps``, packing checks from cell-set rasterization,
+routing checks from token replay on an adjacency set, partition quality
+from exhaustive enumeration, bisection growth from a linear scan over
+the free nodes, and the community count from networkx's Girvan-Newman
+primitives.
 """
 
 from __future__ import annotations
@@ -120,6 +121,87 @@ def bfs_dist(graph, start: int, chip: int, chip_area: int) -> dict[int, int]:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def walk_back(graph, dist: Mapping[int, int], src: int, dst: int, chip: int,
+              chip_area: int) -> list[int]:
+    """The ``src`` -> ``dst`` path over a distance dict rooted at ``src``.
+
+    The walk routing ran before each distance view walked its own path:
+    from ``dst``, step to the smallest neighbour id on ``chip`` that is one
+    hop closer to ``src``.
+    """
+    path = [dst]
+    cur = dst
+    while cur != src:
+        want = dist[cur] - 1
+        cur = min(u for u in graph.neighbors(cur) if u // chip_area == chip and dist.get(u) == want)
+        path.append(cur)
+    path.reverse()
+    return path
+
+
+class FloodDist:
+    """``bfs_dist`` behind the interface of routing's distance views."""
+
+    def __init__(self, graph, start: int, chip: int, chip_area: int):
+        self.graph, self.start, self.chip, self.chip_area = graph, start, chip, chip_area
+        self.dist = bfs_dist(graph, start, chip, chip_area)
+
+    def get(self, gid: int) -> int | None:
+        return self.dist.get(gid)
+
+    def walk_back(self, dst: int) -> list[int]:
+        return walk_back(self.graph, self.dist, self.start, dst, self.chip, self.chip_area)
+
+
+def gates_to_json(nodes: Sequence) -> list[dict]:
+    """Gates in the circuit interchange form, one dict each.
+
+    The gate serializer the package kept before the compiled document was
+    written from templates: an opaque gate's op is its tag (or its kind's
+    name), any other gate keeps its kind's name and a nonempty tag.
+    """
+    out = []
+    for g in nodes:
+        if g.kind.value in ("op1", "op2"):
+            out.append({"op": g.tag or g.kind.value, "qubits": list(g.qubits)})
+        else:
+            entry = {"op": g.kind.value, "qubits": list(g.qubits)}
+            if g.tag:
+                entry["tag"] = g.tag
+            out.append(entry)
+    return out
+
+
+def compiled_document(result, backend) -> dict:
+    """The compiled-circuit document as a dict tree, field by field.
+
+    The builder the package kept beside its text writer; ``json.dumps``
+    of it with ``indent=2`` is the text ``dumps_compiled`` must produce.
+    """
+    compiled = result.compiled
+
+    def pairs(counts):
+        return [{"a": a, "b": b, "count": n} for (a, b), n in sorted(counts.items())]
+
+    return {
+        "schema_version": 1,
+        "n_physical": backend.n_qubits,
+        "gates": gates_to_json(compiled.dag.nodes),
+        "mapping": {
+            str(v): {"chip": c.chip, "x": c.x, "y": c.y}
+            for v, c in sorted(compiled.mapping.items())
+        },
+        "placements": [
+            {"pid": p.pid, "chip": p.chip, "x": p.x, "y": p.y, "w": p.w, "h": p.h}
+            for p in (result.placements[pid] for pid in sorted(result.placements))
+        ],
+        "link_usage": pairs(compiled.link_usage),
+        "link_traversals": pairs(compiled.link_traversals),
+        "stats": result.stats.as_dict(),
+        "timings": {k: round(v, 6) for k, v in result.timings.items()},
+    }
 
 
 def coupling_edges(backend) -> set[tuple[int, int]]:

@@ -266,7 +266,7 @@ class TestGlobalMap:
     def test_order_must_cover_all_partitions(self):
         dag = build_dag([], 3)
         reg = predefined_partitions(dag, {0: 0, 1: 1, 2: 2})
-        order = SequencedOrder(((1,),), {1: 0})
+        order = SequencedOrder(((1,),))
         with pytest.raises(ValidationError, match=r"partitions \[0, 2\] unplaced"):
             global_map(_backend(), order, reg, relative_ref="order")
 

@@ -20,13 +20,12 @@ from chipmap.ir import (
     build_dag,
     circuit_from_json,
     cx,
-    gates_to_json,
     interaction_graph,
     measure,
     reset,
     swap,
 )
-from oracles import eager_preds, gate_node_error, longest_path_depth, sim_depth
+from oracles import eager_preds, gate_node_error, gates_to_json, longest_path_depth, sim_depth
 
 
 class TestGateNode:

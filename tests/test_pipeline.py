@@ -33,6 +33,7 @@ from chipmap.pipeline import (
 from chipmap.route import CompiledCircuit, RoutingConfig
 from chipmap.schema import validate_compiled_doc
 from chipmap.sequence import SequencedOrder
+from oracles import compiled_document
 
 
 def _memory_setup(d=3, **backend_kw):
@@ -220,7 +221,7 @@ def _stats_field(f: dataclasses.Field):
 def compile_results(draw):
     """A backend and a CompileResult with arbitrary contents in every written field.
 
-    Only the fields ``result_to_json`` reads are filled; the registry and
+    Only the fields the document is written from are filled; the registry and
     sequencing order are empty.
     """
     backend = ChipletBackend(*(draw(_small) for _ in range(4)))
@@ -245,7 +246,7 @@ def compile_results(draw):
         compiled=compiled,
         registry=PartitionRegistry(()),
         placements={p.pid: p for p in placements},
-        order=SequencedOrder((), {}),
+        order=SequencedOrder(()),
         stats=report,
         timings=draw(st.dictionaries(_text, st.floats(0, 10), max_size=3)),
     )
@@ -276,7 +277,7 @@ def tagged_circuits(draw):
 
 
 def _written(result, backend):
-    return json.dumps(result_to_json(result, backend), indent=2)
+    return json.dumps(compiled_document(result, backend), indent=2)
 
 
 class TestWriter:

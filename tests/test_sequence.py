@@ -39,7 +39,6 @@ class TestSequence:
         order = sequence(pg)
         # wdeg: 1 -> 8 (root); neighbors of 1 by weight: 0 then 2; 3 via 2
         assert order.components == ((1, 0, 2, 3),)
-        assert order.sigma == {1: 0, 0: 1, 2: 2, 3: 3}
 
     def test_root_tie_prefers_smallest_id(self):
         pg = _pg([0, 1], {(0, 1): 2})
@@ -59,7 +58,6 @@ class TestSequence:
         )
         order = sequence(pg)
         assert order.components == ((2, 3), (0, 1))
-        assert order.sigma == {2: 0, 3: 1, 0: 2, 1: 3}
 
     def test_component_size_tie_prefers_smallest_member(self):
         pg = _pg([0, 1, 2, 3], {(0, 3): 1, (1, 2): 1})
@@ -70,4 +68,3 @@ class TestSequence:
         pg = _pg([0, 1, 2], {}, sizes={0: 1, 1: 3, 2: 2})
         order = sequence(pg)
         assert order.components == ((1,), (2,), (0,))
-        assert order.sigma == {1: 0, 2: 1, 0: 2}
