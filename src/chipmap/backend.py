@@ -280,12 +280,14 @@ def _edge_links(
 
 
 class CouplingGraph:
-    """Adjacency view of a backend with defects removed.
+    """Coupling view of a backend with defects removed.
 
     Nodes are functional global qubit ids; edges are intra-chiplet grid
-    couplings plus inter-chiplet links. ``link_on`` returns the link
-    record for a link edge, None for grid edges; ``links_between`` lists
-    the functional links joining two chiplets.
+    couplings plus inter-chiplet links. No adjacency is stored:
+    ``has_edge`` answers a grid coupling from id arithmetic and the
+    ``alive`` flags, and a link from the link table. ``link_on`` returns
+    the link record for a link edge, None for grid edges;
+    ``links_between`` lists the functional links joining two chiplets.
 
     ``alive_masks`` maps each chiplet with a dead cell, and only those, to
     its live cells as a bitboard: cell (x, y) is bit ``y * (chip_w + 1) +
@@ -293,12 +295,14 @@ class CouplingGraph:
     so shifting a mask by one never carries a cell into the next row.
     """
 
-    __slots__ = ("n", "alive", "alive_masks", "_adj", "_links", "_between")
+    __slots__ = ("n", "alive", "alive_masks", "_chip_w", "_chip_area", "_links", "_between")
 
     def __init__(self, backend: ChipletBackend):
         n = backend.n_qubits
         w, h = backend.chip_w, backend.chip_h
         self.n = n
+        self._chip_w = w
+        self._chip_area = area = w * h
         alive = [True] * n
         for gid in backend.defects:
             alive[gid] = False
@@ -307,43 +311,36 @@ class CouplingGraph:
         full = sum(((1 << w) - 1) << (y * stride) for y in range(h))
         masks: dict[int, int] = {}
         for gid in backend.defects:
-            chip, off = divmod(gid, w * h)
+            chip, off = divmod(gid, area)
             masks[chip] = masks.get(chip, full) & ~(1 << (off + off // w))
         self.alive_masks = masks
-        adj: list[list[int]] = [[] for _ in range(n)]
-        # ids run row by row through every chiplet, so row r starts at r * w
-        # and is a chiplet's bottom row when (r + 1) % h == 0
-        for r in range(n // w):
-            start = r * w
-            has_down = (r + 1) % h != 0
-            for gid in range(start, start + w):
-                if not alive[gid]:
-                    continue
-                right = gid + 1
-                if right < start + w and alive[right]:
-                    adj[gid].append(right)
-                    adj[right].append(gid)
-                down = gid + w
-                if has_down and alive[down]:
-                    adj[gid].append(down)
-                    adj[down].append(gid)
         self._links: dict[tuple[int, int], InterChipLink] = {}
         between: dict[tuple[int, int], list[InterChipLink]] = {}
-        area = backend.chip_area
         for link in backend.links:
             if alive[link.a] and alive[link.b]:
-                adj[link.a].append(link.b)
-                adj[link.b].append(link.a)
                 self._links[link.key] = link
                 between.setdefault((link.a // area, link.b // area), []).append(link)
         self._between = {pair: tuple(ls) for pair, ls in between.items()}
-        self._adj: list[tuple[int, ...]] = [tuple(sorted(ns)) for ns in adj]
-
-    def neighbors(self, gid: int) -> tuple[int, ...]:
-        return self._adj[gid]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adj[a]
+        """Whether cells ``a`` and ``b`` are coupled.
+
+        Inside a chiplet, ids one row apart differ by ``chip_w``, and ids
+        one column apart differ by 1 within a row, where the larger is not
+        the first cell of its row; both cells must be alive. Cells of
+        different chiplets are coupled only by a functional link.
+        """
+        if a > b:
+            a, b = b, a
+        area = self._chip_area
+        if a // area != b // area:
+            return (a, b) in self._links
+        w = self._chip_w
+        d = b - a
+        if d != w and (d != 1 or b % w == 0):
+            return False
+        alive = self.alive
+        return alive[a] and alive[b]
 
     def link_on(self, a: int, b: int) -> InterChipLink | None:
         return self._links.get((a, b) if a < b else (b, a))

@@ -174,7 +174,9 @@ def _load_doc(path: Path) -> object:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
+    with path.open("w") as fh:  # two writes: no copy of a large document
+        fh.write(text)
+        fh.write("\n")
     log.info("wrote %s", path)
 
 
@@ -472,8 +474,8 @@ def _sweep_stats(task: dict) -> dict:
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("-o", "--out", "out_file", type=click.Path(path_type=Path), default=None,
               help="CSV path (default sweep.csv in --out-dir).")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes, at most one per point.")
 @click.pass_obj
 @_guard
 def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: int) -> None:
@@ -565,9 +567,11 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
         row = dict(zip(axis_names, combo))
         params = {name: _point_param(name, v) for name, v in {**fixed, **row}.items()}
         tasks.append({**base, "row": row, "params": params})
-    log.info("sweep: %d points, %d workers", len(tasks), jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forking pool starts all its workers at the first submit
+    workers = min(jobs, len(tasks))
+    log.info("sweep: %d points, %d workers", len(tasks), workers)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_row, tasks))
     else:
         results = [_sweep_row(t) for t in tasks]

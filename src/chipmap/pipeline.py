@@ -11,7 +11,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -165,6 +165,7 @@ def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
 # json.dumps(indent=2) lays them out.
 _GATE = '{\n      "op": %s,\n      "qubits": [\n        %s\n      ]%s\n    }'
 _COORD = '"%d": {\n      "chip": %d,\n      "x": %d,\n      "y": %d\n    }'
+_SEP = ",\n    "  # between the items of the gate array and of the mapping
 
 
 def dumps_compiled(result: CompileResult, backend: ChipletBackend) -> str:
@@ -211,18 +212,19 @@ def _dumps_gates(nodes: Sequence[GateNode]) -> str:
     writes its kind's name, and its tag when it has one.
 
     Consecutive gates of one shape (kind, tag, arity) share a template,
-    so each such run is formatted in one pass.
+    so each such run is formatted with one ``%``.
     """
     if not nodes:
         return "[]"
     templates: dict[tuple[GateKind, str, int], str] = {}
-    items: list[str] = []
+    runs: list[str] = []
     for shape, run in groupby(nodes, _gate_shape):
         template = templates.get(shape)
         if template is None:
             template = templates[shape] = _gate_template(*shape)
-        items += [template % g.qubits for g in run]
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+        qubits = [g.qubits for g in run]
+        runs.append(_SEP.join([template] * len(qubits)) % tuple(chain.from_iterable(qubits)))
+    return "[\n    " + _SEP.join(runs) + "\n  ]"
 
 
 def _gate_template(kind: GateKind, tag: str, arity: int) -> str:
@@ -240,5 +242,5 @@ def _dumps_mapping(mapping: dict[int, PhysCoord]) -> str:
     """The mapping, id to chip and cell, as ``json.dumps(indent=2)`` lays it out."""
     if not mapping:
         return "{}"
-    items = [_COORD % (v, c.chip, c.x, c.y) for v, c in sorted(mapping.items())]
-    return "{\n    " + ",\n    ".join(items) + "\n  }"
+    values = chain.from_iterable((v, *c) for v, c in sorted(mapping.items()))
+    return "{\n    " + _SEP.join([_COORD] * len(mapping)) % tuple(values) + "\n  }"

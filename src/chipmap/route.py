@@ -365,32 +365,11 @@ class _RoutingRun:
 
     # -- emission -----------------------------------------------------
 
-    def _emit(self, node: GateNode) -> None:
-        self.out.append(node)
-        if node.kind.is_two_qubit:
-            a, b = node.qubits
-            if a // self.chip_area != b // self.chip_area:  # only links join chiplets
-                self._count_traversal(a, b)
-
     def _count_traversal(self, a: int, b: int) -> None:
-        """Count a two-qubit gate on cells ``a`` and ``b`` of different chiplets."""
+        """Count a two-qubit gate on cells ``a`` and ``b`` if a link joins them."""
         link = self.graph.link_on(a, b)
         if link is not None:
             self.traversals[link.key] = self.traversals.get(link.key, 0) + 1
-
-    def _emit_swap(self, p: int, q: int) -> None:
-        self._emit(GateNode(GateKind.SWAP, (p, q), "route"))
-        self.swap_count += 1
-        va, vb = self.owner[p], self.owner[q]
-        self.owner[p], self.owner[q] = vb, va
-        if vb != -1:
-            self.pos[vb] = p
-        if va != -1:
-            self.pos[va] = q
-        pa = self.pid_of_cell.get(p)
-        if pa is not None and pa == self.pid_of_cell.get(q):
-            self.violations += 1
-            self.swaps_inside[pa] = self.swaps_inside.get(pa, 0) + 1
 
     # -- routed gates -------------------------------------------------
 
@@ -434,19 +413,38 @@ class _RoutingRun:
         hops = len(path) - 1
         ka = hops // 2          # source side, takes the extra hop
         kb = (hops - 1) // 2    # target side
-        for i in range(ka):
-            self._emit_swap(path[i], path[i + 1])
-        for j in range(kb):
-            self._emit_swap(path[hops - j], path[hops - j - 1])
+        steps = [(path[i], path[i + 1]) for i in range(ka)]
+        steps += [(path[hops - j], path[hops - j - 1]) for j in range(kb)]
+        self._swap_chain(steps)
         p1, p2 = self.pos[g.qubits[0]], self.pos[g.qubits[1]]
         if not self.graph.has_edge(p1, p2):
             raise CompilerError(f"tokens at {p1} and {p2} not adjacent after bifurcation")
-        self._emit(GateNode(g.kind, (p1, p2), g.tag))
+        self.out.append(GateNode(g.kind, (p1, p2), g.tag))
+        self._count_traversal(p1, p2)
         if self.cfg.restore_mapping:
-            for j in reversed(range(kb)):
-                self._emit_swap(path[hops - j - 1], path[hops - j])
-            for i in reversed(range(ka)):
-                self._emit_swap(path[i + 1], path[i])
+            self._swap_chain([(q, p) for p, q in reversed(steps)])
+
+    def _swap_chain(self, steps: list[tuple[int, int]]) -> None:
+        """Emit one SWAP per (p, q) step in order, moving the tokens along."""
+        emit = self.out.append
+        owner, pos, pid_of_cell = self.owner, self.pos, self.pid_of_cell
+        area = self.chip_area
+        swap = GateKind.SWAP
+        for p, q in steps:
+            emit(GateNode(swap, (p, q), "route"))
+            if p // area != q // area:  # only links join chiplets
+                self._count_traversal(p, q)
+            va, vb = owner[p], owner[q]
+            owner[p], owner[q] = vb, va
+            if vb != -1:
+                pos[vb] = p
+            if va != -1:
+                pos[va] = q
+            pa = pid_of_cell.get(p)
+            if pa is not None and pa == pid_of_cell.get(q):
+                self.violations += 1
+                self.swaps_inside[pa] = self.swaps_inside.get(pa, 0) + 1
+        self.swap_count += len(steps)
 
 
 def route_circuit(

@@ -1,13 +1,14 @@
 """JSON Schemas for the interchange documents, and one checker for each.
 
 The schema dicts are the published form of each document and the only
-statement of its shape. At import each dict is compiled into a checker of
-plain Python, so a ``validate_*_doc`` call is one pass over the document:
-it accepts exactly what the schema accepts under JSON Schema Draft
-2020-12 and raises ValidationError naming the JSON pointer of the failing
-value. The parsers (``circuit_from_json``,
-``build_backend``) run their checker first and then apply only the
-semantic rules: ranges, arity, adjacency, disjointness.
+statement of its shape. At import each dict is written out as the Python
+source of a checker function, exec'd on its first call, so a
+``validate_*_doc`` call is one pass of generated loops over the
+document: it accepts exactly what the schema accepts under JSON Schema
+Draft 2020-12 and raises ValidationError naming the JSON pointer of the
+failing value. The parsers (``circuit_from_json``, ``build_backend``)
+run their checker first and then apply only the semantic rules: ranges,
+arity, adjacency, disjointness.
 
 Two Draft 2020-12 rules shape what the parsers see: an integer is any
 number with a zero fractional part (``2.0`` counts, ``true`` does not),
@@ -246,19 +247,24 @@ COMPILED_SCHEMA: dict = {
 
 # -- checkers -------------------------------------------------------------
 #
-# ``_compile`` turns each schema dict above into one rule: a function of
-# one value that returns None or raises _Invalid. Containers append the
-# failing key as the error unwinds, so no path is built while a document
+# ``_compile`` writes each schema dict above out as the source of one
+# Python function, nested loops and tests over the document, at import,
+# and execs it on the checker's first call, as fastjsonschema execs its
+# generated code (https://github.com/horejsek/python-fastjsonschema).
+# Compiling the source costs most, and a command uses at most two of the
+# three checkers, so none is compiled before it is needed. A failing test
+# raises _Invalid with the path of the failing value; the array indices on
+# that path are looked up only then, so none is counted while a document
 # is valid. Only the keywords the dicts use are supported; any other
 # keyword fails at import, so a schema edit cannot be silently ignored.
 
-_Rule = Callable[[object], None]
+_Checker = Callable[[object], None]
 
 
 class _Invalid(Exception):
-    def __init__(self, message: str):
+    def __init__(self, message: str, path: list[object]):
         super().__init__(message)
-        self.keys: list[object] = []  # innermost first
+        self.path = path  # outermost key first
 
 
 def _kind(v: object) -> str:
@@ -285,122 +291,14 @@ def _is_number(v: object) -> bool:
     return isinstance(v, numbers.Number) and not isinstance(v, bool)
 
 
-def _integer(minimum: int | None = None) -> _Rule:
-    def rule(v: object) -> None:
-        if type(v) is not int and not _is_integer(v):
-            raise _Invalid(f"expected an integer, got {_kind(v)}")
-        if minimum is not None and v < minimum:  # type: ignore[operator]
-            raise _Invalid(f"{v!r} is less than the minimum of {minimum}")
+def _at(items: list, item: object) -> int:
+    """The index of the first item that is ``item``.
 
-    return rule
-
-
-def _number(minimum: float | None = None) -> _Rule:
-    def rule(v: object) -> None:
-        if not _is_number(v):
-            raise _Invalid(f"expected a number, got {_kind(v)}")
-        if minimum is not None and v < minimum:  # type: ignore[operator]
-            raise _Invalid(f"{v!r} is less than the minimum of {minimum}")
-
-    return rule
-
-
-def _string(min_length: int = 0) -> _Rule:
-    def rule(v: object) -> None:
-        if not isinstance(v, str):
-            raise _Invalid(f"expected a string, got {_kind(v)}")
-        if len(v) < min_length:
-            raise _Invalid(f"expected a string of length >= {min_length}, got {v!r}")
-
-    return rule
-
-
-def _boolean(v: object) -> None:
-    if not isinstance(v, bool):
-        raise _Invalid(f"expected a boolean, got {_kind(v)}")
-
-
-def _const(value: int) -> _Rule:
-    def rule(v: object) -> None:
-        if not _is_number(v) or v != value:
-            raise _Invalid(f"expected {value!r}, got {v!r}")
-
-    return rule
-
-
-def _choice(values: tuple[str, ...]) -> _Rule:
-    def rule(v: object) -> None:
-        if not isinstance(v, str) or v not in values:
-            raise _Invalid(f"expected one of {', '.join(map(repr, values))}, got {v!r}")
-
-    return rule
-
-
-def _array(item: _Rule, min_items: int = 0, max_items: int | None = None) -> _Rule:
-    def rule(v: object) -> None:
-        if not isinstance(v, list):
-            raise _Invalid(f"expected an array, got {_kind(v)}")
-        if len(v) < min_items:
-            raise _Invalid(f"expected at least {min_items} items, got {len(v)}")
-        if max_items is not None and len(v) > max_items:
-            raise _Invalid(f"expected at most {max_items} items, got {len(v)}")
-        for i, x in enumerate(v):
-            try:
-                item(x)
-            except _Invalid as exc:
-                exc.keys.append(i)
-                raise
-
-    return rule
-
-
-def _object(
-    properties: dict[str, _Rule],
-    required: tuple[str, ...],
-    patterns: tuple[tuple[Callable[[str], object], _Rule], ...],
-    closed: bool,
-) -> _Rule:
-    """An object with ``required`` keys, each value checked by the rule of
-    its property or of the first pattern its key matches; a key matching
-    neither is an error when ``closed``."""
-
-    def rule(v: object) -> None:
-        if not isinstance(v, dict):
-            raise _Invalid(f"expected an object, got {_kind(v)}")
-        for key in required:
-            if key not in v:
-                raise _Invalid(f"{key!r} is a required property")
-        for key, x in v.items():
-            check = properties.get(key)
-            if check is None:
-                for match, check in patterns:
-                    if isinstance(key, str) and match(key):
-                        break
-                else:
-                    if closed:
-                        raise _Invalid(f"unexpected property {key!r}")
-                    continue
-            try:
-                check(x)
-            except _Invalid as exc:
-                exc.keys.append(key)
-                raise
-
-    return rule
-
-
-def _any_of(rules: tuple[_Rule, ...]) -> _Rule:
-    def rule(v: object) -> None:
-        reasons = []
-        for check in rules:
-            try:
-                check(v)
-                return
-            except _Invalid as exc:
-                reasons.append(str(exc))
-        raise _Invalid(f"matches none of the allowed forms ({'; '.join(reasons)})")
-
-    return rule
+    A check depends only on the value it is given, so an earlier item that
+    is the same object as the failing one would have failed first: the
+    first match is the failing item's index.
+    """
+    return next(i for i, x in enumerate(items) if x is item)
 
 
 _ANNOTATIONS = frozenset(("$schema", "title"))
@@ -420,84 +318,201 @@ _KEYWORDS = {
 }
 
 
-def _compile(schema: dict, root: dict) -> _Rule:
-    """Build the rule that accepts exactly what ``schema`` accepts.
+class _Source:
+    """The generated functions of one document schema, and the names they use.
+
+    ``emit`` appends the statements that check the value named ``v`` to
+    ``out``. ``path`` holds the source of each key from the document root
+    down to that value; it is evaluated only when a test fails.
+    """
+
+    def __init__(self, root: dict):
+        self.root = root
+        self.lines: list[str] = []
+        self.names: dict[str, object] = {
+            "_Invalid": _Invalid, "_kind": _kind, "_is_integer": _is_integer,
+            "_is_number": _is_number, "_at": _at,
+        }
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def function(self, schema: dict) -> str:
+        """Define a function that checks ``schema``; return its name."""
+        name, v = self.fresh("check"), self.fresh("v")
+        body: list[str] = []
+        self.emit(body, schema, v, [], 1)
+        self.lines += [f"def {name}({v}):", *body]
+        return name
+
+    def emit(self, out: list[str], schema: dict, v: str, path: list[str], depth: int) -> None:
+        form = next((k for k in ("const", "enum", "anyOf", "$ref") if k in schema), None)
+        form = form or schema.get("type")
+        keywords = set(schema) - _ANNOTATIONS
+        if form not in _KEYWORDS or not keywords <= _KEYWORDS[form]:
+            raise TypeError(f"unsupported schema keywords: {sorted(keywords)}")
+        pad = "    " * depth
+        where = "[" + ", ".join(path) + "]"
+
+        def fail(test: str, message: str, indent: str = "") -> None:
+            out.append(f"{pad}{indent}if {test}:")
+            out.append(f"{pad}{indent}    raise _Invalid({message}, {where})")
+
+        if form == "$ref":
+            target = self.root
+            for part in schema["$ref"].removeprefix("#/").split("/"):
+                target = target[part]
+            self.emit(out, target, v, path, depth)
+        elif form == "anyOf":
+            alts = "".join(f"{self.function(s)}, " for s in schema["anyOf"])
+            reasons, alt, exc = self.fresh("reasons"), self.fresh("alt"), self.fresh("exc")
+            out += [
+                f"{pad}{reasons} = []",
+                f"{pad}for {alt} in ({alts}):",
+                f"{pad}    try:",
+                f"{pad}        {alt}({v})",
+                f"{pad}        break",
+                f"{pad}    except _Invalid as {exc}:",
+                f"{pad}        {reasons}.append(str({exc}))",
+                f"{pad}else:",
+                f"{pad}    raise _Invalid('matches none of the allowed forms ('"
+                f" + '; '.join({reasons}) + ')', {where})",
+            ]
+        elif form == "const":
+            value = schema["const"]
+            if not _is_number(value):
+                raise TypeError("only numeric const is supported")
+            fail(f"not _is_number({v}) or {v} != {value!r}",
+                 f"{f'expected {value!r}, got '!r} + repr({v})")
+        elif form == "enum":
+            values = tuple(schema["enum"])
+            if not all(isinstance(x, str) for x in values):
+                raise TypeError("only string enum is supported")
+            listed = ", ".join(map(repr, values))
+            fail(f"not isinstance({v}, str) or {v} not in {values!r}",
+                 f"{f'expected one of {listed}, got '!r} + repr({v})")
+        elif form in ("integer", "number"):
+            minimum = schema.get("minimum")
+            below = f"{v} < {minimum!r}", f"repr({v}) + {f' is less than the minimum of {minimum}'!r}"
+            if form == "number":
+                fail(f"not _is_number({v})", f"'expected a number, got ' + _kind({v})")
+                if minimum is not None:
+                    fail(*below)
+            elif minimum is None:
+                fail(f"type({v}) is not int and not _is_integer({v})",
+                     f"'expected an integer, got ' + _kind({v})")
+            else:  # a plain int at or above the minimum passes on one test
+                out.append(f"{pad}if type({v}) is not int or {below[0]}:")
+                fail(f"not _is_integer({v})", f"'expected an integer, got ' + _kind({v})", "    ")
+                fail(*below, "    ")
+        elif form == "string":
+            fail(f"not isinstance({v}, str)", f"'expected a string, got ' + _kind({v})")
+            n = schema.get("minLength", 0)
+            if n:
+                fail(f"len({v}) < {n}", f"{f'expected a string of length >= {n}, got '!r} + repr({v})")
+        elif form == "boolean":
+            fail(f"not isinstance({v}, bool)", f"'expected a boolean, got ' + _kind({v})")
+        elif form == "array":
+            fail(f"not isinstance({v}, list)", f"'expected an array, got ' + _kind({v})")
+            lo, hi = schema.get("minItems", 0), schema.get("maxItems")
+            if lo:
+                fail(f"len({v}) < {lo}", f"'expected at least {lo} items, got ' + str(len({v}))")
+            if hi is not None:
+                fail(f"len({v}) > {hi}", f"'expected at most {hi} items, got ' + str(len({v}))")
+            item = self.fresh("v")
+            out.append(f"{pad}for {item} in {v}:")
+            self.emit(out, schema["items"], item, [*path, f"_at({v}, {item})"], depth + 1)
+        else:
+            self.emit_object(out, schema, v, path, depth, fail)
+
+    def emit_object(self, out, schema, v, path, depth, fail) -> None:
+        """An object: its ``required`` keys first, then each key in the
+        document's order, checked by the schema of its property or of the
+        first pattern it matches; a key matching neither is an error when
+        ``additionalProperties`` is false."""
+        properties = schema.get("properties", {})
+        patterns = schema.get("patternProperties", {})
+        additional = schema.get("additionalProperties", True)
+        if not isinstance(additional, bool) or (properties and patterns):
+            raise TypeError("unsupported object schema: needs a boolean additionalProperties "
+                            "and either properties or patternProperties")
+        fail(f"not isinstance({v}, dict)", f"'expected an object, got ' + _kind({v})")
+        for name in schema.get("required", ()):
+            fail(f"{name!r} not in {v}", repr(f"{name!r} is a required property"))
+        if not (properties or patterns or not additional):
+            return
+        pad = "    " * depth
+        key, x = self.fresh("k"), self.fresh("v")
+        out.append(f"{pad}for {key}, {x} in {v}.items():")
+        branch = "if"
+        for name, sub in properties.items():
+            out.append(f"{pad}    {branch} {key} == {name!r}:")
+            self.emit(out, sub, x, [*path, repr(name)], depth + 2)
+            branch = "elif"
+        for pattern, sub in patterns.items():
+            match = self.fresh("match")
+            self.names[match] = re.compile(pattern).search
+            out.append(f"{pad}    {branch} isinstance({key}, str) and {match}({key}):")
+            self.emit(out, sub, x, [*path, key], depth + 2)
+            branch = "elif"
+        if not additional:
+            indent = "    " if branch == "if" else "        "
+            if branch != "if":
+                out.append(f"{pad}    else:")
+            out.append(f"{pad}{indent}raise _Invalid('unexpected property ' + repr({key}),"
+                       f" [{', '.join(path)}])")
+
+
+def _compile(schema: dict, root: dict) -> _Checker:
+    """Generate the checker that accepts exactly what ``schema`` accepts.
 
     ``root`` is the document schema that local ``$ref`` pointers resolve
-    against.
+    against. The source is written now, so an unsupported keyword raises
+    here; it is exec'd on the first call.
     """
-    form = next((k for k in ("const", "enum", "anyOf", "$ref") if k in schema), None)
-    form = form or schema.get("type")
-    keywords = set(schema) - _ANNOTATIONS
-    if form not in _KEYWORDS or not keywords <= _KEYWORDS[form]:
-        raise TypeError(f"unsupported schema keywords: {sorted(keywords)}")
-    if form == "$ref":
-        target = root
-        for part in schema["$ref"].removeprefix("#/").split("/"):
-            target = target[part]
-        return _compile(target, root)
-    if form == "anyOf":
-        return _any_of(tuple(_compile(s, root) for s in schema["anyOf"]))
-    if form == "const":
-        if not _is_number(schema["const"]):
-            raise TypeError("only numeric const is supported")
-        return _const(schema["const"])
-    if form == "enum":
-        if not all(isinstance(x, str) for x in schema["enum"]):
-            raise TypeError("only string enum is supported")
-        return _choice(tuple(schema["enum"]))
-    if form == "integer":
-        return _integer(schema.get("minimum"))
-    if form == "number":
-        return _number(schema.get("minimum"))
-    if form == "string":
-        return _string(schema.get("minLength", 0))
-    if form == "boolean":
-        return _boolean
-    if form == "array":
-        return _array(
-            _compile(schema["items"], root), schema.get("minItems", 0), schema.get("maxItems")
-        )
-    # object
-    properties = schema.get("properties", {})
-    patterns = schema.get("patternProperties", {})
-    additional = schema.get("additionalProperties", True)
-    if not isinstance(additional, bool) or (properties and patterns):
-        raise TypeError("unsupported object schema: needs a boolean additionalProperties "
-                        "and either properties or patternProperties")
-    return _object(
-        {key: _compile(s, root) for key, s in properties.items()},
-        tuple(schema.get("required", ())),
-        tuple((re.compile(p).search, _compile(s, root)) for p, s in patterns.items()),
-        closed=not additional,
-    )
+    source = _Source(root)
+    name = source.function(schema)
+    text = "\n".join(source.lines)
+    checker: _Checker | None = None
+
+    def check(obj: object) -> None:
+        nonlocal checker
+        if checker is None:  # two threads may both exec it; either result serves
+            namespace = dict(source.names)
+            exec(compile(text, f"<{root.get('title', 'schema')} checker>", "exec"), namespace)
+            checker = namespace[name]
+        checker(obj)
+
+    return check
 
 
-_circuit_rule = _compile(CIRCUIT_SCHEMA, CIRCUIT_SCHEMA)
-_backend_rule = _compile(BACKEND_SCHEMA, BACKEND_SCHEMA)
-_compiled_rule = _compile(COMPILED_SCHEMA, COMPILED_SCHEMA)
+_circuit_check = _compile(CIRCUIT_SCHEMA, CIRCUIT_SCHEMA)
+_backend_check = _compile(BACKEND_SCHEMA, BACKEND_SCHEMA)
+_compiled_check = _compile(COMPILED_SCHEMA, COMPILED_SCHEMA)
 
 
-def _check(obj: object, rule: _Rule, what: str) -> None:
+def _check(obj: object, check: _Checker, what: str) -> None:
     try:
-        rule(obj)
+        check(obj)
     except _Invalid as exc:
         # Keys on a failing path are property names or decimal ids, so the
         # JSON pointer needs no escaping.
-        where = "".join(f"/{k}" for k in reversed(exc.keys)) or "(root)"
+        where = "".join(f"/{k}" for k in exc.path) or "(root)"
         raise ValidationError(f"{what} document invalid at {where}: {exc}") from None
 
 
 def validate_circuit_doc(obj: object) -> None:
     """Raise ValidationError unless ``obj`` satisfies CIRCUIT_SCHEMA."""
-    _check(obj, _circuit_rule, "circuit")
+    _check(obj, _circuit_check, "circuit")
 
 
 def validate_backend_doc(obj: object) -> None:
     """Raise ValidationError unless ``obj`` satisfies BACKEND_SCHEMA."""
-    _check(obj, _backend_rule, "backend")
+    _check(obj, _backend_check, "backend")
 
 
 def validate_compiled_doc(obj: object) -> None:
     """Raise ValidationError unless ``obj`` satisfies COMPILED_SCHEMA."""
-    _check(obj, _compiled_rule, "compiled circuit")
+    _check(obj, _compiled_check, "compiled circuit")

@@ -3,12 +3,12 @@
 These deliberately avoid the package's own data structures and
 algorithms: depth comes from an availability simulation or a longest
 path over eagerly built predecessor lists, hop distances and paths from
-a dict flood and a neighbour scan, the compiled document from a dict
-tree for ``json.dumps``, packing checks from cell-set rasterization,
-routing checks from token replay on an adjacency set, partition quality
-from exhaustive enumeration, bisection growth from a linear scan over
-the free nodes, and the community count from networkx's Girvan-Newman
-primitives.
+a dict flood and a neighbour scan over adjacency built cell by cell, the
+compiled document from a dict tree for ``json.dumps``, packing checks
+from cell-set rasterization, routing checks from token replay on an
+adjacency set, partition quality from exhaustive enumeration, bisection
+growth from a linear scan over the free nodes, and the community count
+from networkx's Girvan-Newman primitives.
 """
 
 from __future__ import annotations
@@ -102,12 +102,15 @@ def coupling_parts(backend) -> tuple[list[bool], list[tuple[int, ...]], dict]:
     return alive, [tuple(sorted(ns)) for ns in adj], links
 
 
-def bfs_dist(graph, start: int, chip: int, chip_area: int) -> dict[int, int]:
+def bfs_dist(backend, start: int, chip: int) -> dict[int, int]:
     """Breadth-first hop distances from ``start`` within one chiplet.
 
-    The dict flood routing ran before it switched to bitboard levels: one
-    ``neighbors`` call per reached cell, keeping the cells of ``chip``.
+    The dict flood routing ran before it switched to bitboard levels, over
+    ``coupling_parts``'s adjacency: the neighbours of each reached cell,
+    keeping the cells of ``chip``.
     """
+    _, adj, _ = coupling_parts(backend)
+    area = backend.chip_area
     dist = {start: 0}
     frontier = [start]
     d = 0
@@ -115,27 +118,28 @@ def bfs_dist(graph, start: int, chip: int, chip_area: int) -> dict[int, int]:
         d += 1
         nxt = []
         for u in frontier:
-            for w in graph.neighbors(u):
-                if w not in dist and w // chip_area == chip:
+            for w in adj[u]:
+                if w not in dist and w // area == chip:
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
     return dist
 
 
-def walk_back(graph, dist: Mapping[int, int], src: int, dst: int, chip: int,
-              chip_area: int) -> list[int]:
+def walk_back(backend, dist: Mapping[int, int], src: int, dst: int, chip: int) -> list[int]:
     """The ``src`` -> ``dst`` path over a distance dict rooted at ``src``.
 
     The walk routing ran before each distance view walked its own path:
-    from ``dst``, step to the smallest neighbour id on ``chip`` that is one
-    hop closer to ``src``.
+    from ``dst``, step to the smallest neighbour id on ``chip``, in
+    ``coupling_parts``'s adjacency, that is one hop closer to ``src``.
     """
+    _, adj, _ = coupling_parts(backend)
+    area = backend.chip_area
     path = [dst]
     cur = dst
     while cur != src:
         want = dist[cur] - 1
-        cur = min(u for u in graph.neighbors(cur) if u // chip_area == chip and dist.get(u) == want)
+        cur = min(u for u in adj[cur] if u // area == chip and dist.get(u) == want)
         path.append(cur)
     path.reverse()
     return path
@@ -144,15 +148,15 @@ def walk_back(graph, dist: Mapping[int, int], src: int, dst: int, chip: int,
 class FloodDist:
     """``bfs_dist`` behind the interface of routing's distance views."""
 
-    def __init__(self, graph, start: int, chip: int, chip_area: int):
-        self.graph, self.start, self.chip, self.chip_area = graph, start, chip, chip_area
-        self.dist = bfs_dist(graph, start, chip, chip_area)
+    def __init__(self, backend, start: int, chip: int):
+        self.backend, self.start, self.chip = backend, start, chip
+        self.dist = bfs_dist(backend, start, chip)
 
     def get(self, gid: int) -> int | None:
         return self.dist.get(gid)
 
     def walk_back(self, dst: int) -> list[int]:
-        return walk_back(self.graph, self.dist, self.start, dst, self.chip, self.chip_area)
+        return walk_back(self.backend, self.dist, self.start, dst, self.chip)
 
 
 def gates_to_json(nodes: Sequence) -> list[dict]:

@@ -229,12 +229,23 @@ class TestAutoLinks:
         assert len(at_y0) == 1 and at_y0[0].eps == 0.7
 
 
+def _edges(g: CouplingGraph) -> set[tuple[int, int]]:
+    """Every pair (a, b), a < b, that ``has_edge`` couples, both ways round."""
+    out = set()
+    for a in range(g.n):
+        for b in range(g.n):
+            if g.has_edge(a, b):
+                assert g.has_edge(b, a)
+                out.add((min(a, b), max(a, b)))
+    return out
+
+
 class TestCouplingGraph:
     def test_single_chip_grid_edge_count(self):
         b = build_backend({"grid": [1, 1], "chiplet": [4, 5]})
         g = CouplingGraph(b)
         # w*(h-1) vertical + h*(w-1) horizontal couplings
-        assert sum(map(len, map(g.neighbors, range(g.n)))) == 2 * (4 * 4 + 5 * 3)
+        assert len(_edges(g)) == 4 * 4 + 5 * 3
         assert sum(g.alive) == 20
 
     def test_defect_removes_incident_couplings(self):
@@ -242,8 +253,8 @@ class TestCouplingGraph:
                            "defects": [{"chip": 0, "x": 1, "y": 1}]})
         g = CouplingGraph(b)
         assert not g.alive[4]
-        assert g.neighbors(4) == ()
-        assert sum(map(len, map(g.neighbors, range(g.n)))) == 2 * (12 - 4)
+        assert not any(4 in pair for pair in _edges(g))
+        assert len(_edges(g)) == 12 - 4
 
     def test_links_appear_as_edges_with_records(self):
         b = build_backend(_doc(auto_links={"per_edge": 1, "eps": 0.25}))
@@ -256,22 +267,37 @@ class TestCouplingGraph:
         assert g.links_between(0, 1) == g.links_between(1, 0) == (link,)
         assert g.links_between(0, 0) == ()
 
-    def test_neighbors_sorted_ascending(self):
-        b = build_backend({"grid": [1, 1], "chiplet": [3, 3]})
+    @pytest.mark.parametrize("w, h", [(1, 4), (4, 1), (3, 3)], ids=["1-wide", "1-high", "3x3"])
+    def test_row_ends_and_chiplet_seams_are_not_coupled(self, w, h):
+        # ids one apart across a row end, and chip_w apart across the seam
+        # between stacked chiplets, are not grid neighbours
+        b = build_backend({"grid": [2, 1], "chiplet": [w, h], "allow_non_pow2": True})
         g = CouplingGraph(b)
-        for gid in range(g.n):
-            assert list(g.neighbors(gid)) == sorted(g.neighbors(gid))
+        for a in range(g.n - 1):
+            for d in (1, w):
+                if a + d < g.n:
+                    want = (a, a + d) in coupling_edges(b)
+                    assert g.has_edge(a, a + d) == g.has_edge(a + d, a) == want, (a, d)
+        # the top row's last cell and the next id are one row apart only on
+        # a 1-wide chiplet; chip 0's bottom-left cell and chip 1's first are
+        # on different chiplets
+        assert g.has_edge(w - 1, w) == (w == 1 and h > 1)
+        assert not g.has_edge(w * h - w, w * h)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_cell_by_cell_build(self, data):
         b = build_backend(draw_backend_doc(data))
-        g = CouplingGraph(b)
-        alive, adj, links = coupling_parts(b)
-        assert g.alive == alive
-        assert g._adj == adj
-        assert g._links == links
-        assert list(g._links) == list(links)
+        # built directly, a backend may keep links whose endpoints are defects
+        dead = data.draw(st.sets(st.sampled_from([l.a for l in b.links] or [0])))
+        direct = dataclasses.replace(b, defects=b.defects | dead)
+        for be in (b, direct):
+            g = CouplingGraph(be)
+            alive, _, links = coupling_parts(be)
+            assert g.alive == alive
+            assert _edges(g) == coupling_edges(be)
+            assert g._links == links
+            assert list(g._links) == list(links)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

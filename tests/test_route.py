@@ -410,10 +410,10 @@ class TestDistanceKernel:
         start = be.gid(chip, data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
         view = _bfs_dist(graph, be, start, chip)
         assert isinstance(view, _ManhattanDist)
-        oracle = bfs_dist(graph, start, chip, be.chip_area)
+        oracle = bfs_dist(be, start, chip)
         _assert_same_distances(view, oracle, be.n_qubits)
         for dst in oracle:
-            assert view.walk_back(dst) == walk_back(graph, oracle, start, dst, chip, be.chip_area)
+            assert view.walk_back(dst) == walk_back(be, oracle, start, dst, chip)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -436,10 +436,10 @@ class TestDistanceKernel:
         start_gid = be.gid(*start)
         view = _bfs_dist(graph, be, start_gid, chip)
         assert isinstance(view, _LevelDist) == any(c[0] == chip for c in dead)
-        oracle = bfs_dist(graph, start_gid, chip, be.chip_area)
+        oracle = bfs_dist(be, start_gid, chip)
         _assert_same_distances(view, oracle, be.n_qubits)
         for dst in oracle:
-            want = walk_back(graph, oracle, start_gid, dst, chip, be.chip_area)
+            want = walk_back(be, oracle, start_gid, dst, chip)
             assert view.walk_back(dst) == want
 
     @pytest.mark.parametrize(
@@ -459,7 +459,7 @@ class TestDistanceKernel:
         graph = CouplingGraph(be)
         view = _bfs_dist(graph, be, be.gid(0, *start), 0)
         assert isinstance(view, _LevelDist)
-        oracle = bfs_dist(graph, be.gid(0, *start), 0, be.chip_area)
+        oracle = bfs_dist(be, be.gid(0, *start), 0)
         _assert_same_distances(view, oracle, be.n_qubits)
         for x, y in cut_off:
             assert view.get(be.gid(0, x, y)) is None
@@ -475,7 +475,7 @@ class TestDistanceKernel:
         graph = CouplingGraph(be)
         dist = _bfs_dist(graph, be, be.gid(0, 0, 1), 0)
         assert isinstance(dist, _LevelDist)
-        _assert_same_distances(dist, bfs_dist(graph, be.gid(0, 0, 1), 0, be.chip_area), be.n_qubits)
+        _assert_same_distances(dist, bfs_dist(be, be.gid(0, 0, 1), 0), be.n_qubits)
         assert dist.get(be.gid(0, 2, 1)) == 4  # around the dead cell, not through it
         assert isinstance(_bfs_dist(graph, be, be.gid(1, 0, 0), 1), _ManhattanDist)
 
@@ -502,7 +502,7 @@ class TestDistanceKernel:
         fast = _route(gates, n, labels, placements, be, cfg)
         monkeypatch.setattr(
             route, "_bfs_dist",
-            lambda graph, backend, start, chip: FloodDist(graph, start, chip, backend.chip_area),
+            lambda graph, backend, start, chip: FloodDist(backend, start, chip),
         )
         slow = _route(gates, n, labels, placements, be, cfg)
         assert fast.dag.nodes == slow.dag.nodes

@@ -1,5 +1,6 @@
 """Document schemas and the command line workflow."""
 
+import concurrent.futures
 import gc
 import json
 from pathlib import Path
@@ -302,6 +303,48 @@ class TestSweep:
         r2 = runner.invoke(main, ["sweep", str(spec), "-o", str(parallel), "--jobs", "2"])
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (8, 2), (64, 2)])
+    def test_jobs_never_exceed_points(self, runner, tmp_path, monkeypatch, jobs, workers):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker is ever started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        spec = self._spec(tmp_path)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(out), "--jobs", str(jobs)])
+        assert result.exit_code == 0, result.output
+        assert sizes == [workers]
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_one_point_runs_without_a_pool(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # unusable
+        spec = self._spec(tmp_path, axes={"n_inter": [8]})
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(tmp_path / "o.csv"),
+                                      "--jobs", "4"])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+    def test_bad_jobs_exit_2(self, runner, tmp_path, jobs):
+        spec = self._spec(tmp_path)
+        result = runner.invoke(main, ["sweep", str(spec), "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output + result.stderr
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_failed_point_keeps_every_row(self, runner, tmp_path):
         # 30 defects per chiplet leave no region for a d=3 patch

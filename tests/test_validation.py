@@ -303,6 +303,9 @@ def test_every_single_mutation_agrees(schema, check, what, parse, doc):
                 assert valid, mutant
 
 
+_CX = {"op": "cx", "qubits": [0, 1]}
+
+
 @pytest.mark.parametrize(
     "doc, pointer",
     [
@@ -315,6 +318,10 @@ def test_every_single_mutation_agrees(schema, check, what, parse, doc):
             {"n_qubits": 1, "gates": [], "layout_hints": {"0": {"dir": "up", "ref": 0}}},
             "/layout_hints/0/dir",
         ),
+        # indices are found after the failure: equal items before the failing one
+        ({"n_qubits": 2, "gates": [{"op": "cx", "qubits": [1, 1, 1, -1]}]}, "/gates/0/qubits/3"),
+        ({"n_qubits": 2, "gates": [_CX] * 3 + [{"op": "", "qubits": [0]}]}, "/gates/3/op"),
+        ({"n_qubits": 2, "gates": [_CX, {**_CX, "qubits": [0, 1.5]}]}, "/gates/1/qubits/1"),
     ],
 )
 def test_rejection_names_the_json_pointer(doc, pointer):
