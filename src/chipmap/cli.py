@@ -20,6 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import click
+from click.core import ParameterSource
 
 from .backend import build_backend
 from .errors import (
@@ -67,17 +68,53 @@ _STAT_COLUMNS = (
     "patch_violations",
 )
 
-# A sweep point's parameters are the spec's top-level values, overridden
-# by that point's axis values; an absent one takes its generator's or
-# RoutingConfig's default.
-_SWEEP_AXES = ("d", "n_cnots", "n_inter", "defects", "policy", "alpha", "beta")
-_SWEEP_PARAMS = _SWEEP_AXES + ("rounds", "headroom", "grid", "eps")
-_SWEEP_KEYS = _SWEEP_PARAMS + ("kind", "axes", "seed", "compile", "routing")
+_KINDS = ("memory", "ls-cnot")
+
+
+def _as_int(value: object) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _as_float(value: object) -> float:
+    if isinstance(value, bool):
+        raise ValueError(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
+def _as_grid(value: object) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    rows, cols = value
+    return _as_int(rows), _as_int(cols)
+
+
+def _as_eps(value: object) -> object:
+    return value if isinstance(value, dict) else _as_float(value)
+
+
+_INTEGER = (_as_int, "an integer")
+# converter and expected form of each sweep parameter. A point's parameters
+# are the spec's top-level values, overridden by that point's axis values;
+# an absent one takes its generator's or RoutingConfig's default.
+_SWEEP_PARAMS = {
+    **dict.fromkeys(("d", "n_cnots", "rounds", "n_inter", "defects"), _INTEGER),
+    **dict.fromkeys(("headroom", "alpha", "beta"), (_as_float, "a finite number")),
+    "policy": (str, "a string"),
+    "grid": (_as_grid, "a list of two integers"),
+    "eps": (_as_eps, "a finite number or an object"),
+}
+_SWEEP_KEYS = ("kind", "axes", "seed", "compile", "routing")
 # spec block -> the class its keys set, and the fields the sweep sets itself
 _SWEEP_BLOCKS = {
     "compile": (CompileOptions, ("routing", "seed")),
     "routing": (RoutingConfig, ("policy", "alpha", "beta")),
 }
+_CIRCUIT_PARAMS = ("d", "rounds", "n_cnots")
 # gen_backend_for keyword of each backend parameter
 _BACKEND_PARAMS = {
     "headroom": "headroom",
@@ -86,6 +123,7 @@ _BACKEND_PARAMS = {
     "eps": "eps",
     "defects": "defects_per_chiplet",
 }
+_MEMORY_N_CNOTS = "'n_cnots' applies only to kind ls-cnot"
 
 
 def _exit_code(exc: CompilerError) -> int:
@@ -198,61 +236,34 @@ def main(ctx: click.Context, out_dir: Path, seed: int, json_logs: bool) -> None:
     ctx.obj = SimpleNamespace(out_dir=out_dir, seed=seed)
 
 
-def _compile_options(obj: SimpleNamespace, no_hints: bool, **opts) -> CompileOptions:
-    """The options of one compile: its flags, named as ``CompileOptions`` fields."""
-    return CompileOptions(use_hints=not no_hints, seed=obj.seed, **opts)
-
-
-# The flags' choices and defaults are those of CompileOptions and RoutingConfig.
-_DEFAULTS = CompileOptions()
-
-_compile_opts = [
-    click.option("--partitions", type=click.Choice(PARTITION_MODES),
-                 default=_DEFAULTS.partitions, show_default=True,
-                 help="Where partition labels come from."),
-    click.option("--placement", type=click.Choice(PLACEMENT_MODES),
-                 default=_DEFAULTS.placement, show_default=True),
-    click.option("--relative-ref", type=click.Choice(REF_MODES),
-                 default=_DEFAULTS.relative_ref, show_default=True,
-                 help="Reference choice for relative placement."),
-    click.option("--no-hints", is_flag=True, help="Ignore declared layout hints."),
-    click.option("--imbalance", type=float, default=_DEFAULTS.imbalance, show_default=True),
-    click.option("--detection-budget", type=int, default=_DEFAULTS.detection_budget,
-                 show_default=True,
-                 help="Max interaction-graph size for community detection."),
-]
-
-_routing_opts = [
-    click.option("--policy", type=click.Choice(tuple(POLICIES)),
-                 default=_DEFAULTS.routing.policy, show_default=True),
-    click.option("--alpha", type=float, default=None,
-                 help="Link error-rate weight (overrides the policy default)."),
-    click.option("--beta", type=float, default=None,
-                 help="Link congestion weight (overrides the policy default)."),
-    click.option("--k-nearest", type=int, default=_DEFAULTS.routing.k_nearest,
-                 show_default=True,
-                 help="Candidate links considered per boundary crossing."),
-    click.option("--no-restore", is_flag=True,
-                 help="Keep tokens where routing parks them."),
-    click.option("--strict-patches", is_flag=True,
-                 help="Error out when a gate needs routing inside one patch."),
-]
-
-
-def _add(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return deco
-
-
+# The flags' choices and defaults are those of CompileOptions and RoutingConfig,
+# read from the classes so that importing builds no instance.
 @main.command("compile")
 @click.argument("circuit_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.argument("backend_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@_add(_compile_opts)
-@_add(_routing_opts)
+@click.option("--partitions", type=click.Choice(PARTITION_MODES),
+              default=CompileOptions.partitions, show_default=True,
+              help="Where partition labels come from.")
+@click.option("--placement", type=click.Choice(PLACEMENT_MODES),
+              default=CompileOptions.placement, show_default=True)
+@click.option("--relative-ref", type=click.Choice(REF_MODES),
+              default=CompileOptions.relative_ref, show_default=True,
+              help="Reference choice for relative placement.")
+@click.option("--no-hints", is_flag=True, help="Ignore declared layout hints.")
+@click.option("--imbalance", type=float, default=CompileOptions.imbalance, show_default=True)
+@click.option("--detection-budget", type=int, default=CompileOptions.detection_budget,
+              show_default=True, help="Max interaction-graph size for community detection.")
+@click.option("--policy", type=click.Choice(tuple(POLICIES)),
+              default=RoutingConfig.policy, show_default=True)
+@click.option("--alpha", type=float, default=None,
+              help="Link error-rate weight (overrides the policy default).")
+@click.option("--beta", type=float, default=None,
+              help="Link congestion weight (overrides the policy default).")
+@click.option("--k-nearest", type=int, default=RoutingConfig.k_nearest, show_default=True,
+              help="Candidate links considered per boundary crossing.")
+@click.option("--no-restore", is_flag=True, help="Keep tokens where routing parks them.")
+@click.option("--strict-patches", is_flag=True,
+              help="Error out when a gate needs routing inside one patch.")
 @click.option("--util-all-chiplets", is_flag=True,
               help="Compute utilization over the whole device.")
 @click.option("-o", "--out", "out_file", type=click.Path(path_type=Path), default=None,
@@ -269,6 +280,7 @@ def compile_cmd(
     out_file: Path | None,
     stats_only: bool,
     svg_file: Path | None,
+    no_hints: bool,
     policy: str,
     alpha: float | None,
     beta: float | None,
@@ -289,7 +301,7 @@ def compile_cmd(
             restore_mapping=not no_restore,
             strict_patches=strict_patches,
         )
-        options = _compile_options(obj, routing=routing, **opts)
+        options = CompileOptions(use_hints=not no_hints, routing=routing, seed=obj.seed, **opts)
         result = compile_circuit(circuit, backend, options)
         click.echo(json.dumps(result.stats.as_dict(), indent=2))
         if not stats_only:
@@ -317,8 +329,7 @@ def bench() -> None:
 
 
 @bench.command("gen")
-@click.option("--kind", type=click.Choice(["memory", "ls-cnot"]), default="memory",
-              show_default=True)
+@click.option("--kind", type=click.Choice(_KINDS), default="memory", show_default=True)
 @click.option("-d", "--distance", type=int, required=True, help="Code distance (odd, >= 3).")
 @click.option("--rounds", type=int, default=1, show_default=True)
 @click.option("--n-cnots", type=int, default=1, show_default=True,
@@ -340,37 +351,49 @@ def bench() -> None:
 def bench_gen(
     obj: SimpleNamespace,
     kind: str,
-    distance: int,
-    rounds: int,
-    n_cnots: int,
-    headroom: float,
-    grid: tuple[int, int] | None,
-    n_inter: int,
-    eps: float,
-    defects: int,
     out_circuit: Path | None,
     out_backend: Path | None,
+    **params,
 ) -> None:
     """Generate a benchmark circuit with a matching backend."""
-    from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
-
+    params["d"] = params.pop("distance")  # named so CHIPMAP_BENCH_GEN_DISTANCE still sets it
     if kind == "memory":
-        circuit = gen_memory_circuit(distance, rounds)
-        stem = f"memory_d{distance}"
+        source = click.get_current_context().get_parameter_source("n_cnots")
+        if source in (ParameterSource.COMMANDLINE, ParameterSource.ENVIRONMENT):
+            raise ValidationError(_MEMORY_N_CNOTS)
+        del params["n_cnots"]
+        stem = f"memory_d{params['d']}"
     else:
-        circuit = gen_ls_cnot_circuit(distance, n_cnots, rounds)
-        stem = f"ls_cnot_d{distance}_n{n_cnots}"
-    backend = gen_backend_for(
-        circuit,
-        headroom=headroom,
-        grid=grid,
-        n_inter=n_inter,
-        eps=eps,
-        defects_per_chiplet=defects,
-        seed=obj.seed,
-    )
+        stem = f"ls_cnot_d{params['d']}_n{params['n_cnots']}"
+    circuit, backend = _generate(kind, obj.seed, params)
     _write(out_circuit or obj.out_dir / f"{stem}.circuit.json", json.dumps(circuit, indent=2))
     _write(out_backend or obj.out_dir / f"{stem}.backend.json", json.dumps(backend, indent=2))
+
+
+def _point_param(name: str, value: object, convert, form: str) -> object:
+    """A sweep parameter as the type its consumer takes; exit 2 naming a bad one."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"sweep parameter {name!r} must be {form}, got {value!r}") from None
+
+
+def _generate(kind: str, seed: int, params: dict) -> tuple[dict, dict]:
+    """The circuit and backend documents of one benchmark point.
+
+    ``params`` holds generator parameters under their sweep names and must
+    hold ``d``; an absent one takes its generator's default.
+    """
+    from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
+
+    gen = gen_memory_circuit if kind == "memory" else gen_ls_cnot_circuit
+    circuit = gen(**{name: params[name] for name in _CIRCUIT_PARAMS if name in params})
+    backend = gen_backend_for(
+        circuit,
+        seed=seed,
+        **{kw: params[name] for name, kw in _BACKEND_PARAMS.items() if name in params},
+    )
+    return circuit, backend
 
 
 def _sweep_row(task: dict) -> tuple[dict, int]:
@@ -380,94 +403,27 @@ def _sweep_row(task: dict) -> tuple[dict, int]:
     error, a row with only its axis values and the message in ``error``,
     and the error's exit code.
     """
-    row = dict(task["row"])
+    row, params, seed = dict(task["row"]), task["params"], task["seed"]
     try:
-        stats = _sweep_stats(task)
+        circuit_doc, backend_doc = _generate(task["kind"], seed, params)
+        routing = RoutingConfig.from_policy(
+            params.get("policy", RoutingConfig.policy),
+            alpha=params.get("alpha"),
+            beta=params.get("beta"),
+            **task["routing"],
+        )
+        options = CompileOptions(routing=routing, seed=seed, **task["compile"])
+        with _collector_paused():
+            result = compile_circuit(
+                circuit_from_json(circuit_doc), build_backend(backend_doc), options
+            )
     except CompilerError as exc:
         log.warning("sweep point %s failed: %s", row, exc)
         row["error"] = str(exc)
         return row, _exit_code(exc)
-    for col in _STAT_COLUMNS:
-        row[col] = stats[col]
+    stats = result.stats.as_dict()
+    row.update((col, stats[col]) for col in _STAT_COLUMNS)
     return row, 0
-
-
-def _as_int(value: object) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
-def _as_float(value: object) -> float:
-    if isinstance(value, bool):
-        raise ValueError(value)
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(value)
-    return number
-
-
-def _as_grid(value: object) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(value)
-    rows, cols = value
-    return _as_int(rows), _as_int(cols)
-
-
-def _as_eps(value: object) -> object:
-    return value if isinstance(value, dict) else _as_float(value)
-
-
-# converter and expected form of each point parameter and the seed
-_PARAM_TYPES = {
-    **dict.fromkeys(("seed", "d", "n_cnots", "rounds", "n_inter", "defects"),
-                    (_as_int, "an integer")),
-    **dict.fromkeys(("headroom", "alpha", "beta"), (_as_float, "a finite number")),
-    "policy": (str, "a string"),
-    "grid": (_as_grid, "a list of two integers"),
-    "eps": (_as_eps, "a finite number or an object"),
-}
-
-
-def _point_param(name: str, value: object) -> object:
-    """A sweep parameter as the type its consumer takes; exit 2 naming a bad one."""
-    convert, form = _PARAM_TYPES[name]
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"sweep parameter {name!r} must be {form}, got {value!r}") from None
-
-
-def _sweep_stats(task: dict) -> dict:
-    """Generate and compile one sweep point; its stats dict."""
-    from .benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
-
-    params = task["params"]
-    seed = task["seed"]
-    d = params.get("d", 3)
-    circuit_kw = {"rounds": params["rounds"]} if "rounds" in params else {}
-    if task["kind"] == "memory":
-        circuit_doc = gen_memory_circuit(d, **circuit_kw)
-    else:
-        if "n_cnots" in params:
-            circuit_kw["n_cnots"] = params["n_cnots"]
-        circuit_doc = gen_ls_cnot_circuit(d, **circuit_kw)
-    backend_kw = {
-        keyword: params[name] for name, keyword in _BACKEND_PARAMS.items() if name in params
-    }
-    backend_doc = gen_backend_for(circuit_doc, seed=seed, **backend_kw)
-    routing = RoutingConfig.from_policy(
-        params.get("policy", RoutingConfig.policy),
-        alpha=params.get("alpha"),
-        beta=params.get("beta"),
-        **task["routing"],
-    )
-    options = CompileOptions(routing=routing, seed=seed, **task["compile"])
-    with _collector_paused():
-        result = compile_circuit(
-            circuit_from_json(circuit_doc), build_backend(backend_doc), options
-        )
-    return result.stats.as_dict()
 
 
 @main.command()
@@ -494,10 +450,11 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
           placement: center
 
     A point's parameters are the top-level values, overridden by that
-    point's axis values. The axes may sweep d, n_cnots, n_inter, defects,
-    policy, alpha and beta; the top level also takes kind, rounds,
-    headroom, grid, eps, seed, compile and routing, and rejects any other
-    key. n_cnots applies to kind ls-cnot only. compile and routing take
+    point's axis values. Each of d (3 unless given), n_cnots, rounds,
+    n_inter, defects, headroom, alpha, beta, policy, grid and eps may be
+    fixed at the top level or swept as an axis; the top level also takes
+    kind, seed, compile and routing, and rejects any other key. n_cnots
+    applies to kind ls-cnot only. compile and routing take
     the fields of CompileOptions and RoutingConfig that the sweep does not
     set itself. Every key and value is checked before the first point
     runs; numeric parameters may be given as numbers or numeric strings.
@@ -515,25 +472,24 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     if not isinstance(spec, dict):
         raise ValidationError("sweep spec must be an object")
     for key in spec:
-        if key not in _SWEEP_KEYS:
-            raise ValidationError(
-                f"unknown sweep spec key {key!r}; choose from {', '.join(_SWEEP_KEYS)}"
-            )
+        if key not in _SWEEP_PARAMS and key not in _SWEEP_KEYS:
+            raise ValidationError(f"unknown sweep spec key {key!r}; "
+                                  f"choose from {', '.join([*_SWEEP_PARAMS, *_SWEEP_KEYS])}")
     kind = spec.get("kind", "memory")
-    if kind not in ("memory", "ls-cnot"):
+    if kind not in _KINDS:
         raise ValidationError(f"unknown sweep kind {kind!r}")
-    if kind == "memory" and "n_cnots" in spec:
-        raise ValidationError("sweep spec key 'n_cnots' applies only to kind ls-cnot")
     axes = spec.get("axes")
     if not isinstance(axes, dict) or not axes:
         raise ValidationError("sweep spec needs a nonempty axes object")
-    for name in axes:
-        if name not in _SWEEP_AXES:
+    for name, vals in axes.items():
+        if name not in _SWEEP_PARAMS:
             raise ValidationError(
-                f"unknown sweep axis {name!r}; choose from {', '.join(_SWEEP_AXES)}"
+                f"unknown sweep axis {name!r}; choose from {', '.join(_SWEEP_PARAMS)}"
             )
-        if kind == "memory" and name == "n_cnots":
-            raise ValidationError("sweep axis 'n_cnots' applies only to kind ls-cnot")
+        if not isinstance(vals, list) or not vals:
+            raise ValidationError(f"axis {name!r} must list at least one value")
+    if kind == "memory" and ("n_cnots" in spec or "n_cnots" in axes):
+        raise ValidationError(_MEMORY_N_CNOTS)
     for block, (cls, owned) in _SWEEP_BLOCKS.items():
         given = spec.get(block, {})
         if not isinstance(given, dict):
@@ -544,28 +500,22 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
                 raise ValidationError(
                     f"unknown {block} option {key!r}; choose from {', '.join(choices)}"
                 )
-    axis_names = list(axes)
-    axis_values = []
-    for name in axis_names:
-        vals = axes[name]
-        if not isinstance(vals, list) or not vals:
-            raise ValidationError(f"axis {name!r} must list at least one value")
-        axis_values.append(vals)
-
-    for block, (cls, _) in _SWEEP_BLOCKS.items():
-        cls(**spec.get(block, {}))  # wrong types and values fail before any point runs
+        cls(**given)  # wrong types and values fail before any point runs
 
     base = {
         "kind": kind,
-        "seed": _point_param("seed", spec.get("seed", obj.seed)),
+        "seed": _point_param("seed", spec.get("seed", obj.seed), *_INTEGER),
         "compile": spec.get("compile", {}),
         "routing": spec.get("routing", {}),
     }
-    fixed = {name: spec[name] for name in _SWEEP_PARAMS if name in spec}
+    fixed = {"d": 3, **{name: spec[name] for name in _SWEEP_PARAMS if name in spec}}
     tasks = []
-    for combo in itertools.product(*axis_values):
-        row = dict(zip(axis_names, combo))
-        params = {name: _point_param(name, v) for name, v in {**fixed, **row}.items()}
+    for combo in itertools.product(*axes.values()):
+        row = dict(zip(axes, combo))
+        params = {
+            name: _point_param(name, v, *_SWEEP_PARAMS[name])
+            for name, v in {**fixed, **row}.items()
+        }
         tasks.append({**base, "row": row, "params": params})
     # a forking pool starts all its workers at the first submit
     workers = min(jobs, len(tasks))
@@ -579,7 +529,7 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     if out_file is None:
         out_file = obj.out_dir / "sweep.csv"
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    columns = axis_names + list(_STAT_COLUMNS) + ["error"]
+    columns = [*axes, *_STAT_COLUMNS, "error"]
     with out_file.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
@@ -606,38 +556,3 @@ def validate(kind: str, file: Path) -> None:
         validate_compiled_doc(doc)
     click.echo(f"{file}: valid {kind} document")
 
-
-@main.command("render-layout")
-@click.argument("circuit_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.argument("backend_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@_add(_compile_opts)
-@click.option("-o", "--out", "out_file", type=click.Path(path_type=Path), default=None,
-              help="SVG path (default <circuit>.layout.svg in --out-dir).")
-@click.pass_obj
-@_guard
-def render_layout(
-    obj: SimpleNamespace,
-    circuit_file: Path,
-    backend_file: Path,
-    out_file: Path | None,
-    **opts,
-) -> None:
-    """Render the placed layout for CIRCUIT_FILE on BACKEND_FILE."""
-    from .render import render_layout_svg
-
-    circuit = circuit_from_json(_load_doc(circuit_file))
-    backend = build_backend(_load_doc(backend_file))
-    options = _compile_options(obj, **opts)
-    result = compile_circuit(circuit, backend, options)
-    if out_file is None:
-        out_file = obj.out_dir / (circuit_file.stem + ".layout.svg")
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    out_file.write_text(
-        render_layout_svg(
-            backend,
-            result.placements,
-            title=circuit_file.name,
-            link_usage=result.compiled.link_usage,
-        )
-    )
-    click.echo(str(out_file))

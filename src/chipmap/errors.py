@@ -1,6 +1,8 @@
 """Exception types shared across the compiler pipeline."""
 
+import functools
 import math
+import typing
 
 
 class CompilerError(Exception):
@@ -14,13 +16,17 @@ class ValidationError(CompilerError):
 _NOUNS = {float: "a finite number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
-def check_field_types(obj: object, kinds: dict[str, type]) -> None:
-    """Reject the first field of ``obj`` whose value is not of its kind.
+# a class's field annotations, resolved once per class
+_field_kinds = functools.cache(typing.get_type_hints)
+
+
+def check_field_types(obj: object) -> None:
+    """Reject the first field of ``obj`` whose value is not of its annotated kind.
 
     ``float`` fields take any finite int or float, ``int`` fields only
     ints; neither takes a boolean. The error names the class and field.
     """
-    for name, kind in kinds.items():
+    for name, kind in _field_kinds(type(obj)).items():
         value = getattr(obj, name)
         if kind is float:
             ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))

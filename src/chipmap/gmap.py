@@ -247,8 +247,8 @@ def global_map(
     order: SequencedOrder,
     registry: PartitionRegistry,
     *,
-    mode: str = "size-aware",
-    relative_ref: str = "weight",
+    mode: str,
+    relative_ref: str,
     pg: PartitionGraph | None = None,
     hints: Mapping[int, LayoutHint] | None = None,
 ) -> tuple[PartitionRegistry, dict[int, Placement], BinState]:

@@ -62,11 +62,7 @@ class CompileOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_field_types(self, {
-            "partitions": str, "imbalance": float, "detection_budget": int,
-            "placement": str, "relative_ref": str, "use_hints": bool,
-            "routing": RoutingConfig, "util_all_chiplets": bool, "seed": int,
-        })
+        check_field_types(self)
         if self.partitions not in PARTITION_MODES:
             raise ValidationError(f"partitions must be one of {PARTITION_MODES}")
         if self.placement not in PLACEMENT_MODES:

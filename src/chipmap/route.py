@@ -68,10 +68,7 @@ class RoutingConfig:
     strict_patches: bool = False
 
     def __post_init__(self) -> None:
-        check_field_types(self, {
-            "alpha": float, "beta": float, "k_nearest": int, "policy": str,
-            "restore_mapping": bool, "strict_patches": bool,
-        })
+        check_field_types(self)
         if self.alpha < 0 or self.beta < 0:
             raise ValidationError("alpha and beta must be nonnegative")
         if self.k_nearest < 1:

@@ -42,6 +42,21 @@ _site = {
     "additionalProperties": False,
 }
 
+# a count per inter-chiplet link, keyed by its endpoints' global ids
+_link_counts = {
+    "type": "array",
+    "items": {
+        "type": "object",
+        "properties": {
+            "a": {"type": "integer", "minimum": 0},
+            "b": {"type": "integer", "minimum": 0},
+            "count": {"type": "integer", "minimum": 0},
+        },
+        "required": ["a", "b", "count"],
+        "additionalProperties": False,
+    },
+}
+
 _int_pair = {
     "type": "array",
     "items": {"type": "integer"},
@@ -223,20 +238,8 @@ COMPILED_SCHEMA: dict = {
                 "additionalProperties": False,
             },
         },
-        "link_usage": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "a": {"type": "integer", "minimum": 0},
-                    "b": {"type": "integer", "minimum": 0},
-                    "count": {"type": "integer", "minimum": 0},
-                },
-                "required": ["a", "b", "count"],
-                "additionalProperties": False,
-            },
-        },
-        "link_traversals": {"$ref": "#/properties/link_usage"},
+        "link_usage": _link_counts,
+        "link_traversals": _link_counts,
         "stats": {"type": "object"},
         "timings": {"type": "object"},
     },
@@ -314,7 +317,6 @@ _KEYWORDS = {
     "const": frozenset(("const",)),
     "enum": frozenset(("enum",)),
     "anyOf": frozenset(("anyOf",)),
-    "$ref": frozenset(("$ref",)),
 }
 
 
@@ -326,8 +328,7 @@ class _Source:
     down to that value; it is evaluated only when a test fails.
     """
 
-    def __init__(self, root: dict):
-        self.root = root
+    def __init__(self) -> None:
         self.lines: list[str] = []
         self.names: dict[str, object] = {
             "_Invalid": _Invalid, "_kind": _kind, "_is_integer": _is_integer,
@@ -348,7 +349,7 @@ class _Source:
         return name
 
     def emit(self, out: list[str], schema: dict, v: str, path: list[str], depth: int) -> None:
-        form = next((k for k in ("const", "enum", "anyOf", "$ref") if k in schema), None)
+        form = next((k for k in ("const", "enum", "anyOf") if k in schema), None)
         form = form or schema.get("type")
         keywords = set(schema) - _ANNOTATIONS
         if form not in _KEYWORDS or not keywords <= _KEYWORDS[form]:
@@ -360,12 +361,7 @@ class _Source:
             out.append(f"{pad}{indent}if {test}:")
             out.append(f"{pad}{indent}    raise _Invalid({message}, {where})")
 
-        if form == "$ref":
-            target = self.root
-            for part in schema["$ref"].removeprefix("#/").split("/"):
-                target = target[part]
-            self.emit(out, target, v, path, depth)
-        elif form == "anyOf":
+        if form == "anyOf":
             alts = "".join(f"{self.function(s)}, " for s in schema["anyOf"])
             reasons, alt, exc = self.fresh("reasons"), self.fresh("alt"), self.fresh("exc")
             out += [
@@ -465,14 +461,13 @@ class _Source:
                        f" [{', '.join(path)}])")
 
 
-def _compile(schema: dict, root: dict) -> _Checker:
+def _compile(schema: dict) -> _Checker:
     """Generate the checker that accepts exactly what ``schema`` accepts.
 
-    ``root`` is the document schema that local ``$ref`` pointers resolve
-    against. The source is written now, so an unsupported keyword raises
-    here; it is exec'd on the first call.
+    The source is written now, so an unsupported keyword raises here; it
+    is exec'd on the first call.
     """
-    source = _Source(root)
+    source = _Source()
     name = source.function(schema)
     text = "\n".join(source.lines)
     checker: _Checker | None = None
@@ -481,16 +476,16 @@ def _compile(schema: dict, root: dict) -> _Checker:
         nonlocal checker
         if checker is None:  # two threads may both exec it; either result serves
             namespace = dict(source.names)
-            exec(compile(text, f"<{root.get('title', 'schema')} checker>", "exec"), namespace)
+            exec(compile(text, f"<{schema.get('title', 'schema')} checker>", "exec"), namespace)
             checker = namespace[name]
         checker(obj)
 
     return check
 
 
-_circuit_check = _compile(CIRCUIT_SCHEMA, CIRCUIT_SCHEMA)
-_backend_check = _compile(BACKEND_SCHEMA, BACKEND_SCHEMA)
-_compiled_check = _compile(COMPILED_SCHEMA, COMPILED_SCHEMA)
+_circuit_check = _compile(CIRCUIT_SCHEMA)
+_backend_check = _compile(BACKEND_SCHEMA)
+_compiled_check = _compile(COMPILED_SCHEMA)
 
 
 def _check(obj: object, check: _Checker, what: str) -> None:

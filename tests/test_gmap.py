@@ -259,7 +259,7 @@ def _mapped(gates, n, labels, be, **kw):
     reg = predefined_partitions(dag, labels)
     pg = build_partition_graph(reg, dag)
     reg, order = sequence_registry(reg, pg)
-    return global_map(be, order, reg, pg=pg, **kw)
+    return global_map(be, order, reg, mode="size-aware", relative_ref="weight", pg=pg, **kw)
 
 
 class TestGlobalMap:
@@ -268,7 +268,7 @@ class TestGlobalMap:
         reg = predefined_partitions(dag, {0: 0, 1: 1, 2: 2})
         order = SequencedOrder(((1,),))
         with pytest.raises(ValidationError, match=r"partitions \[0, 2\] unplaced"):
-            global_map(_backend(), order, reg, relative_ref="order")
+            global_map(_backend(), order, reg, mode="size-aware", relative_ref="order")
 
     def test_weight_ref_needs_partition_graph(self):
         dag = build_dag([], 2)
@@ -276,9 +276,9 @@ class TestGlobalMap:
         pg = build_partition_graph(reg, dag)
         reg, order = sequence_registry(reg, pg)
         with pytest.raises(ValidationError, match="partition graph"):
-            global_map(_backend(), order, reg, pg=None)
+            global_map(_backend(), order, reg, mode="size-aware", relative_ref="weight", pg=None)
         with pytest.raises(ValidationError, match="relative_ref"):
-            global_map(_backend(), order, reg, pg=pg, relative_ref="nearest")
+            global_map(_backend(), order, reg, mode="size-aware", relative_ref="nearest", pg=pg)
 
     def test_places_all_partitions_and_tiles_chips(self):
         be = _backend(rows=2, cols=2, w=4, h=4)
@@ -306,7 +306,9 @@ class TestGlobalMap:
         pg = build_partition_graph(reg, dag)
         reg, order = sequence_registry(reg, pg)
         hints = {1: LayoutHint("below", 0)}
-        _, placements, _ = global_map(be, order, reg, pg=pg, hints=hints)
+        _, placements, _ = global_map(
+            be, order, reg, mode="size-aware", relative_ref="weight", pg=pg, hints=hints
+        )
         ref, pl = placements[0], placements[1]
         assert pl.y >= ref.y + ref.h
 
@@ -319,7 +321,9 @@ class TestGlobalMap:
         reg, order = sequence_registry(reg, pg)
         hints = {order.components[0][1]: LayoutHint("below", 99)}
         with caplog.at_level(logging.WARNING, logger="chipmap.gmap"):
-            global_map(be, order, reg, pg=pg, hints=hints)
+            global_map(
+                be, order, reg, mode="size-aware", relative_ref="weight", pg=pg, hints=hints
+            )
         assert "unplaced partition" in caplog.text
 
     def test_no_capacity_raises_nofit(self):

@@ -39,7 +39,9 @@ def test_stage_calls_return_the_registry_they_were_given():
     assert same is reg
     assert order == sequence(pg)
     backend = build_backend({"grid": [1, 1], "chiplet": [4, 4], "allow_non_pow2": True})
-    placed, placements, _ = global_map(backend, order, reg, pg=pg)
+    placed, placements, _ = global_map(
+        backend, order, reg, mode="size-aware", relative_ref="weight", pg=pg
+    )
     assert placed is reg
     assert set(placements) == {0, 1}
 

@@ -1,6 +1,7 @@
 """Document schemas and the command line workflow."""
 
 import concurrent.futures
+import csv
 import gc
 import json
 from pathlib import Path
@@ -110,12 +111,12 @@ class TestCliWorkflow:
             assert result.exit_code == 0, result.output
             assert f"valid {kind}" in result.output
 
+        svg = tmp_path / "memory_d3.circuit.layout.svg"
         result = runner.invoke(
             main,
-            ["--out-dir", str(tmp_path), "render-layout", str(circuit), str(backend)],
+            ["compile", str(circuit), str(backend), "--stats-only", "--svg", str(svg)],
         )
         assert result.exit_code == 0, result.output
-        svg = tmp_path / "memory_d3.circuit.layout.svg"
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
 
@@ -242,6 +243,21 @@ class TestCliWorkflow:
         c = (c_dir / "ls_cnot_d3_n1.backend.json").read_text()
         assert a != b and a == c
 
+    @pytest.mark.parametrize(
+        "args, env",
+        [(["--n-cnots", "4"], {}), ([], {"CHIPMAP_BENCH_GEN_N_CNOTS": "4"})],
+        ids=["flag", "env"],
+    )
+    def test_n_cnots_rejected_for_memory(self, runner, tmp_path, args, env):
+        result = runner.invoke(
+            main,
+            ["--out-dir", str(tmp_path), "bench", "gen", "--kind", "memory", "-d", "3", *args],
+            env=env,
+        )
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert result.stderr.splitlines()[-1] == "error: 'n_cnots' applies only to kind ls-cnot"
+        assert not list(tmp_path.iterdir())
+
 
 class TestCompilerErrorExitCodes:
     @pytest.mark.parametrize(
@@ -266,6 +282,24 @@ class TestCompilerErrorExitCodes:
         result = runner.invoke(main, ["compile", str(circuit), str(backend)])
         assert result.exit_code == code
         assert result.stderr.splitlines()[-1] == f"error: {error}"
+
+
+_EPS = {"base": 0.001, "scale_range": [1, 100], "seed": 1}  # spread link error rates
+# each sweep parameter, a value that changes a d=3 ls-cnot point's stats,
+# and the fixed parameters that let it
+_FIXED_OR_SWEPT = [
+    ("d", 5, {}),
+    ("n_cnots", 2, {}),
+    ("rounds", 2, {}),
+    ("n_inter", 2, {}),
+    ("defects", 1, {"headroom": 1.0}),
+    ("headroom", 1.0, {}),
+    ("grid", [1, 4], {}),
+    ("eps", _EPS, {"policy": "focus"}),
+    ("policy", "tradeoff", {}),
+    ("alpha", 0.5, {"policy": "focus", "eps": _EPS}),
+    ("beta", 100.0, {"policy": "tradeoff", "n_inter": 2}),
+]
 
 
 class TestSweep:
@@ -374,16 +408,19 @@ class TestSweep:
         path, out = tmp_path / "spec.yaml", tmp_path / "out.csv"
         path.write_text(yaml.safe_dump({"kind": "ls-cnot", **spec}))
         result = runner.invoke(main, ["sweep", str(path), "-o", str(out)])
-        return result.exit_code, [line.split(",") for line in out.read_text().splitlines()]
+        with out.open(newline="") as fh:
+            return result.exit_code, list(csv.reader(fh))
 
     def test_top_level_parameter_holds_for_every_point(self, runner, tmp_path):
-        fixed = self._rows(runner, tmp_path, {"policy": "tradeoff", "axes": {"n_cnots": [1]}})
-        swept = self._rows(runner, tmp_path, {"axes": {"policy": ["tradeoff"]}})
-        basic = self._rows(runner, tmp_path, {"axes": {"n_cnots": [1]}})
-        assert fixed[0] == swept[0] == basic[0] == 0
-        # the same stat columns after the one axis column
-        assert fixed[1][1][1:] == swept[1][1][1:]
-        assert fixed[1][1][1:] != basic[1][1][1:]
+        for name, value, base in _FIXED_OR_SWEPT:
+            # the fixed value's run sweeps one other parameter over its default
+            neutral = {"n_cnots": [1]} if name == "d" else {"d": [3]}
+            fixed = self._rows(runner, tmp_path, {**base, name: value, "axes": neutral})
+            swept = self._rows(runner, tmp_path, {**base, "axes": {name: [value]}})
+            default = self._rows(runner, tmp_path, {**base, "axes": neutral})
+            assert fixed[0] == swept[0] == default[0] == 0, name
+            # the same stat cells after the one axis column, which the value changes
+            assert fixed[1][1][1:] == swept[1][1][1:] != default[1][1][1:], name
 
     def test_top_level_defects_fail_like_the_axis(self, runner, tmp_path):
         fixed = self._rows(runner, tmp_path, {"defects": 30, "axes": {"n_cnots": [1]}})
@@ -395,6 +432,27 @@ class TestSweep:
         both = self._rows(runner, tmp_path, {"defects": 30, "axes": {"defects": [0]}})
         assert both[0] == 0
         assert both[1][1][0] == "0" and both[1][1][-1] == ""
+
+    def test_point_matches_bench_gen_then_compile(self, runner, tmp_path):
+        code, rows = self._rows(runner, tmp_path, {
+            "seed": 5, "d": 3, "n_cnots": 2, "defects": 1, "headroom": 1.0,
+            "policy": "tradeoff", "axes": {"n_inter": [2]},
+        })
+        assert code == 0
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path), "--seed", "5", "bench", "gen", "--kind", "ls-cnot",
+            "-d", "3", "--n-cnots", "2", "--defects", "1", "--headroom", "1.0",
+            "--n-inter", "2",
+        ])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "--seed", "5", "compile", str(tmp_path / "ls_cnot_d3_n2.circuit.json"),
+            str(tmp_path / "ls_cnot_d3_n2.backend.json"), "--policy", "tradeoff", "--stats-only",
+        ])
+        assert result.exit_code == 0, result.output
+        stats = json.loads(result.stdout)
+        header, row = rows
+        assert row[1:-1] == [str(stats[column]) for column in header[1:-1]]
 
     def test_unknown_spec_key_rejected(self, runner, tmp_path):
         spec = tmp_path / "sweep.yaml"

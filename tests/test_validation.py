@@ -346,7 +346,7 @@ def test_rejection_names_the_json_pointer(doc, pointer):
 )
 def test_unsupported_schema_keywords_fail_at_compile(schema):
     with pytest.raises(TypeError):
-        _compile(schema, schema)
+        _compile(schema)
 
 
 def test_integer_valued_floats_parse_as_integers():
