@@ -29,6 +29,7 @@ from .ir import (
     GateKind,
     GateNode,
     InteractionGraph,
+    OpaqueKind,
     Partition,
     PartitionRegistry,
     build_dag,
@@ -61,6 +62,7 @@ __all__ = [
     "MappingError",
     "NoFitError",
     "NoRouteError",
+    "OpaqueKind",
     "Partition",
     "PartitionRegistry",
     "PhysCoord",

@@ -225,6 +225,7 @@ def _auto_links(
             return eps
 
     out: list[InterChipLink] = []
+    clipped: list[int] = []  # the length of each edge too short for per_edge links
     for row in range(backend.grid_rows):
         for col in range(backend.grid_cols):
             chip = backend.chip_at(row, col)
@@ -232,16 +233,19 @@ def _auto_links(
                 out.extend(
                     _edge_links(
                         backend, chip, backend.chip_at(row, col + 1),
-                        horizontal=True, count=per_edge, draw=draw, taken=taken,
+                        horizontal=True, count=per_edge, draw=draw, taken=taken, clipped=clipped,
                     )
                 )
             if row + 1 < backend.grid_rows:
                 out.extend(
                     _edge_links(
                         backend, chip, backend.chip_at(row + 1, col),
-                        horizontal=False, count=per_edge, draw=draw, taken=taken,
+                        horizontal=False, count=per_edge, draw=draw, taken=taken, clipped=clipped,
                     )
                 )
+    if clipped:
+        log.warning("auto_links: %d links requested per edge, clipping %d edges to %s",
+                    per_edge, len(clipped), " or ".join(map(str, sorted(set(clipped)))))
     return out
 
 
@@ -254,13 +258,11 @@ def _edge_links(
     count: int,
     draw,
     taken: set[int],
+    clipped: list[int],
 ) -> list[InterChipLink]:
     edge_len = backend.chip_h if horizontal else backend.chip_w
     if count > edge_len:
-        log.warning(
-            "auto_links: %d links requested on a %d-cell edge, clipping to %d",
-            count, edge_len, edge_len,
-        )
+        clipped.append(edge_len)
         count = edge_len
     out = []
     for j in range(count):

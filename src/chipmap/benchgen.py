@@ -15,6 +15,7 @@ import math
 import random
 from typing import Mapping
 
+from .backend import _is_power_of_two
 from .errors import ValidationError
 
 
@@ -164,6 +165,8 @@ def gen_backend_for(
         rows, cols = 2 ** (k // 2), 2 ** (k - k // 2)
     else:
         rows, cols = grid
+        if not _is_power_of_two(rows * cols):
+            raise ValidationError(f"grid {grid}: chiplet count {rows * cols} is not a power of two")
     doc: dict = {
         "schema_version": 1,
         "grid": [rows, cols],

@@ -97,6 +97,12 @@ def _as_eps(value: object) -> object:
     return value if isinstance(value, dict) else _as_float(value)
 
 
+def _as_policy(value: object) -> str:
+    if value not in POLICIES:
+        raise ValueError(value)
+    return value
+
+
 _INTEGER = (_as_int, "an integer")
 # converter and expected form of each sweep parameter. A point's parameters
 # are the spec's top-level values, overridden by that point's axis values;
@@ -104,7 +110,7 @@ _INTEGER = (_as_int, "an integer")
 _SWEEP_PARAMS = {
     **dict.fromkeys(("d", "n_cnots", "rounds", "n_inter", "defects"), _INTEGER),
     **dict.fromkeys(("headroom", "alpha", "beta"), (_as_float, "a finite number")),
-    "policy": (str, "a string"),
+    "policy": (_as_policy, "one of " + ", ".join(POLICIES)),
     "grid": (_as_grid, "a list of two integers"),
     "eps": (_as_eps, "a finite number or an object"),
 }

@@ -1,7 +1,8 @@
 """Logical IR: gate dependency DAG plus the partition registry.
 
 Contains:
-- GateKind / GateNode: the gate vocabulary (unknown names load as opaque)
+- GateKind / OpaqueKind / GateNode: the gate vocabulary; an unknown op
+  loads as an OpaqueKind that keeps its name and arity
 - CircuitDag: immutable gate list in topological order; each gate
   depends on the previous gate on any of its operands
 - InteractionGraph: weighted qubit graph counting two-qubit gates
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
@@ -29,8 +31,6 @@ if TYPE_CHECKING:
 
 
 class GateKind(Enum):
-    OPAQUE_1Q = "op1"
-    OPAQUE_2Q = "op2"
     CNOT = "cx"
     SWAP = "swap"
     MEASURE = "measure"
@@ -41,10 +41,20 @@ class GateKind(Enum):
 
     def __init__(self, value: str) -> None:
         # a plain attribute, not a property: routing and stats read it per gate
-        self.is_two_qubit = value in ("op2", "cx", "swap")
+        self.is_two_qubit = value in ("cx", "swap")
 
 
-# Recognized op names; anything else becomes opaque by arity.
+@dataclass(frozen=True, slots=True)
+class OpaqueKind:
+    """A gate the compiler does not know: its op name and whether it spans two qubits."""
+
+    value: str
+    is_two_qubit: bool
+
+
+_opaque_kind = cache(OpaqueKind)  # one instance per (name, arity) a parse meets
+
+# Recognized op names; anything else becomes opaque.
 _KIND_BY_NAME = {
     "cx": GateKind.CNOT,
     "cnot": GateKind.CNOT,
@@ -66,11 +76,11 @@ class GateNode:
     the ~140k gates a large compile builds.
     """
 
-    kind: GateKind
+    kind: GateKind | OpaqueKind
     qubits: tuple[int, ...]
     tag: str = ""
 
-    def __init__(self, kind: GateKind, qubits: tuple[int, ...], tag: str = "") -> None:
+    def __init__(self, kind: GateKind | OpaqueKind, qubits: tuple[int, ...], tag: str = "") -> None:
         n = len(qubits)
         if kind.is_two_qubit:
             if n != 2 or qubits[0] == qubits[1]:
@@ -180,8 +190,16 @@ def build_dag(gates: Sequence[GateNode], n_virt: int) -> CircuitDag:
 class InteractionGraph:
     """Undirected qubit graph; an edge weight counts spanning 2q gates."""
 
-    nodes: tuple[int, ...]
+    nodes: tuple[int, ...]               # 0 .. n-1 in order
     weights: dict[tuple[int, int], int]  # keys (a, b) with a < b
+
+    def __post_init__(self) -> None:
+        n = len(self.nodes)
+        if self.nodes != tuple(range(n)):
+            raise ValidationError(f"interaction graph nodes must be range({n}) in order")
+        for a, b in self.weights:
+            if not 0 <= a < b < n:
+                raise ValidationError(f"interaction graph key {(a, b)} needs 0 <= a < b < {n}")
 
     @property
     def n_nodes(self) -> int:
@@ -199,11 +217,12 @@ def interaction_graph(dag: CircuitDag) -> InteractionGraph:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """One patch: qubit set, bounding box, and, once mapped, coordinates.
+    """One patch: qubit set, bounding box, cell map and, once mapped, coordinates.
 
-    ``cells`` holds declared (row, col) positions per qubit when the
-    circuit shipped explicit geometry; otherwise the local mapper fills
-    the box row-major. ``coords`` is set by the local mapping stage.
+    ``cells`` holds each qubit's (row, col) in the box: the declared
+    positions when the circuit shipped them, otherwise the box filled
+    row-major by ascending qubit id. ``coords`` is set by the local
+    mapping stage.
     """
 
     pid: int
@@ -221,19 +240,21 @@ class Partition:
                 f"partition {self.pid}: box {self.width}x{self.height} cannot hold "
                 f"{len(self.qubits)} qubits"
             )
-        if self.cells is not None:
-            if set(self.cells) != self.qubits:
-                raise ValidationError(f"partition {self.pid}: cell map must cover exactly its qubits")
-            seen: set[tuple[int, int]] = set()
-            for q, (r, c) in self.cells.items():
-                if not (0 <= r < self.height and 0 <= c < self.width):
-                    raise ValidationError(
-                        f"partition {self.pid}: qubit {q} cell ({r}, {c}) outside "
-                        f"{self.width}x{self.height} box"
-                    )
-                if (r, c) in seen:
-                    raise ValidationError(f"partition {self.pid}: duplicate cell ({r}, {c})")
-                seen.add((r, c))
+        if self.cells is None:
+            cells = {q: divmod(i, self.width) for i, q in enumerate(sorted(self.qubits))}
+            object.__setattr__(self, "cells", cells)
+        if set(self.cells) != self.qubits:
+            raise ValidationError(f"partition {self.pid}: cell map must cover exactly its qubits")
+        seen: set[tuple[int, int]] = set()
+        for q, (r, c) in self.cells.items():
+            if not (0 <= r < self.height and 0 <= c < self.width):
+                raise ValidationError(
+                    f"partition {self.pid}: qubit {q} cell ({r}, {c}) outside "
+                    f"{self.width}x{self.height} box"
+                )
+            if (r, c) in seen:
+                raise ValidationError(f"partition {self.pid}: duplicate cell ({r}, {c})")
+            seen.add((r, c))
         if self.coords is not None and set(self.coords) != self.qubits:
             raise ValidationError(
                 f"partition {self.pid}: coordinate map must cover exactly its qubits"
@@ -281,12 +302,6 @@ class PartitionRegistry:
                 out[q] = p.pid
         return out
 
-    def covered_qubits(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.partitions:
-            out |= p.qubits
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class PartitionGeometry:
@@ -317,14 +332,9 @@ def _parse_gate(i: int, obj: dict) -> GateNode:
     tag = obj.get("tag", "")
     kind = _KIND_BY_NAME.get(op.lower())
     if kind is None:
-        if len(qs) == 1:
-            kind = GateKind.OPAQUE_1Q
-        elif len(qs) == 2:
-            kind = GateKind.OPAQUE_2Q
-        else:
+        if len(qs) > 2:
             raise ValidationError(f"gates[{i}]: unknown op {op!r} with arity {len(qs)}")
-        if not tag:
-            tag = op  # keep the original name on opaque gates
+        kind = _opaque_kind(op, len(qs) == 2)
     try:
         return GateNode(kind, qs, tag)
     except ValidationError as exc:

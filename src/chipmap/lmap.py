@@ -1,11 +1,11 @@
 """Local mapping: pin each qubit to a physical cell inside its placement.
 
-Declared patch geometry is honored verbatim: a qubit at local (row, col)
-lands on (x0 + col, y0 + row) of its partition's rectangle. Partitions
-without geometry fill their box row-major by ascending qubit id. Cells of
-the rectangle left unused stay reserved for the patch; they are never
-handed back to the free pool. The stage returns a new registry whose
-partitions carry these coordinates.
+Each partition carries its cell map (declared, or its box filled
+row-major), and a qubit at local (row, col) lands on (x0 + col, y0 + row)
+of its partition's rectangle. Cells of the rectangle left unused stay
+reserved for the patch; they are never handed back to the free pool.
+The stage returns a new registry whose partitions carry these
+coordinates.
 """
 
 from __future__ import annotations
@@ -38,15 +38,9 @@ def local_map(
         if pl is None:
             raise MappingError(f"partition {part.pid} has no placement")
         coords: dict[int, PhysCoord] = {}
-        if part.cells is not None:
-            for q in sorted(part.qubits):
-                row, col = part.cells[q]
-                coords[q] = PhysCoord(pl.chip, pl.x + col, pl.y + row)
-        else:
-            for i, q in enumerate(sorted(part.qubits)):
-                row, col = divmod(i, pl.w)
-                coords[q] = PhysCoord(pl.chip, pl.x + col, pl.y + row)
-        for q, pc in coords.items():
+        for q in sorted(part.qubits):
+            row, col = part.cells[q]
+            pc = coords[q] = PhysCoord(pl.chip, pl.x + col, pl.y + row)
             gid = backend.gid(*pc)
             if gid in backend.defects:
                 raise MappingError(

@@ -55,7 +55,6 @@ def estimate_partition_count(
     modularity on the original graph. Returns the community count and
     sizes of the best structure; modularity ties resolve toward fewer
     communities. The result is invariant under uniform edge-weight scaling.
-    Nodes are ``range(g.n_nodes)``.
     """
     n = g.n_nodes
     if n == 0:
@@ -244,7 +243,7 @@ def _infer_box(n: int) -> tuple[int, int]:
 def _make_partition(pid: int, qubits: frozenset[int],
                     geometry: PartitionGeometry | None) -> Partition:
     if geometry is not None:
-        return Partition(pid, qubits, geometry.width, geometry.height, dict(geometry.cells))
+        return Partition(pid, qubits, geometry.width, geometry.height, geometry.cells or None)
     w, h = _infer_box(len(qubits))
     return Partition(pid, qubits, w, h)
 
@@ -289,7 +288,7 @@ def kway_partition(
     caps = [int(c) for c in capacities]
     if any(c < 0 for c in caps):
         raise ValidationError("capacities must be nonnegative")
-    nodes = sorted(g.nodes)
+    nodes = list(g.nodes)
     if sum(caps) < len(nodes):
         raise ValidationError(
             f"capacities sum to {sum(caps)} but the graph has {len(nodes)} nodes"

@@ -22,6 +22,7 @@ from .ir import (
     CircuitInput,
     GateKind,
     GateNode,
+    OpaqueKind,
     PartitionRegistry,
     interaction_graph,
 )
@@ -197,22 +198,20 @@ def dumps_compiled(result: CompileResult, backend: ChipletBackend) -> str:
     return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}"
 
 
-def _gate_shape(g: GateNode) -> tuple[GateKind, str, int]:
+def _gate_shape(g: GateNode) -> tuple[GateKind | OpaqueKind, str, int]:
     return g.kind, g.tag, len(g.qubits)
 
 
 def _dumps_gates(nodes: Sequence[GateNode]) -> str:
     """The gate array in its interchange form, as ``json.dumps(indent=2)`` lays it out.
 
-    An opaque gate's op is its tag (or its kind's name); any other gate
-    writes its kind's name, and its tag when it has one.
-
+    Each gate writes its kind's name, and its tag when it has one.
     Consecutive gates of one shape (kind, tag, arity) share a template,
     so each such run is formatted with one ``%``.
     """
     if not nodes:
         return "[]"
-    templates: dict[tuple[GateKind, str, int], str] = {}
+    templates: dict[tuple[GateKind | OpaqueKind, str, int], str] = {}
     runs: list[str] = []
     for shape, run in groupby(nodes, _gate_shape):
         template = templates.get(shape)
@@ -223,13 +222,10 @@ def _dumps_gates(nodes: Sequence[GateNode]) -> str:
     return "[\n    " + _SEP.join(runs) + "\n  ]"
 
 
-def _gate_template(kind: GateKind, tag: str, arity: int) -> str:
+def _gate_template(kind: GateKind | OpaqueKind, tag: str, arity: int) -> str:
     """One gate's text with its ``arity`` operands left as ``%d`` slots."""
     enc = encode_basestring_ascii
-    if kind in (GateKind.OPAQUE_1Q, GateKind.OPAQUE_2Q):  # the tag is the op name
-        op, tag_field = enc(tag or kind.value), ""
-    else:
-        op, tag_field = enc(kind.value), (',\n      "tag": ' + enc(tag) if tag else "")
+    op, tag_field = enc(kind.value), (',\n      "tag": ' + enc(tag) if tag else "")
     slots = ",\n        ".join(["%d"] * arity)
     return _GATE % (op.replace("%", "%%"), slots, tag_field.replace("%", "%%"))
 

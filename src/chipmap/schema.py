@@ -57,6 +57,25 @@ _link_counts = {
     },
 }
 
+# the gate list, one schema for circuits and compiled output
+_gates = {
+    "type": "array",
+    "items": {
+        "type": "object",
+        "properties": {
+            "op": {"type": "string", "minLength": 1},
+            "qubits": {
+                "type": "array",
+                "items": {"type": "integer", "minimum": 0},
+                "minItems": 1,
+            },
+            "tag": {"type": "string"},
+        },
+        "required": ["op", "qubits"],
+        "additionalProperties": False,
+    },
+}
+
 _int_pair = {
     "type": "array",
     "items": {"type": "integer"},
@@ -74,23 +93,7 @@ CIRCUIT_SCHEMA: dict = {
         "schema_version": {"const": SCHEMA_VERSION},
         "name": {"type": "string"},
         "n_qubits": {"type": "integer", "minimum": 0},
-        "gates": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "op": {"type": "string", "minLength": 1},
-                    "qubits": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                        "minItems": 1,
-                    },
-                    "tag": {"type": "string"},
-                },
-                "required": ["op", "qubits"],
-                "additionalProperties": False,
-            },
-        },
+        "gates": _gates,
         "partitions": {
             "type": "object",
             "patternProperties": {_ID_KEY: {"type": "integer", "minimum": 0}},
@@ -200,23 +203,7 @@ COMPILED_SCHEMA: dict = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "n_physical": {"type": "integer", "minimum": 0},
-        "gates": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "op": {"type": "string", "minLength": 1},
-                    "qubits": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                        "minItems": 1,
-                    },
-                    "tag": {"type": "string"},
-                },
-                "required": ["op", "qubits"],
-                "additionalProperties": False,
-            },
-        },
+        "gates": _gates,
         "mapping": {
             "type": "object",
             "patternProperties": {_ID_KEY: _site},

@@ -35,8 +35,7 @@ class SequencedOrder:
 def build_partition_graph(registry: PartitionRegistry, dag: CircuitDag) -> PartitionGraph:
     """Collapse the qubit interaction structure onto partitions."""
     qpid = registry.qubit_map()
-    covered = registry.covered_qubits()
-    missing = [q for q in range(dag.n_virt) if q not in covered]
+    missing = [q for q in range(dag.n_virt) if q not in qpid]
     if missing:
         raise ValidationError(f"qubits {missing[:8]} not covered by any partition")
     weights: dict[tuple[int, int], int] = {}

@@ -163,18 +163,15 @@ def gates_to_json(nodes: Sequence) -> list[dict]:
     """Gates in the circuit interchange form, one dict each.
 
     The gate serializer the package kept before the compiled document was
-    written from templates: an opaque gate's op is its tag (or its kind's
-    name), any other gate keeps its kind's name and a nonempty tag.
+    written from templates: each gate keeps its kind's name and a
+    nonempty tag.
     """
     out = []
     for g in nodes:
-        if g.kind.value in ("op1", "op2"):
-            out.append({"op": g.tag or g.kind.value, "qubits": list(g.qubits)})
-        else:
-            entry = {"op": g.kind.value, "qubits": list(g.qubits)}
-            if g.tag:
-                entry["tag"] = g.tag
-            out.append(entry)
+        entry = {"op": g.kind.value, "qubits": list(g.qubits)}
+        if g.tag:
+            entry["tag"] = g.tag
+        out.append(entry)
     return out
 
 

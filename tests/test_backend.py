@@ -184,6 +184,19 @@ class TestAutoLinks:
         assert len(b.links) == 3
         assert any("clipping" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "chiplet, message",
+        [([6, 6], "clipping 4 edges to 6"), ([5, 6], "clipping 4 edges to 5 or 6")],
+    )
+    def test_clipping_logs_one_line_per_build(self, caplog, chiplet, message):
+        # the default n_inter of a generated d=3 backend overfills every 6-cell edge
+        doc = {"grid": [2, 2], "chiplet": chiplet, "auto_links": {"per_edge": 8, "eps": 0.0}}
+        with caplog.at_level(logging.WARNING, logger="chipmap.backend"):
+            build_backend(doc)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"auto_links: 8 links requested per edge, {message}"
+        ]
+
     def test_vertical_edges_use_bottom_and_top_rows(self):
         b = build_backend({"grid": [2, 1], "chiplet": [3, 3],
                            "auto_links": {"per_edge": 1, "eps": 0.0}})

@@ -1,7 +1,10 @@
 """Generated benchmark circuits and matching backend documents."""
 
+import itertools
+
 import pytest
 
+from chipmap.backend import build_backend
 from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from chipmap.errors import ValidationError
 from chipmap.ir import circuit_from_json
@@ -154,6 +157,19 @@ class TestBackendFor:
         for d in a["defects"]:
             assert 0 <= d["x"] < side and 0 <= d["y"] < side
         validate_backend_doc(a)
+
+    def test_every_accepted_grid_builds(self):
+        circuit = gen_ls_cnot_circuit(3)
+        rejected = set()
+        for rows, cols in itertools.product(range(1, 6), repeat=2):
+            try:
+                doc = gen_backend_for(circuit, grid=(rows, cols))
+            except ValidationError as exc:
+                assert f"chiplet count {rows * cols} is not a power of two" in str(exc)
+                rejected.add(rows * cols)
+                continue
+            build_backend(doc)
+        assert rejected == {3, 5, 6, 9, 10, 12, 15, 20, 25}
 
     def test_geometry_required(self):
         with pytest.raises(ValidationError, match="geometry"):

@@ -14,6 +14,7 @@ from chipmap.ir import (
     CircuitInput,
     GateKind,
     GateNode,
+    OpaqueKind,
     Partition,
     PartitionRegistry,
     barrier,
@@ -26,6 +27,9 @@ from chipmap.ir import (
     swap,
 )
 from oracles import eager_preds, gate_node_error, gates_to_json, longest_path_depth, sim_depth
+
+# every built-in kind, and an opaque kind of each arity
+KINDS = [*GateKind, OpaqueKind("rzz", True), OpaqueKind("t", False)]
 
 
 class TestGateNode:
@@ -43,9 +47,11 @@ class TestGateNode:
         node = barrier(0, 1, 2)
         assert node.qubits == (0, 1, 2)
 
-    @pytest.mark.parametrize("kind", list(GateKind))
+    @pytest.mark.parametrize(
+        "kind", KINDS, ids=lambda k: f"OpaqueKind.{k.value}" if isinstance(k, OpaqueKind) else None
+    )
     def test_is_two_qubit_per_kind(self, kind):
-        two = {GateKind.OPAQUE_2Q, GateKind.CNOT, GateKind.SWAP}
+        two = {GateKind.CNOT, GateKind.SWAP, OpaqueKind("rzz", True)}
         assert kind.is_two_qubit is (kind in two)
 
     def test_barrier_rejects_duplicates(self):
@@ -73,7 +79,7 @@ class TestGateNode:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        kind=st.sampled_from(list(GateKind)),
+        kind=st.sampled_from(KINDS),
         qubits=st.lists(st.integers(0, 3), max_size=4).map(tuple),
         tag=st.sampled_from(["", "route", "u"]),
     )
@@ -135,8 +141,10 @@ def random_gate_lists(draw):
     n_gates = draw(st.integers(min_value=0, max_value=30))
     gates = []
     for _ in range(n_gates):
-        kind = draw(st.sampled_from(["cx", "swap", "measure", "reset", "barrier"]))
-        if kind in ("measure", "reset"):
+        kind = draw(st.sampled_from(["cx", "swap", "measure", "reset", "barrier", "t", "rzz"]))
+        if kind == "t":
+            gates.append(GateNode(OpaqueKind(kind, False), (draw(st.integers(0, n - 1)),)))
+        elif kind in ("measure", "reset"):
             gates.append(GateNode(GateKind(kind), (draw(st.integers(0, n - 1)),)))
         elif kind == "barrier":
             qs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
@@ -144,7 +152,9 @@ def random_gate_lists(draw):
         else:
             a = draw(st.integers(0, n - 1))
             b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
-            gates.append(GateNode(GateKind(kind), (a, b)))
+            gates.append(GateNode(
+                OpaqueKind(kind, True) if kind == "rzz" else GateKind(kind), (a, b)
+            ))
     return n, gates
 
 
@@ -183,7 +193,7 @@ class TestDagProperties:
         g = interaction_graph(build_dag(gates, n))
         expected: dict[tuple[int, int], int] = {}
         for node in gates:
-            if node.kind in (GateKind.CNOT, GateKind.SWAP, GateKind.OPAQUE_2Q):
+            if node.kind.value in ("cx", "swap", "rzz"):
                 a, b = sorted(node.qubits)
                 expected[(a, b)] = expected.get((a, b), 0) + 1
         assert g.weights == expected
@@ -200,14 +210,18 @@ class TestCircuitParsing:
         ci = circuit_from_json({"n_qubits": 2, "gates": [{"op": "CX", "qubits": [1, 0]}]})
         assert ci.dag.nodes[0].kind is GateKind.CNOT
 
-    def test_unknown_op_becomes_opaque_with_name_in_tag(self):
-        ci = circuit_from_json(
-            {"n_qubits": 2, "gates": [{"op": "rzz", "qubits": [0, 1]}, {"op": "t", "qubits": [0]}]}
-        )
-        assert ci.dag.nodes[0].kind is GateKind.OPAQUE_2Q
-        assert ci.dag.nodes[0].tag == "rzz"
-        assert ci.dag.nodes[1].kind is GateKind.OPAQUE_1Q
-        assert ci.dag.nodes[1].tag == "t"
+    def test_unknown_op_becomes_opaque_with_name_in_kind(self):
+        ci = circuit_from_json({"n_qubits": 2, "gates": [
+            {"op": "rzz", "qubits": [0, 1]},
+            {"op": "t", "qubits": [0]},
+            {"op": "rzz", "qubits": [1, 0], "tag": "prep"},
+        ]})
+        rzz, t, tagged = ci.dag.nodes
+        assert rzz.kind == OpaqueKind("rzz", True) and rzz.tag == ""
+        assert t.kind == OpaqueKind("t", False) and t.tag == ""
+        assert tagged.kind is rzz.kind and tagged.tag == "prep"  # one instance per name and arity
+        twin = pickle.loads(pickle.dumps(tagged))
+        assert twin == tagged and hash(twin) == hash(tagged)
 
     def test_unknown_op_with_bad_arity_rejected(self):
         with pytest.raises(ValidationError, match="arity"):
@@ -319,4 +333,4 @@ class TestPartitionRegistry:
     def test_qubit_map_covers_partitions(self):
         reg = _parts({0, 2}, {1})
         assert reg.qubit_map() == {0: 0, 2: 0, 1: 1}
-        assert reg.covered_qubits() == frozenset({0, 1, 2})
+        assert set(reg.qubit_map()) == {0, 1, 2}

@@ -5,7 +5,7 @@ import pytest
 from chipmap.backend import PhysCoord, build_backend
 from chipmap.errors import MappingError
 from chipmap.gmap import Placement
-from chipmap.ir import PartitionGeometry, build_dag
+from chipmap.ir import PartitionGeometry, build_dag, circuit_from_json
 from chipmap.lmap import flat_mapping, local_map
 from chipmap.partition import predefined_partitions
 
@@ -49,6 +49,25 @@ def test_row_major_fill_by_ascending_qubit():
         2: PhysCoord(0, 3, 1),
         3: PhysCoord(0, 1, 2),
         4: PhysCoord(0, 2, 2),
+    }
+
+
+def test_declared_box_without_locals_fills_row_major():
+    # the schema makes locals optional; the declared 3x2 box, not the inferred 2x2, is filled
+    ci = circuit_from_json({
+        "n_qubits": 4,
+        "gates": [],
+        "partitions": {str(q): 0 for q in range(4)},
+        "partition_geometry": {"0": {"width": 3, "height": 2}},
+    })
+    reg = predefined_partitions(ci.dag, ci.partitions, ci.geometry)
+    assert (reg.by_id(0).width, reg.by_id(0).height) == (3, 2)
+    mapped = local_map(_backend(), reg, {0: Placement(0, 0, 1, 1, 3, 2)})
+    assert mapped.by_id(0).coords == {
+        0: PhysCoord(0, 1, 1),
+        1: PhysCoord(0, 2, 1),
+        2: PhysCoord(0, 3, 1),
+        3: PhysCoord(0, 1, 2),
     }
 
 

@@ -48,6 +48,16 @@ def _modularity(n, weights, blocks):
 
 
 class TestEstimate:
+    def test_graph_nodes_must_be_a_range(self):
+        # detection indexes nodes 0..n-1, so the graph refuses any other node list
+        with pytest.raises(ValidationError, match=r"nodes must be range\(3\)"):
+            InteractionGraph((0, 2, 5), {(0, 5): 1, (2, 5): 1})
+
+    @pytest.mark.parametrize("key", [(1, 0), (1, 1), (0, 3), (-1, 0)])
+    def test_graph_keys_must_be_ordered_pairs_of_nodes(self, key):
+        with pytest.raises(ValidationError, match="needs 0 <= a < b < 3"):
+            InteractionGraph((0, 1, 2), {key: 1})
+
     def test_two_cliques_match_exhaustive_optimum(self):
         weights: dict = {}
         _clique(weights, range(4))
@@ -423,7 +433,7 @@ class TestKway:
     def test_zero_capacity_block_dropped(self):
         reg = kway_partition(_graph(4, {(0, 1): 1, (2, 3): 1}), 3, [2, 0, 2])
         assert len(reg) == 2
-        assert reg.covered_qubits() == frozenset(range(4))
+        assert set(reg.qubit_map()) == set(range(4))
 
     def test_deterministic_for_fixed_seed(self):
         rng = random.Random(17)
@@ -452,7 +462,7 @@ class TestCapacitySplit:
     """Each level of the bisection may hand a side only what its leaves may hold."""
 
     def _assert_within_caps(self, reg, n, sizes, imbalance):
-        assert reg.covered_qubits() == frozenset(range(n))
+        assert set(reg.qubit_map()) == set(range(n))
         for p in reg:
             assert len(p.qubits) <= _cap_limit(sizes[p.pid], imbalance)
 

@@ -18,6 +18,7 @@ from chipmap.gmap import Placement
 from chipmap.ir import (
     GateKind,
     GateNode,
+    OpaqueKind,
     PartitionRegistry,
     build_dag,
     circuit_from_json,
@@ -196,7 +197,7 @@ _qubit = st.integers(0, 10**6)
 
 @st.composite
 def _gate_nodes(draw):
-    kind = draw(st.sampled_from(list(GateKind)))
+    kind = draw(st.sampled_from([*GateKind, OpaqueKind("rzz", True), OpaqueKind("t", False)]))
     if kind is GateKind.BARRIER:
         size = (1, 40)  # wide barriers too
     elif kind.is_two_qubit:
@@ -257,8 +258,8 @@ def compile_results(draw):
 def tagged_circuits(draw):
     """An ls-cnot d=3 circuit with opaque and tagged gates spliced in.
 
-    Opaque gates carry their name as the tag, so the written ``op`` takes
-    the drawn text. The generated gates are kept or dropped as a whole, so
+    Opaque gates keep their name beside the drawn tag, so both are
+    written. The generated gates are kept or dropped as a whole, so
     the list may hold only spliced gates, or none.
     """
     doc = gen_ls_cnot_circuit(3)

@@ -258,6 +258,29 @@ class TestCliWorkflow:
         assert result.stderr.splitlines()[-1] == "error: 'n_cnots' applies only to kind ls-cnot"
         assert not list(tmp_path.iterdir())
 
+    def test_non_power_of_two_grid_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path), "bench", "gen", "--kind", "ls-cnot", "-d", "3",
+            "--grid", "3", "1",
+        ])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert result.stderr.splitlines()[-1] == (
+            "error: grid (3, 1): chiplet count 3 is not a power of two"
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_op_keeps_its_name_and_tag(self, runner, tmp_path):
+        circuit, backend = tmp_path / "h.json", tmp_path / "be.json"
+        circuit.write_text(json.dumps(
+            {"n_qubits": 1, "gates": [{"op": "h", "qubits": [0], "tag": "prep"}]}
+        ))
+        backend.write_text(json.dumps({"grid": [1, 1], "chiplet": [2, 2]}))
+        out = tmp_path / "h.compiled.json"
+        result = runner.invoke(main, ["compile", str(circuit), str(backend), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert runner.invoke(main, ["validate", "compiled", str(out)]).exit_code == 0
+        assert json.loads(out.read_text())["gates"] == [{"op": "h", "qubits": [0], "tag": "prep"}]
+
 
 class TestCompilerErrorExitCodes:
     @pytest.mark.parametrize(
@@ -395,6 +418,26 @@ class TestSweep:
         assert ok[0] == "0" and ok[-1] == "" and all(ok[1:-1])
         assert failed[0] == "30" and failed[1:-1] == [""] * (len(header) - 2)
         assert failed[-1] == "no chiplet region fits partition 1"
+
+    def test_misspelled_policy_fails_before_any_point(self, runner, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(chipmap.cli, "_sweep_row", ran.append)
+        spec = tmp_path / "sweep.yaml"
+        spec.write_text(yaml.safe_dump(
+            {"kind": "ls-cnot", "axes": {"policy": ["basic", "tradefof"]}}
+        ))
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert result.stderr.splitlines()[-1] == (
+            "error: sweep parameter 'policy' must be one of basic, focus, tradeoff, got 'tradefof'"
+        )
+        assert ran == [] and not (tmp_path / "s.csv").exists()
+
+    def test_non_power_of_two_grid_point_keeps_its_row(self, runner, tmp_path):
+        code, rows = self._rows(runner, tmp_path, {"axes": {"grid": [[2, 2], [3, 1]]}})
+        assert code == EXIT_VALIDATION
+        assert rows[1][-1] == ""
+        assert rows[2][-1] == "grid (3, 1): chiplet count 3 is not a power of two"
 
     def test_unknown_axis_rejected(self, runner, tmp_path):
         spec = self._spec(tmp_path)
