@@ -104,6 +104,30 @@ class ChipletBackend:
     def chip_at(self, row: int, col: int) -> int:
         return row * self.grid_cols + col
 
+    # -- bitboards ----------------------------------------------------
+    # Cell (x, y) of a chiplet is bit y * board_stride + x. Bit chip_w of
+    # each row is a spare column that is always zero, so shifting a board
+    # by a column never carries a cell into the next row.
+
+    @property
+    def board_stride(self) -> int:
+        return self.chip_w + 1
+
+    def box_board(self, x: int, y: int, w: int, h: int) -> int:
+        """The bits of the w x h box anchored at cell (x, y)."""
+        row = ((1 << w) - 1) << (y * self.board_stride + x)
+        return sum(row << (r * self.board_stride) for r in range(h))
+
+    def live_board(self, chip: int) -> int:
+        """The bitboard of chiplet ``chip``'s cells, defects cleared."""
+        board = self.box_board(0, 0, self.chip_w, self.chip_h)
+        base = chip * self.chip_area
+        for gid in self.defects:
+            y, x = divmod(gid - base, self.chip_w)
+            if 0 <= y < self.chip_h:
+                board &= ~(1 << (y * self.board_stride + x))
+        return board
+
     # -- validation ---------------------------------------------------
 
     def _check_link(self, link: InterChipLink) -> None:
@@ -292,30 +316,23 @@ class CouplingGraph:
     ``links_between`` lists the functional links joining two chiplets.
 
     ``alive_masks`` maps each chiplet with a dead cell, and only those, to
-    its live cells as a bitboard: cell (x, y) is bit ``y * (chip_w + 1) +
-    x``. Bit ``chip_w`` of each row is a spare column that is always zero,
-    so shifting a mask by one never carries a cell into the next row.
+    its ``ChipletBackend.live_board``.
     """
 
     __slots__ = ("n", "alive", "alive_masks", "_chip_w", "_chip_area", "_links", "_between")
 
     def __init__(self, backend: ChipletBackend):
         n = backend.n_qubits
-        w, h = backend.chip_w, backend.chip_h
         self.n = n
-        self._chip_w = w
-        self._chip_area = area = w * h
+        self._chip_w = backend.chip_w
+        self._chip_area = area = backend.chip_area
         alive = [True] * n
         for gid in backend.defects:
             alive[gid] = False
         self.alive = alive
-        stride = w + 1
-        full = sum(((1 << w) - 1) << (y * stride) for y in range(h))
-        masks: dict[int, int] = {}
-        for gid in backend.defects:
-            chip, off = divmod(gid, area)
-            masks[chip] = masks.get(chip, full) & ~(1 << (off + off // w))
-        self.alive_masks = masks
+        self.alive_masks = {
+            chip: backend.live_board(chip) for chip in {gid // area for gid in backend.defects}
+        }
         self._links: dict[tuple[int, int], InterChipLink] = {}
         between: dict[tuple[int, int], list[InterChipLink]] = {}
         for link in backend.links:

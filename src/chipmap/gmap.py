@@ -1,22 +1,28 @@
 """Global mapping: pack partition boxes onto chiplets.
 
-Free space on each chiplet is a set of disjoint rectangles maintained
-with guillotine cuts; defective cells are carved out up front as 1x1
-blocked zones, so no placement can cover them. The first partition of
-every component lands by first-fit (centered or top-left according to
-the placement mode); later partitions land as close as possible to an
+Free space on each chiplet is one occupancy bitboard, laid out as
+``ChipletBackend.live_board``: a set bit is a free cell. Defects start
+cleared, and every placement clears its full w x h box, including cells
+the partition's qubits do not use. A box may go wherever all of its cells
+are free. The anchors where a w x h box fits are found for a whole
+chiplet at once: AND the board with itself shifted by 1..w-1 columns,
+then AND that with itself shifted by 1..h-1 rows; every set bit left is
+such an anchor.
+
+The first partition of every component lands by first-fit over the
+chiplets in row-major order. ``size-aware`` takes the minimal (y, x)
+anchor. ``center`` takes the chiplet centre on the first chiplet whose
+centre fits; when none does, the anchor nearest the centre on the first
+chiplet with any anchor. Later partitions land as close as possible to an
 already placed reference, optionally constrained by a directional hint
 ("below"/"right") shipped with the circuit.
-
-Every placement consumes its full w x h rectangle, including cells the
-partition's qubits do not use.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .backend import ChipletBackend
 from .errors import NoFitError, ValidationError
@@ -27,14 +33,6 @@ log = logging.getLogger(__name__)
 
 PLACEMENT_MODES = ("center", "size-aware")
 REF_MODES = ("weight", "order")  # reference choice for relative placement
-
-
-class FreeRegion(NamedTuple):
-    chip: int
-    x: int
-    y: int
-    w: int
-    h: int
 
 
 @dataclass(frozen=True)
@@ -54,112 +52,79 @@ class BinState:
         self.backend = backend
         self.chip_w = backend.chip_w
         self.chip_h = backend.chip_h
-        self.free: dict[int, list[FreeRegion]] = {
-            chip: [FreeRegion(chip, 0, 0, self.chip_w, self.chip_h)]
-            for chip in range(backend.n_chiplets)
-        }
+        self.boards = [backend.live_board(chip) for chip in range(backend.n_chiplets)]
         self.placements: dict[int, Placement] = {}
-        # each defect is a 1x1 blocked zone, carved per chip in (x, y) order
-        for chip, x, y in sorted(map(backend.coord, backend.defects)):
-            self.free[chip] = self._carve(self.free[chip], chip, x, y, 1, 1)
 
-    @staticmethod
-    def _carve(
-        regions: list[FreeRegion], chip: int, x: int, y: int, w: int, h: int
-    ) -> list[FreeRegion]:
-        """Remove the rect from whichever region contains it (guillotine split)."""
-        reg = _region_containing(regions, x, y, w, h)
-        if reg is None:
-            raise ValidationError(f"rect {(x, y, w, h)} not inside a free region of chiplet {chip}")
-        rest = [r for r in regions if r is not reg]
-        rest.extend(guillotine_split(reg, (x, y, w, h)))
-        rest.sort(key=lambda r: (r.y, r.x))
-        return rest
+    @property
+    def free(self) -> dict[int, list[tuple[int, int]]]:
+        """Each chiplet's free (x, y) cells in row-major order, read off its board."""
+        stride = self.backend.board_stride
+        return {chip: list(_cells(board, stride)) for chip, board in enumerate(self.boards)}
+
+    def anchors(self, chip: int, w: int, h: int) -> int:
+        """The bitboard of the anchors on ``chip`` whose w x h box is all free cells."""
+        board = self.boards[chip]
+        row = board
+        for dx in range(1, w):
+            row &= board >> dx
+        fit = row
+        stride = self.backend.board_stride
+        for dy in range(1, h):
+            fit &= row >> (dy * stride)
+        return fit
 
     def commit(self, pid: int, chip: int, x: int, y: int, w: int, h: int) -> Placement:
-        self.free[chip] = self._carve(self.free[chip], chip, x, y, w, h)
+        box = self.backend.box_board(x, y, w, h) if min(chip, x, y) >= 0 else None
+        if box is None or self.boards[chip] & box != box:
+            raise ValidationError(f"box {(x, y, w, h)} is not all free cells of chiplet {chip}")
+        self.boards[chip] ^= box
         pl = Placement(pid, chip, x, y, w, h)
         self.placements[pid] = pl
         return pl
 
 
-def guillotine_split(
-    region: FreeRegion, placed: tuple[int, int, int, int]
-) -> list[FreeRegion]:
-    """Split ``region`` around a placed rect, preserving every free cell.
+def _cells(board: int, stride: int) -> Iterator[tuple[int, int]]:
+    """(x, y) of every set bit of ``board``, in row-major order."""
+    for i, bit in enumerate(bin(board)[:1:-1]):
+        if bit == "1":
+            y, x = divmod(i, stride)
+            yield x, y
 
-    The leftover strip on the shorter axis stays attached to the placed
-    rect while the longer-axis strip keeps the full region extent; corner
-    placements therefore produce at most two remainders (right and
-    bottom), interior placements up to four.
-    """
-    px, py, pw, ph = placed
-    if not _contains(region, px, py, pw, ph):
-        raise ValidationError(f"placed rect {placed} not contained in region {region}")
-    left_w = px - region.x
-    top_h = py - region.y
-    right_w = region.x + region.w - (px + pw)
-    bottom_h = region.y + region.h - (py + ph)
-    out = []
-    if bottom_h <= right_w:
-        # vertical cuts run the full region height
-        if left_w:
-            out.append(FreeRegion(region.chip, region.x, region.y, left_w, region.h))
-        if right_w:
-            out.append(FreeRegion(region.chip, px + pw, region.y, right_w, region.h))
-        if top_h:
-            out.append(FreeRegion(region.chip, px, region.y, pw, top_h))
-        if bottom_h:
-            out.append(FreeRegion(region.chip, px, py + ph, pw, bottom_h))
-    else:
-        # horizontal cuts run the full region width
-        if top_h:
-            out.append(FreeRegion(region.chip, region.x, region.y, region.w, top_h))
-        if bottom_h:
-            out.append(FreeRegion(region.chip, region.x, py + ph, region.w, bottom_h))
-        if left_w:
-            out.append(FreeRegion(region.chip, region.x, py, left_w, ph))
-        if right_w:
-            out.append(FreeRegion(region.chip, px + pw, py, right_w, ph))
-    return out
+
+def _nearest(fit: int, stride: int, tx2: int, ty2: int) -> tuple[int, int]:
+    """The anchor of ``fit`` whose doubled coordinates lie nearest (tx2, ty2)
+    by Manhattan distance, ties to the smaller (y, x)."""
+    return min(_cells(fit, stride), key=lambda c: abs(2 * c[0] - tx2) + abs(2 * c[1] - ty2))
 
 
 def place_partition(bins: BinState, pid: int, w: int, h: int, mode: str) -> Placement:
     """First-fit placement over chiplets in row-major order.
 
-    ``center`` centers the box in the first chiplet whose central region
-    is free; ``size-aware`` drops it at the minimal (y, x) anchor of any
-    fitting free region.
+    ``center`` centers the box in the first chiplet whose centre fits, or
+    else takes the anchor nearest the centre on the first chiplet with an
+    anchor; ``size-aware`` takes the minimal (y, x) anchor of the first
+    chiplet with one.
     """
     if mode not in PLACEMENT_MODES:
         raise ValidationError(f"unknown placement mode {mode!r}")
     if w > bins.chip_w or h > bins.chip_h:
         raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
-    for chip in range(bins.backend.n_chiplets):
-        if mode == "center":
-            cx = (bins.chip_w - w) // 2
-            cy = (bins.chip_h - h) // 2
-            if _region_containing(bins.free[chip], cx, cy, w, h) is not None:
+    stride = bins.backend.board_stride
+    chips = range(bins.backend.n_chiplets)
+    cx, cy = (bins.chip_w - w) // 2, (bins.chip_h - h) // 2
+    if mode == "center":
+        for chip in chips:
+            if bins.anchors(chip, w, h) >> (cy * stride + cx) & 1:
                 return bins.commit(pid, chip, cx, cy, w, h)
-        else:
-            for reg in bins.free[chip]:  # kept sorted by (y, x)
-                if reg.w >= w and reg.h >= h:
-                    return bins.commit(pid, chip, reg.x, reg.y, w, h)
+    for chip in chips:
+        fit = bins.anchors(chip, w, h)
+        if fit:
+            if mode == "center":
+                x, y = _nearest(fit, stride, 2 * cx, 2 * cy)
+            else:
+                x, y = next(_cells(fit, stride))
+            return bins.commit(pid, chip, x, y, w, h)
     raise NoFitError(pid)
-
-
-def _contains(reg: FreeRegion, x: int, y: int, w: int, h: int) -> bool:
-    """Whether the rect (x, y, w, h) lies inside ``reg``."""
-    return reg.x <= x and reg.y <= y and x + w <= reg.x + reg.w and y + h <= reg.y + reg.h
-
-
-def _region_containing(
-    regions: list[FreeRegion], x: int, y: int, w: int, h: int
-) -> FreeRegion | None:
-    for reg in regions:
-        if _contains(reg, x, y, w, h):
-            return reg
-    return None
 
 
 def place_partition_relative(
@@ -200,27 +165,16 @@ def place_partition_relative(
         return abs(row - ref_row) + abs(col - ref_col)
 
     chips = sorted(range(backend.n_chiplets), key=lambda c: (grid_dist(c), c))
+    stride = backend.board_stride
     for chip in chips:
         ox, oy = chip_origin(chip)
-        best: tuple[int, int, int] | None = None  # (distance2, ay, ax)
-        for reg in bins.free[chip]:
-            if reg.w < w or reg.h < h:
-                continue
-            ax_lo, ax_hi = reg.x, reg.x + reg.w - w
-            ay_lo, ay_hi = reg.y, reg.y + reg.h - h
-            if min_gx is not None:
-                ax_lo = max(ax_lo, min_gx - ox)
-            if min_gy is not None:
-                ay_lo = max(ay_lo, min_gy - oy)
-            if ax_lo > ax_hi or ay_lo > ay_hi:
-                continue
-            ax, dx2 = _nearest_anchor(ax_lo, ax_hi, ref_cx2 - w - 2 * ox)
-            ay, dy2 = _nearest_anchor(ay_lo, ay_hi, ref_cy2 - h - 2 * oy)
-            cand = (dx2 + dy2, ay, ax)
-            if best is None or cand < best:
-                best = cand
-        if best is not None:
-            _, ay, ax = best
+        fit = bins.anchors(chip, w, h)
+        if min_gx is not None:  # clear the columns left of the bound
+            fit &= ~backend.box_board(0, 0, min(max(min_gx - ox, 0), bins.chip_w), bins.chip_h)
+        if min_gy is not None:  # clear the rows above the bound
+            fit &= ~backend.box_board(0, 0, bins.chip_w, min(max(min_gy - oy, 0), bins.chip_h))
+        if fit:
+            ax, ay = _nearest(fit, stride, ref_cx2 - w - 2 * ox, ref_cy2 - h - 2 * oy)
             return bins.commit(pid, chip, ax, ay, w, h)
     if direction is not None:
         log.warning(
@@ -229,17 +183,6 @@ def place_partition_relative(
         )
         return place_partition_relative(bins, pid, w, h, ref, None)
     raise NoFitError(pid)
-
-
-def _nearest_anchor(lo: int, hi: int, ideal2: int) -> tuple[int, int]:
-    """Anchor in [lo, hi] whose doubled value is nearest ideal2 (prefer lower)."""
-    cand = min(max(ideal2 // 2, lo), hi)
-    best = (abs(2 * cand - ideal2), cand)
-    if cand + 1 <= hi:
-        alt = (abs(2 * (cand + 1) - ideal2), cand + 1)
-        if alt < best:
-            best = alt
-    return best[1], best[0]
 
 
 def global_map(

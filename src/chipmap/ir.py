@@ -51,6 +51,10 @@ class OpaqueKind:
     value: str
     is_two_qubit: bool
 
+    def __post_init__(self) -> None:
+        if self.value.lower() in _KIND_BY_NAME:
+            raise ValidationError(f"op {self.value!r} is a built-in gate, not an opaque one")
+
 
 _opaque_kind = cache(OpaqueKind)  # one instance per (name, arity) a parse meets
 

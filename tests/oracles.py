@@ -5,16 +5,17 @@ algorithms: depth comes from an availability simulation or a longest
 path over eagerly built predecessor lists, hop distances and paths from
 a dict flood and a neighbour scan over adjacency built cell by cell, the
 compiled document from a dict tree for ``json.dumps``, packing checks
-from cell-set rasterization, routing checks from token replay on an
-adjacency set, partition quality from exhaustive enumeration, bisection
-growth from a linear scan over the free nodes, and the community count
-from networkx's Girvan-Newman primitives.
+from cell-set rasterization, placement anchors from a cell-set test of
+every box, routing checks from token replay on an adjacency set,
+partition quality from exhaustive enumeration, bisection growth from a
+linear scan over the free nodes, and the community count from
+networkx's Girvan-Newman primitives.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
 
@@ -236,27 +237,109 @@ def blocked_cells(backend, chip: int) -> set[tuple[int, int]]:
     }
 
 
-def carved_free(backend, split) -> dict[int, list]:
-    """Free regions per chip after carving each defect as a 1x1 block.
+class PackingOracle:
+    """The global-map anchor rules re-derived by brute force over free cells.
 
-    The construction ``BinState`` ran before it read the defect list: a
-    defect test on every cell of every chiplet, cells carved in (x, y)
-    order, each from the region that holds it, with ``split`` (the
-    guillotine split under test elsewhere) and regions kept sorted by
-    (y, x).
+    Free space is a set of (x, y) cells per chiplet, defects taken out up
+    front. Every anchor of a chiplet is tried in row-major order and kept
+    when all cells of its box are free. ``first_fit`` and ``relative``
+    return the (chip, x, y) the rules pick, or None where nothing fits;
+    ``place`` takes a box's cells.
     """
-    out = {}
-    for chip in range(backend.n_chiplets):
-        regions = [(chip, 0, 0, backend.chip_w, backend.chip_h)]
-        for x, y in sorted(blocked_cells(backend, chip)):
-            (i, reg), = [
-                (i, r) for i, r in enumerate(regions)
-                if r[1] <= x < r[1] + r[3] and r[2] <= y < r[2] + r[4]
-            ]
-            regions = regions[:i] + regions[i + 1:] + list(split(reg, (x, y, 1, 1)))
-            regions.sort(key=lambda r: (r[2], r[1]))
-        out[chip] = regions
-    return out
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.free = {
+            chip: grid_cells(backend.chip_w, backend.chip_h) - blocked_cells(backend, chip)
+            for chip in range(backend.n_chiplets)
+        }
+
+    def fits(self, chip: int, x: int, y: int, w: int, h: int) -> bool:
+        free = self.free[chip]
+        return all((x + i, y + j) in free for j in range(h) for i in range(w))
+
+    def anchors(self, chip: int, w: int, h: int) -> Iterator[tuple[int, int]]:
+        be = self.backend
+        for y in range(be.chip_h - h + 1):
+            for x in range(be.chip_w - w + 1):
+                if self.fits(chip, x, y, w, h):
+                    yield x, y
+
+    def place(self, chip: int, x: int, y: int, w: int, h: int) -> None:
+        cells = rect_cells(x, y, w, h)
+        assert cells <= self.free[chip], f"box {(x, y, w, h)} overlaps taken cells of chip {chip}"
+        self.free[chip] -= cells
+
+    def first_fit(self, w: int, h: int, mode: str) -> tuple[int, int, int] | None:
+        """size-aware: the first chiplet's minimal (y, x) anchor. center: the
+        centre of the first chiplet whose centre fits, else the first chiplet
+        with an anchor and on it the anchor nearest the centre."""
+        be = self.backend
+        cx, cy = (be.chip_w - w) // 2, (be.chip_h - h) // 2
+        if mode == "center":
+            for chip in range(be.n_chiplets):
+                if self.fits(chip, cx, cy, w, h):
+                    return chip, cx, cy
+        for chip in range(be.n_chiplets):
+            anchors = self.anchors(chip, w, h)
+            if mode == "center":  # nearest the centre, ties to the smaller (y, x)
+                anchor = min(anchors, key=lambda a: abs(a[0] - cx) + abs(a[1] - cy), default=None)
+            else:
+                anchor = next(anchors, None)
+            if anchor is not None:
+                return chip, *anchor
+        return None
+
+    def relative(self, w: int, h: int, ref, direction: str | None) -> tuple[int, int, int] | None:
+        """Chiplets by (grid distance to ``ref``'s, id); on the first with an
+        anchor, the one whose box centre lies nearest ``ref``'s by doubled
+        global Manhattan distance, ties to the smaller (y, x). A hint bounds
+        the anchor's global coordinates from below and is dropped when no
+        anchor satisfies it."""
+        be = self.backend
+
+        def origin(chip):
+            row, col = be.grid_pos(chip)
+            return col * be.chip_w, row * be.chip_h
+
+        ref_row, ref_col = be.grid_pos(ref.chip)
+        ox, oy = origin(ref.chip)
+        rcx2 = 2 * (ox + ref.x) + ref.w
+        rcy2 = 2 * (oy + ref.y) + ref.h
+        chips = sorted(
+            range(be.n_chiplets),
+            key=lambda c: (abs(be.grid_pos(c)[0] - ref_row) + abs(be.grid_pos(c)[1] - ref_col), c),
+        )
+        for chip in chips:
+            cox, coy = origin(chip)
+            best = None
+            for ax, ay in self.anchors(chip, w, h):
+                if direction == "right" and cox + ax < ox + ref.x + ref.w:
+                    continue
+                if direction == "below" and coy + ay < oy + ref.y + ref.h:
+                    continue
+                d2 = abs(2 * (cox + ax) + w - rcx2) + abs(2 * (coy + ay) + h - rcy2)
+                cand = (d2, ay, ax)
+                if best is None or cand < best:
+                    best = cand
+            if best is not None:
+                return chip, best[2], best[1]
+        if direction is not None:
+            return self.relative(w, h, ref, None)
+        return None
+
+
+def first_fit_packs(backend, boxes: Iterable[tuple[int, int]]) -> bool:
+    """Whether exhaustive first-fit packs every (w, h) box: largest box
+    first, each at the first row-major anchor of the first chiplet whose
+    box cells are all free."""
+    oracle = PackingOracle(backend)
+    for w, h in sorted(boxes, key=lambda b: -b[0] * b[1]):
+        got = oracle.first_fit(w, h, "size-aware")
+        if got is None:
+            return False
+        oracle.place(*got, w, h)
+    return True
 
 
 def longest_path_depth(gates: Sequence, preds: Sequence[Sequence[int]]) -> int:

@@ -176,7 +176,7 @@ def test_criterion_04_packing_invariants():
             check_chip_partition(
                 bins.chip_w,
                 bins.chip_h,
-                [(r.x, r.y, r.w, r.h) for r in bins.free[chip]],
+                [(x, y, 1, 1) for x, y in bins.free[chip]],
                 [
                     (p.x, p.y, p.w, p.h)
                     for p in bins.placements.values()

@@ -1,4 +1,4 @@
-"""Guillotine packing and the global chiplet mapper."""
+"""Bitboard packing and the global chiplet mapper."""
 
 import logging
 import random
@@ -8,19 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipmap.backend import build_backend
+from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from chipmap.errors import NoFitError, ValidationError
 from chipmap.gmap import (
     BinState,
-    FreeRegion,
+    Placement,
     global_map,
-    guillotine_split,
     place_partition,
     place_partition_relative,
 )
-from chipmap.ir import LayoutHint, build_dag, cx
+from chipmap.ir import (
+    LayoutHint,
+    Partition,
+    PartitionRegistry,
+    build_dag,
+    circuit_from_json,
+    cx,
+)
 from chipmap.partition import predefined_partitions
-from chipmap.sequence import SequencedOrder, build_partition_graph, sequence_registry
-from oracles import blocked_cells, carved_free, check_chip_partition, rect_cells
+from chipmap.sequence import (
+    SequencedOrder,
+    build_partition_graph,
+    sequence,
+    sequence_registry,
+)
+from oracles import (
+    PackingOracle,
+    blocked_cells,
+    check_chip_partition,
+    first_fit_packs,
+    grid_cells,
+)
 from test_backend import draw_backend_doc
 
 
@@ -39,7 +57,7 @@ def _raster(bins, chip):
     check_chip_partition(
         bins.chip_w,
         bins.chip_h,
-        [(r.x, r.y, r.w, r.h) for r in bins.free[chip]],
+        [(x, y, 1, 1) for x, y in bins.free[chip]],
         [
             (p.x, p.y, p.w, p.h)
             for p in bins.placements.values()
@@ -49,77 +67,37 @@ def _raster(bins, chip):
     )
 
 
-class TestSplit:
-    def test_corner_placement_two_remainders(self):
-        out = guillotine_split(FreeRegion(0, 0, 0, 5, 5), (0, 0, 2, 2))
-        assert sorted(out) == [FreeRegion(0, 0, 2, 2, 3), FreeRegion(0, 2, 0, 3, 5)]
-
-    def test_interior_placement_four_remainders(self):
-        out = guillotine_split(FreeRegion(0, 0, 0, 5, 5), (1, 1, 2, 2))
-        assert len(out) == 4
-        covered = set()
-        for r in out:
-            cells = rect_cells(r.x, r.y, r.w, r.h)
-            assert not covered & cells
-            covered |= cells
-        assert covered == rect_cells(0, 0, 5, 5) - rect_cells(1, 1, 2, 2)
-
-    def test_tall_leftover_keeps_full_width(self):
-        # bottom strip deeper than the right strip: horizontal cut wins
-        out = guillotine_split(FreeRegion(0, 0, 0, 4, 6), (1, 0, 3, 2))
-        assert FreeRegion(0, 0, 2, 4, 4) in out  # full 4-wide bottom
-        assert FreeRegion(0, 0, 0, 1, 2) in out
-        assert len(out) == 2
-
-    def test_exact_fill_no_remainder(self):
-        assert guillotine_split(FreeRegion(0, 1, 2, 3, 4), (1, 2, 3, 4)) == []
-
-    def test_rect_outside_region_rejected(self):
-        with pytest.raises(ValidationError, match="not contained"):
-            guillotine_split(FreeRegion(0, 0, 0, 3, 3), (2, 2, 2, 2))
-
-    def test_random_splits_conserve_cells(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            rw, rh = rng.randint(1, 9), rng.randint(1, 9)
-            pw, ph = rng.randint(1, rw), rng.randint(1, rh)
-            px, py = rng.randint(0, rw - pw), rng.randint(0, rh - ph)
-            out = guillotine_split(FreeRegion(0, 0, 0, rw, rh), (px, py, pw, ph))
-            assert len(out) <= 4
-            covered = set()
-            for r in out:
-                cells = rect_cells(r.x, r.y, r.w, r.h)
-                assert not covered & cells
-                covered |= cells
-            assert covered == rect_cells(0, 0, rw, rh) - rect_cells(px, py, pw, ph)
-
-
 class TestBins:
     def test_defects_become_blocked_cells(self):
         be = _backend(w=3, h=3, defects=[(0, 1, 1)])
         bins = BinState(be)
-        assert sum(r.w * r.h for r in bins.free[0]) == 8
+        assert len(bins.free[0]) == 8
         _raster(bins, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_free_matches_cell_by_cell_carve(self, data):
-        self._assert_carve_matches(build_backend(draw_backend_doc(data)))
+    def test_free_cells_are_the_live_cells(self, data):
+        be = build_backend(draw_backend_doc(data))
+        free = BinState(be).free
+        for chip in range(be.n_chiplets):
+            live = grid_cells(be.chip_w, be.chip_h) - blocked_cells(be, chip)
+            assert free[chip] == sorted(live, key=lambda c: (c[1], c[0]))
 
-    def test_defects_carve_in_x_then_y_order(self):
-        # carving (1, 0) before (0, 2) leaves other regions than (x, y) order
-        self._assert_carve_matches(_backend(w=2, h=3, defects=[(0, 0, 2), (0, 1, 0)]))
-
-    @staticmethod
-    def _assert_carve_matches(be):
-        split = lambda reg, rect: guillotine_split(FreeRegion(*reg), rect)  # noqa: E731
-        assert BinState(be).free == carved_free(be, split)
+    def test_free_cells_listed_row_major(self):
+        bins = BinState(_backend(w=2, h=3, defects=[(0, 0, 2), (0, 1, 0)]))
+        assert bins.free[0] == [(0, 0), (0, 1), (1, 1), (1, 2)]
 
     def test_commit_updates_free_space(self):
-        bins = BinState(_backend())
+        bins = BinState(_backend(defects=[(0, 4, 4)]))
         bins.commit(0, 0, 0, 0, 2, 3)
-        assert sum(r.w * r.h for r in bins.free[0]) == 25 - 6
+        assert len(bins.free[0]) == 25 - 1 - 6
         _raster(bins, 0)
+        for rect in ((1, 2, 2, 2), (3, 3, 2, 2), (4, 0, 2, 1), (0, 3, 1, 3), (-1, 3, 1, 1)):
+            with pytest.raises(ValidationError, match="not all free"):
+                bins.commit(1, 0, *rect)
+        with pytest.raises(ValidationError, match="not all free"):
+            bins.commit(1, -1, 2, 2, 1, 1)
+        assert len(bins.free[0]) == 25 - 1 - 6
 
 
 class TestFirstFit:
@@ -132,6 +110,22 @@ class TestFirstFit:
         bins = BinState(_backend())
         pl = place_partition(bins, 0, 2, 2, "size-aware")
         assert (pl.chip, pl.x, pl.y) == (0, 0, 0)
+
+    def test_size_aware_sees_boxes_across_free_cells(self):
+        # all four cells of the 2x2 box at (0, 0) are free, between the two defects
+        bins = BinState(_backend(w=3, h=3, defects=[(0, 2, 0), (0, 0, 2)]))
+        pl = place_partition(bins, 0, 2, 2, "size-aware")
+        assert (pl.chip, pl.x, pl.y) == (0, 0, 0)
+
+    def test_center_falls_back_to_anchor_nearest_centre(self):
+        # no chiplet's centre is free, so the first chiplet takes the free
+        # anchor nearest its centre, ties to the smaller (y, x)
+        be = _backend(rows=1, cols=2, w=5, h=5, defects=[(0, 2, 2), (1, 2, 2)])
+        bins = BinState(be)
+        pl = place_partition(bins, 0, 1, 1, "center")
+        assert (pl.chip, pl.x, pl.y) == (0, 2, 1)
+        pl = place_partition(bins, 1, 5, 2, "center")  # rows 0-1 hold partition 0
+        assert (pl.chip, pl.x, pl.y) == (0, 0, 3)
 
     def test_center_skips_chip_with_blocked_center(self):
         be = _backend(rows=1, cols=2, w=3, h=3, defects=[(0, 1, 1)])
@@ -162,46 +156,6 @@ class TestFirstFit:
             place_partition(bins, 0, 1, 1, "corner")
 
 
-def _oracle_relative(bins, w, h, ref, direction):
-    """Re-derive the relative anchor from scratch: chiplets by grid
-    distance, anchors scored by doubled-center Manhattan distance with
-    (ay, ax) tie-breaks, hint as a lower bound on global coordinates."""
-    be = bins.backend
-    ref_row, ref_col = be.grid_pos(ref.chip)
-
-    def origin(chip):
-        row, col = be.grid_pos(chip)
-        return col * bins.chip_w, row * bins.chip_h
-
-    ox, oy = origin(ref.chip)
-    rcx2 = 2 * (ox + ref.x) + ref.w
-    rcy2 = 2 * (oy + ref.y) + ref.h
-    chips = sorted(
-        range(be.n_chiplets),
-        key=lambda c: (
-            abs(be.grid_pos(c)[0] - ref_row) + abs(be.grid_pos(c)[1] - ref_col),
-            c,
-        ),
-    )
-    for chip in chips:
-        cox, coy = origin(chip)
-        best = None
-        for reg in bins.free[chip]:
-            for ax in range(reg.x, reg.x + reg.w - w + 1):
-                for ay in range(reg.y, reg.y + reg.h - h + 1):
-                    if direction == "right" and cox + ax < ox + ref.x + ref.w:
-                        continue
-                    if direction == "below" and coy + ay < oy + ref.y + ref.h:
-                        continue
-                    d2 = abs(2 * (cox + ax) + w - rcx2) + abs(2 * (coy + ay) + h - rcy2)
-                    cand = (d2, ay, ax)
-                    if best is None or cand < best:
-                        best = cand
-        if best is not None:
-            return chip, best[2], best[1]
-    return None
-
-
 class TestRelative:
     def test_snuggles_beside_reference(self):
         bins = BinState(_backend())
@@ -220,21 +174,22 @@ class TestRelative:
         for trial in range(60):
             rows, cols = rng.choice([(1, 1), (1, 2), (2, 2)])
             bins = BinState(_backend(rows=rows, cols=cols, w=6, h=6))
+            oracle = PackingOracle(bins.backend)
             ref = place_partition(
                 bins, 0, rng.randint(1, 4), rng.randint(1, 4), "size-aware"
             )
+            oracle.place(ref.chip, ref.x, ref.y, ref.w, ref.h)
             for pid in range(1, rng.randint(2, 5)):
                 w, h = rng.randint(1, 4), rng.randint(1, 4)
                 direction = rng.choice([None, None, "below", "right"])
-                want = _oracle_relative(bins, w, h, ref, direction)
-                if want is None:
-                    want = _oracle_relative(bins, w, h, ref, None)
+                want = oracle.relative(w, h, ref, direction)
                 try:
                     pl = place_partition_relative(bins, pid, w, h, ref, direction)
                 except NoFitError:
                     assert want is None
                     break
                 assert (pl.chip, pl.x, pl.y) == want, f"trial {trial} pid {pid}"
+                oracle.place(pl.chip, pl.x, pl.y, w, h)
             for chip in range(bins.backend.n_chiplets):
                 _raster(bins, chip)
 
@@ -353,3 +308,87 @@ class TestGlobalMap:
             assert pid >= 1
             for chip in range(be.n_chiplets):
                 _raster(bins, chip)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_packing_oracle(self, data):
+        be = build_backend(draw_backend_doc(data))
+        n = data.draw(st.integers(1, 6))
+        boxes = [(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))) for _ in range(n)]
+        pids = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+        comps = tuple(tuple(pids[a:b]) for a, b in zip([0, *cuts], [*cuts, n]))
+        hint = st.builds(LayoutHint, st.sampled_from(["below", "right"]), st.integers(0, n - 1))
+        hints = data.draw(st.dictionaries(st.integers(0, n - 1), hint))
+        mode = data.draw(st.sampled_from(["center", "size-aware"]))
+        reg = PartitionRegistry(
+            tuple(Partition(pid, frozenset({pid}), w, h) for pid, (w, h) in enumerate(boxes))
+        )
+        # the oracle walks the components as global_map does, with the
+        # previous partition as reference unless a hint names a placed one
+        oracle = PackingOracle(be)
+        want: dict = {}
+        fails = None
+        for comp in comps:
+            for i, pid in enumerate(comp):
+                w, h = boxes[pid]
+                hint = hints.get(pid)
+                if i == 0:
+                    got = oracle.first_fit(w, h, mode)
+                elif hint is not None and hint.ref in want:
+                    got = oracle.relative(w, h, want[hint.ref], hint.direction)
+                else:
+                    got = oracle.relative(w, h, want[comp[i - 1]], None)
+                if got is None:
+                    fails = pid
+                    break
+                oracle.place(*got, w, h)
+                want[pid] = Placement(pid, *got, w, h)
+            if fails is not None:
+                break
+        try:
+            _, placements, bins = global_map(
+                be, SequencedOrder(comps), reg, mode=mode, relative_ref="order", hints=hints
+            )
+        except NoFitError as exc:
+            assert exc.partition_id == fails
+            return
+        assert fails is None
+        assert placements == want
+        assert {c: set(cells) for c, cells in bins.free.items()} == oracle.free
+
+    def test_nofit_only_where_first_fit_witness_fails(self):
+        # generated circuits on gen_backend_for's grid with random defects: the
+        # witness packs largest box first at the first free row-major anchor
+        rng = random.Random(5)
+        counts = {"packable": 0, "center": 0, "size-aware": 0}
+        for draw in range(300):
+            d = rng.choice((3, 5, 7))
+            if rng.random() < 0.5:
+                doc = gen_memory_circuit(d)
+            else:
+                doc = gen_ls_cnot_circuit(d, n_cnots=rng.randint(1, 3))
+            be = build_backend(gen_backend_for(
+                doc,
+                headroom=rng.choice((0.3, 1.0, 3.0)),
+                defects_per_chiplet=rng.choice((1, 3, 6)),
+                seed=rng.randrange(1000),
+            ))
+            circuit = circuit_from_json(doc)
+            reg = predefined_partitions(circuit.dag, circuit.partitions, circuit.geometry)
+            pg = build_partition_graph(reg, circuit.dag)
+            packable = first_fit_packs(be, [(p.width, p.height) for p in reg])
+            counts["packable"] += packable
+            for mode in ("center", "size-aware"):
+                try:
+                    global_map(
+                        be, sequence(pg), reg, mode=mode, relative_ref="weight", pg=pg,
+                        hints=circuit.layout_hints,
+                    )
+                except NoFitError:
+                    assert not packable, f"draw {draw}: {mode} fails where first-fit packs"
+                    continue
+                assert packable, f"draw {draw}: {mode} packs where first-fit fails"
+                counts[mode] += 1
+        print(f"nofit witness: {counts} of 300 draws")
+        assert counts["packable"] > 100

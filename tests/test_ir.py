@@ -54,6 +54,12 @@ class TestGateNode:
         two = {GateKind.CNOT, GateKind.SWAP, OpaqueKind("rzz", True)}
         assert kind.is_two_qubit is (kind in two)
 
+    @pytest.mark.parametrize("name", ["cx", "CNOT", "m", "Barrier"])
+    def test_opaque_kind_refuses_built_in_names(self, name):
+        # written out under a built-in name, the gate would parse back as that gate
+        with pytest.raises(ValidationError, match="built-in"):
+            OpaqueKind(name, False)
+
     def test_barrier_rejects_duplicates(self):
         with pytest.raises(ValidationError):
             barrier(0, 1, 0)

@@ -103,4 +103,4 @@ def test_compiled_documents_replay_clean(replay):
     dt = time.perf_counter() - t0
     print(f"stress: {dict(sorted(outcomes.items()))} of {DRAWS} draws in {dt:.1f}s")
     assert sum(outcomes.values()) == DRAWS
-    assert outcomes["replayed"] >= DRAWS // 4, outcomes
+    assert outcomes["replayed"] >= 60, outcomes
