@@ -7,7 +7,11 @@ error rate. Defective qubits lose every incident coupling, and a link
 whose endpoint is defective is dropped entirely.
 
 Global physical ids are row-major inside a chiplet, chiplets row-major in
-the grid: gid = chip * chip_w * chip_h + y * chip_w + x.
+the grid: gid = chip * chip_w * chip_h + y * chip_w + x. On its chiplet's
+bitboard, cell (x, y) is bit y * (chip_w + 1) + x (``board_bit``). The
+grid distance of two chiplets is the Manhattan distance of their grid
+positions (``grid_distance``). Routing and global mapping read this
+geometry from the backend and restate none of it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
 from .schema import validate_backend_doc
@@ -104,6 +108,11 @@ class ChipletBackend:
     def chip_at(self, row: int, col: int) -> int:
         return row * self.grid_cols + col
 
+    def grid_distance(self, a: int, b: int) -> int:
+        """Hops between chiplets ``a`` and ``b`` on the chiplet grid."""
+        (ra, ca), (rb, cb) = self.grid_pos(a), self.grid_pos(b)
+        return abs(ra - rb) + abs(ca - cb)
+
     # -- bitboards ----------------------------------------------------
     # Cell (x, y) of a chiplet is bit y * board_stride + x. Bit chip_w of
     # each row is a spare column that is always zero, so shifting a board
@@ -113,6 +122,22 @@ class ChipletBackend:
     def board_stride(self) -> int:
         return self.chip_w + 1
 
+    def board_bit(self, gid: int) -> int:
+        """The bit of cell ``gid`` on its chiplet's board."""
+        off = gid % self.chip_area
+        return off + off // self.chip_w
+
+    def board_gid(self, chip: int, bit: int) -> int:
+        """The cell of chiplet ``chip`` at board bit ``bit``."""
+        return chip * self.chip_area + bit - bit // self.board_stride
+
+    def board_cells(self, board: int) -> Iterator[tuple[int, int]]:
+        """(x, y) of every set bit of ``board``, in row-major order."""
+        for i, bit in enumerate(bin(board)[:1:-1]):
+            if bit == "1":
+                y, x = divmod(i, self.board_stride)
+                yield x, y
+
     def box_board(self, x: int, y: int, w: int, h: int) -> int:
         """The bits of the w x h box anchored at cell (x, y)."""
         row = ((1 << w) - 1) << (y * self.board_stride + x)
@@ -121,11 +146,9 @@ class ChipletBackend:
     def live_board(self, chip: int) -> int:
         """The bitboard of chiplet ``chip``'s cells, defects cleared."""
         board = self.box_board(0, 0, self.chip_w, self.chip_h)
-        base = chip * self.chip_area
         for gid in self.defects:
-            y, x = divmod(gid - base, self.chip_w)
-            if 0 <= y < self.chip_h:
-                board &= ~(1 << (y * self.board_stride + x))
+            if self.chip_of(gid) == chip:
+                board &= ~(1 << self.board_bit(gid))
         return board
 
     # -- validation ---------------------------------------------------
@@ -138,12 +161,11 @@ class ChipletBackend:
         ca, cb = self.chip_of(link.a), self.chip_of(link.b)
         if ca >= cb:
             raise ValidationError(f"link {link.key}: endpoints must sit on ascending chiplet ids")
-        (ra, cca), (rb, ccb) = self.grid_pos(ca), self.grid_pos(cb)
-        if abs(ra - rb) + abs(cca - ccb) != 1:
+        if self.grid_distance(ca, cb) != 1:
             raise ValidationError(f"link {link.key}: chiplets {ca} and {cb} are not grid-adjacent")
         _, ax, ay = self.coord(link.a)
         _, bx, by = self.coord(link.b)
-        if rb == ra:  # horizontal neighbors: right edge meets left edge
+        if self.grid_pos(ca)[0] == self.grid_pos(cb)[0]:  # one row: right edge meets left edge
             ok = ax == self.chip_w - 1 and bx == 0
         else:  # vertical neighbors: bottom edge meets top edge
             ok = ay == self.chip_h - 1 and by == 0
@@ -174,7 +196,7 @@ def build_backend(spec: dict) -> ChipletBackend:
     sizes included; the build then applies the semantic rules: sites
     inside the device, links on facing edges of adjacent chiplets, and a
     chiplet count that is a power of two unless ``allow_non_pow2`` is set.
-    Links touching a defective qubit are dropped with a warning.
+    Links touching a defective qubit are dropped with one warning per build.
     """
     validate_backend_doc(spec)
     rows, cols = (int(v) for v in spec["grid"])
@@ -203,12 +225,11 @@ def build_backend(spec: dict) -> ChipletBackend:
     if auto is not None:
         links.extend(_auto_links(shell, auto, taken={l.a for l in links} | {l.b for l in links}))
 
-    kept = []
-    for link in links:
-        if link.a in defects or link.b in defects:
-            log.warning("dropping link %s: defective endpoint", link.key)
-            continue
-        kept.append(link)
+    kept = [l for l in links if l.a not in defects and l.b not in defects]
+    dropped = [l.key for l in links if l.a in defects or l.b in defects]
+    if dropped:
+        log.warning("dropping links with a defective endpoint (%d): %s",
+                    len(dropped), ", ".join(map(str, dropped)))
 
     return ChipletBackend(rows, cols, chip_w, chip_h, tuple(kept), frozenset(defects))
 
@@ -250,58 +271,32 @@ def _auto_links(
 
     out: list[InterChipLink] = []
     clipped: list[int] = []  # the length of each edge too short for per_edge links
-    for row in range(backend.grid_rows):
-        for col in range(backend.grid_cols):
-            chip = backend.chip_at(row, col)
-            if col + 1 < backend.grid_cols:
-                out.extend(
-                    _edge_links(
-                        backend, chip, backend.chip_at(row, col + 1),
-                        horizontal=True, count=per_edge, draw=draw, taken=taken, clipped=clipped,
-                    )
-                )
-            if row + 1 < backend.grid_rows:
-                out.extend(
-                    _edge_links(
-                        backend, chip, backend.chip_at(row + 1, col),
-                        horizontal=False, count=per_edge, draw=draw, taken=taken, clipped=clipped,
-                    )
-                )
+    w, h, cols = backend.chip_w, backend.chip_h, backend.grid_cols
+    for chip in range(backend.n_chiplets):  # row-major
+        row, col = backend.grid_pos(chip)
+        # (edge exists, first cell on each side, step along the edge, edge length):
+        # the right edge meets the next column's left edge, then the bottom
+        # edge meets the next row's top edge
+        for exists, a0, b0, step, edge_len in (
+            (col + 1 < cols, backend.gid(chip, w - 1, 0), backend.gid(chip + 1, 0, 0), w, h),
+            (row + 1 < backend.grid_rows, backend.gid(chip, 0, h - 1),
+             backend.gid(chip + cols, 0, 0), 1, w),
+        ):
+            if not exists:
+                continue
+            count = min(per_edge, edge_len)
+            if count < per_edge:
+                clipped.append(edge_len)
+            for j in range(count):
+                off = int((j + 0.5) * edge_len / count) * step
+                a, b = a0 + off, b0 + off
+                if a in taken or b in taken:
+                    continue  # explicit links keep their endpoints
+                taken |= {a, b}
+                out.append(InterChipLink(a, b, draw()))
     if clipped:
         log.warning("auto_links: %d links requested per edge, clipping %d edges to %s",
                     per_edge, len(clipped), " or ".join(map(str, sorted(set(clipped)))))
-    return out
-
-
-def _edge_links(
-    backend: ChipletBackend,
-    chip_a: int,
-    chip_b: int,
-    *,
-    horizontal: bool,
-    count: int,
-    draw,
-    taken: set[int],
-    clipped: list[int],
-) -> list[InterChipLink]:
-    edge_len = backend.chip_h if horizontal else backend.chip_w
-    if count > edge_len:
-        clipped.append(edge_len)
-        count = edge_len
-    out = []
-    for j in range(count):
-        pos = int((j + 0.5) * edge_len / count)
-        if horizontal:
-            a = backend.gid(chip_a, backend.chip_w - 1, pos)
-            b = backend.gid(chip_b, 0, pos)
-        else:
-            a = backend.gid(chip_a, pos, backend.chip_h - 1)
-            b = backend.gid(chip_b, pos, 0)
-        if a in taken or b in taken:
-            continue  # explicit links keep their endpoints
-        taken.add(a)
-        taken.add(b)
-        out.append(InterChipLink(a, b, draw()))
     return out
 
 

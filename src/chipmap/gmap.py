@@ -1,7 +1,8 @@
 """Global mapping: pack partition boxes onto chiplets.
 
-Free space on each chiplet is one occupancy bitboard, laid out as
-``ChipletBackend.live_board``: a set bit is a free cell. Defects start
+Free space on each chiplet is one occupancy bitboard in the layout
+``ChipletBackend`` owns (``board_bit``, ``board_cells``), starting from
+its ``live_board``: a set bit is a free cell. Defects start
 cleared, and every placement clears its full w x h box, including cells
 the partition's qubits do not use. A box may go wherever all of its cells
 are free. The anchors where a w x h box fits are found for a whole
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .backend import ChipletBackend
 from .errors import NoFitError, ValidationError
@@ -58,8 +59,7 @@ class BinState:
     @property
     def free(self) -> dict[int, list[tuple[int, int]]]:
         """Each chiplet's free (x, y) cells in row-major order, read off its board."""
-        stride = self.backend.board_stride
-        return {chip: list(_cells(board, stride)) for chip, board in enumerate(self.boards)}
+        return {chip: list(self.backend.board_cells(b)) for chip, b in enumerate(self.boards)}
 
     def anchors(self, chip: int, w: int, h: int) -> int:
         """The bitboard of the anchors on ``chip`` whose w x h box is all free cells."""
@@ -83,18 +83,10 @@ class BinState:
         return pl
 
 
-def _cells(board: int, stride: int) -> Iterator[tuple[int, int]]:
-    """(x, y) of every set bit of ``board``, in row-major order."""
-    for i, bit in enumerate(bin(board)[:1:-1]):
-        if bit == "1":
-            y, x = divmod(i, stride)
-            yield x, y
-
-
-def _nearest(fit: int, stride: int, tx2: int, ty2: int) -> tuple[int, int]:
+def _nearest(backend: ChipletBackend, fit: int, tx2: int, ty2: int) -> tuple[int, int]:
     """The anchor of ``fit`` whose doubled coordinates lie nearest (tx2, ty2)
     by Manhattan distance, ties to the smaller (y, x)."""
-    return min(_cells(fit, stride), key=lambda c: abs(2 * c[0] - tx2) + abs(2 * c[1] - ty2))
+    return min(backend.board_cells(fit), key=lambda c: abs(2 * c[0] - tx2) + abs(2 * c[1] - ty2))
 
 
 def place_partition(bins: BinState, pid: int, w: int, h: int, mode: str) -> Placement:
@@ -109,20 +101,21 @@ def place_partition(bins: BinState, pid: int, w: int, h: int, mode: str) -> Plac
         raise ValidationError(f"unknown placement mode {mode!r}")
     if w > bins.chip_w or h > bins.chip_h:
         raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
-    stride = bins.backend.board_stride
-    chips = range(bins.backend.n_chiplets)
+    backend = bins.backend
+    chips = range(backend.n_chiplets)
     cx, cy = (bins.chip_w - w) // 2, (bins.chip_h - h) // 2
     if mode == "center":
+        centre = backend.box_board(cx, cy, 1, 1)
         for chip in chips:
-            if bins.anchors(chip, w, h) >> (cy * stride + cx) & 1:
+            if bins.anchors(chip, w, h) & centre:
                 return bins.commit(pid, chip, cx, cy, w, h)
     for chip in chips:
         fit = bins.anchors(chip, w, h)
         if fit:
             if mode == "center":
-                x, y = _nearest(fit, stride, 2 * cx, 2 * cy)
+                x, y = _nearest(backend, fit, 2 * cx, 2 * cy)
             else:
-                x, y = next(_cells(fit, stride))
+                x, y = next(backend.board_cells(fit))
             return bins.commit(pid, chip, x, y, w, h)
     raise NoFitError(pid)
 
@@ -147,7 +140,6 @@ def place_partition_relative(
     if w > bins.chip_w or h > bins.chip_h:
         raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
     backend = bins.backend
-    ref_row, ref_col = backend.grid_pos(ref.chip)
 
     def chip_origin(chip: int) -> tuple[int, int]:
         row, col = backend.grid_pos(chip)
@@ -160,12 +152,7 @@ def place_partition_relative(
     min_gx = ref_ox + ref.x + ref.w if direction == "right" else None
     min_gy = ref_oy + ref.y + ref.h if direction == "below" else None
 
-    def grid_dist(chip: int) -> int:
-        row, col = backend.grid_pos(chip)
-        return abs(row - ref_row) + abs(col - ref_col)
-
-    chips = sorted(range(backend.n_chiplets), key=lambda c: (grid_dist(c), c))
-    stride = backend.board_stride
+    chips = sorted(range(backend.n_chiplets), key=lambda c: (backend.grid_distance(c, ref.chip), c))
     for chip in chips:
         ox, oy = chip_origin(chip)
         fit = bins.anchors(chip, w, h)
@@ -174,7 +161,7 @@ def place_partition_relative(
         if min_gy is not None:  # clear the rows above the bound
             fit &= ~backend.box_board(0, 0, bins.chip_w, min(max(min_gy - oy, 0), bins.chip_h))
         if fit:
-            ax, ay = _nearest(fit, stride, ref_cx2 - w - 2 * ox, ref_cy2 - h - 2 * oy)
+            ax, ay = _nearest(backend, fit, ref_cx2 - w - 2 * ox, ref_cy2 - h - 2 * oy)
             return bins.commit(pid, chip, ax, ay, w, h)
     if direction is not None:
         log.warning(

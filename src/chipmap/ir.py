@@ -370,9 +370,10 @@ def circuit_from_json(obj: dict) -> CircuitInput:
 
     The document is checked against ``CIRCUIT_SCHEMA`` first; the parse
     then applies the semantic rules: gate arity and distinct operands,
-    qubit ids below ``n_qubits``, and no id spelled by two keys of one
-    object. Partition boxes and cells are checked when the partitions are
-    built.
+    qubit ids below ``n_qubits``, no id spelled by two keys of one
+    object, and every geometry key, hint key and hint ``ref`` naming a
+    partition that ``partitions`` declares. Partition boxes and cells are
+    checked when the partitions are built.
     """
     validate_circuit_doc(obj)
     n = int(obj["n_qubits"])
@@ -409,5 +410,13 @@ def circuit_from_json(obj: dict) -> CircuitInput:
             k: LayoutHint(v["dir"], int(v["ref"]))
             for k, v in _by_id("layout_hints", obj["layout_hints"]).items()
         }
+
+    declared = set((partitions or {}).values())
+    named = [("partition_geometry", k) for k in geometry or {}]
+    for k, hint in (hints or {}).items():
+        named += [("layout_hints", k), (f"layout_hints[{k}].ref", hint.ref)]
+    for where, pid in named:
+        if pid not in declared:
+            raise ValidationError(f"{where}: partition {pid} is not declared in partitions")
 
     return CircuitInput(dag, partitions, geometry, hints)

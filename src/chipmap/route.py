@@ -145,11 +145,10 @@ class _ManhattanDist:
 
     __slots__ = ("chip", "chip_w", "chip_area", "x0", "y0")
 
-    def __init__(self, start: int, chip: int, chip_w: int, chip_area: int):
-        self.chip = chip
-        self.chip_w = chip_w
-        self.chip_area = chip_area
-        self.y0, self.x0 = divmod(start - chip * chip_area, chip_w)
+    def __init__(self, backend: ChipletBackend, start: int):
+        self.chip_w = backend.chip_w
+        self.chip_area = backend.chip_area
+        self.chip, self.x0, self.y0 = backend.coord(start)
 
     def get(self, gid: int) -> int | None:
         if gid // self.chip_area != self.chip:
@@ -186,15 +185,13 @@ class _LevelDist:
     chiplets and cells cut off from ``start`` are absent.
     """
 
-    __slots__ = ("chip", "chip_w", "chip_area", "levels")
+    __slots__ = ("backend", "chip", "levels")
 
-    def __init__(self, start: int, chip: int, chip_w: int, chip_area: int, alive: int):
-        self.chip = chip
-        self.chip_w = chip_w
-        self.chip_area = chip_area
-        stride = chip_w + 1
-        off = start - chip * chip_area
-        front = 1 << (off + off // chip_w)
+    def __init__(self, backend: ChipletBackend, start: int, alive: int):
+        self.backend = backend
+        self.chip = backend.chip_of(start)
+        stride = backend.board_stride
+        front = 1 << backend.board_bit(start)
         free = alive & ~front
         levels = [front]
         while True:
@@ -206,10 +203,9 @@ class _LevelDist:
         self.levels = levels
 
     def get(self, gid: int) -> int | None:
-        off = gid - self.chip * self.chip_area
-        if not 0 <= off < self.chip_area:
+        if self.backend.chip_of(gid) != self.chip:
             return None
-        bit = 1 << (off + off // self.chip_w)
+        bit = 1 << self.backend.board_bit(gid)
         for d, level in enumerate(self.levels):
             if level & bit:
                 return d
@@ -221,11 +217,9 @@ class _LevelDist:
         Each step tests the same-chiplet neighbours in ascending id order
         (up, left, right, down), so the smallest predecessor wins.
         """
-        w = self.chip_w
-        stride = w + 1
-        base = self.chip * self.chip_area
-        off = dst - base
-        b = off + off // w
+        backend = self.backend
+        stride = backend.board_stride
+        b = backend.board_bit(dst)
         path = [dst]
         for level in reversed(self.levels[: self.get(dst)]):
             for q in (b - stride, b - 1, b + 1, b + stride):
@@ -234,23 +228,23 @@ class _LevelDist:
                     break
             else:
                 raise CompilerError(f"distance levels are inconsistent at {path[-1]}")
-            path.append(base + b - b // stride)
+            path.append(backend.board_gid(self.chip, b))
         path.reverse()
         return path
 
 
 def _bfs_dist(
-    graph: CouplingGraph, backend: ChipletBackend, start: int, chip: int
+    graph: CouplingGraph, backend: ChipletBackend, start: int
 ) -> _ManhattanDist | _LevelDist:
-    """Hop distances from ``start`` within one chiplet.
+    """Hop distances from ``start`` within its chiplet.
 
     A chiplet without a dead cell gets the Manhattan view; one with a
     defect is flooded level by level on its bitboard.
     """
-    alive = graph.alive_masks.get(chip)
+    alive = graph.alive_masks.get(backend.chip_of(start))
     if alive is None:
-        return _ManhattanDist(start, chip, backend.chip_w, backend.chip_area)
-    return _LevelDist(start, chip, backend.chip_w, backend.chip_area, alive)
+        return _ManhattanDist(backend, start)
+    return _LevelDist(backend, start, alive)
 
 
 def _chip_route(backend: ChipletBackend, chip_a: int, chip_b: int) -> list[int]:
@@ -291,8 +285,8 @@ def _select_crossing(
         raise NoRouteError(f"no functional link between chiplets {chip_u} and {to_chip}")
     forward = chip_u < to_chip  # links keep the lower chiplet's endpoint as ``a``
 
-    dist_u = _bfs_dist(graph, backend, u, chip_u)
-    dist_v = _bfs_dist(graph, backend, v, to_chip) if v is not None else None
+    dist_u = _bfs_dist(graph, backend, u)
+    dist_v = _bfs_dist(graph, backend, v) if v is not None else None
     # (link, near endpoint, far endpoint, hops from u over the link to v)
     reachable: list[tuple[InterChipLink, int, int, int]] = []
     for l in links:
@@ -388,7 +382,7 @@ class _RoutingRun:
     def _find_path(self, p1: int, p2: int) -> list[int]:
         c1, c2 = self.backend.chip_of(p1), self.backend.chip_of(p2)
         if c1 == c2:
-            dist = _bfs_dist(self.graph, self.backend, p1, c1)
+            dist = _bfs_dist(self.graph, self.backend, p1)
             if dist.get(p2) is None:
                 raise NoRouteError(
                     f"no coupling path between {p1} and {p2} on chiplet {c1}"

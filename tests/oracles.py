@@ -15,6 +15,7 @@ networkx's Girvan-Newman primitives.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
@@ -225,6 +226,61 @@ def links_between(backend, chip_a: int, chip_b: int) -> list:
         and l.a not in backend.defects
         and l.b not in backend.defects
     ]
+
+
+def expected_links(doc: dict) -> list[tuple[int, int, float]]:
+    """(a, b, eps) of every link ``build_backend`` keeps for ``doc``, in order.
+
+    Explicit links come first, endpoints ascending. Auto-links follow:
+    chiplets in row-major order, each chiplet's seam with its right
+    neighbour before the one with its lower neighbour. A seam of n facing
+    cell pairs gets c = min(per_edge, n) candidates at positions
+    int((j + 0.5) * n / c); a candidate with an endpoint that already
+    carries a link is skipped, and each placed link takes the next eps:
+    the flat rate, or base * uniform(lo, hi) from a ``random.Random(seed)``.
+    Links touching a defect are dropped last.
+    """
+    rows, cols = doc["grid"]
+    w, h = doc["chiplet"]
+
+    def gid(chip: int, x: int, y: int) -> int:
+        return (chip * h + y) * w + x
+
+    def site(s: dict) -> int:
+        return gid(s["chip"], s["x"], s["y"])
+
+    links = [
+        (*sorted((site(l["a"]), site(l["b"]))), float(l["eps"])) for l in doc.get("links", [])
+    ]
+    auto = doc.get("auto_links")
+    if auto is not None:
+        per_edge, eps = auto["per_edge"], auto.get("eps", 0.0)
+        if isinstance(eps, dict):
+            rng = random.Random(eps.get("seed", 0))
+            lo, hi = eps.get("scale_range", (1.0, 10.0))
+            draws = (eps["base"] * rng.uniform(lo, hi) for _ in itertools.count())
+        else:
+            draws = itertools.repeat(float(eps))
+
+        def positions(n: int) -> list[int]:
+            c = min(per_edge, n)
+            return [int((j + 0.5) * n / c) for j in range(c)]
+
+        taken = {q for a, b, _ in links for q in (a, b)}
+        for r in range(rows):
+            for c in range(cols):
+                chip = r * cols + c
+                seams = []
+                if c + 1 < cols:
+                    seams += [(gid(chip, w - 1, p), gid(chip + 1, 0, p)) for p in positions(h)]
+                if r + 1 < rows:
+                    seams += [(gid(chip, p, h - 1), gid(chip + cols, p, 0)) for p in positions(w)]
+                for a, b in seams:
+                    if a not in taken and b not in taken:
+                        taken |= {a, b}
+                        links.append((a, b, next(draws)))
+    dead = {site(d) for d in doc.get("defects", [])}
+    return [l for l in links if l[0] not in dead and l[1] not in dead]
 
 
 def blocked_cells(backend, chip: int) -> set[tuple[int, int]]:

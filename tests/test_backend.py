@@ -18,7 +18,7 @@ from chipmap.backend import (
 )
 from chipmap.errors import ValidationError
 from chipmap.ir import cx
-from oracles import coupling_edges, coupling_parts, links_between
+from oracles import coupling_edges, coupling_parts, expected_links, links_between
 
 
 def _doc(**kw) -> dict:
@@ -68,6 +68,20 @@ class TestGeometry:
         for chip in range(8):
             row, col = b.grid_pos(chip)
             assert b.chip_at(row, col) == chip
+
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), w=st.integers(1, 7), h=st.integers(1, 7))
+    def test_board_layout_and_grid_distance(self, rows, cols, w, h):
+        b = ChipletBackend(rows, cols, w, h)
+        for g in range(b.n_qubits):
+            chip, x, y = b.coord(g)
+            bit = b.board_bit(g)
+            assert bit == y * b.board_stride + x
+            assert b.board_gid(b.chip_of(g), bit) == g
+            assert list(b.board_cells(1 << bit)) == [(x, y)]
+        for c1 in range(b.n_chiplets):
+            for c2 in range(b.n_chiplets):
+                (r1, k1), (r2, k2) = b.grid_pos(c1), b.grid_pos(c2)
+                assert b.grid_distance(c1, c2) == abs(r1 - r2) + abs(k1 - k2)
 
     def test_fields_are_frozen(self):
         b = build_backend(_doc(auto_links={"per_edge": 1, "eps": 0.1}))
@@ -124,6 +138,18 @@ class TestValidation:
             b = build_backend(doc)
         assert b.links == ()
         assert any("dropping link" in r.message for r in caplog.records)
+
+    def test_dropped_links_log_one_line_per_build(self, caplog):
+        doc = _doc(
+            auto_links={"per_edge": 3, "eps": 0.1},
+            defects=[{"chip": 0, "x": 2, "y": 0}, {"chip": 1, "x": 0, "y": 2}],
+        )
+        with caplog.at_level(logging.WARNING, logger="chipmap.backend"):
+            b = build_backend(doc)
+        assert len(b.links) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping links with a defective endpoint (2): (2, 9), (8, 15)"
+        ]
 
     def test_negative_eps_rejected(self):
         doc = _doc(links=[{"a": {"chip": 0, "x": 2, "y": 0},
@@ -240,6 +266,50 @@ class TestAutoLinks:
         b = build_backend(doc)
         at_y0 = [l for l in b.links if b.coord(l.a).y == 0]
         assert len(at_y0) == 1 and at_y0[0].eps == 0.7
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_oracle(self, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        w, h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        site = st.builds(
+            lambda chip, x, y: {"chip": chip, "x": x, "y": y},
+            st.integers(0, rows * cols - 1), st.integers(0, w - 1), st.integers(0, h - 1),
+        )
+        doc = {"grid": [rows, cols], "chiplet": [w, h], "allow_non_pow2": True,
+               "defects": data.draw(st.lists(site, max_size=6)),
+               "links": []}
+        seen: set[tuple[int, int, int]] = set()
+        for chip in data.draw(st.lists(st.integers(0, rows * cols - 1), max_size=4)):
+            row, col = divmod(chip, cols)
+            if data.draw(st.booleans()) and col + 1 < cols:  # across the right seam
+                y = data.draw(st.integers(0, h - 1))
+                a, b = (chip, w - 1, y), (chip + 1, 0, y)
+            elif row + 1 < rows:  # across the lower seam, endpoints given high to low
+                x = data.draw(st.integers(0, w - 1))
+                a, b = (chip + cols, x, 0), (chip, x, h - 1)
+            else:
+                continue
+            if a in seen or b in seen:
+                continue  # one link per qubit
+            seen |= {a, b}
+            doc["links"].append({
+                "a": dict(zip(("chip", "x", "y"), a)), "b": dict(zip(("chip", "x", "y"), b)),
+                "eps": data.draw(st.floats(0, 1)),
+            })
+        eps = data.draw(st.one_of(
+            st.floats(0, 1),
+            st.fixed_dictionaries(
+                {"base": st.floats(0, 1)},
+                optional={"scale_range": st.tuples(st.floats(0, 2), st.floats(2, 9)).map(list),
+                          "seed": st.integers(0, 9)},
+            ),
+        ))
+        # per_edge past the longer side clips every seam
+        doc["auto_links"] = {"per_edge": data.draw(st.integers(1, 8)), "eps": eps}
+        b = build_backend(doc)
+        assert [(l.a, l.b, l.eps) for l in b.links] == expected_links(doc)
 
 
 def _edges(g: CouplingGraph) -> set[tuple[int, int]]:

@@ -271,19 +271,41 @@ class TestCircuitParsing:
             circuit_from_json(doc)
         assert repr("3") in str(info.value) and repr(other) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"partition_geometry": {"2": {"width": 1, "height": 1}}},
+             "partition_geometry: partition 2 is not declared"),
+            ({"layout_hints": {"4": {"dir": "below", "ref": 0}}},
+             "layout_hints: partition 4 is not declared"),
+            ({"layout_hints": {"1": {"dir": "below", "ref": 5}}},
+             r"layout_hints\[1\]\.ref: partition 5 is not declared"),
+            ({"partitions": None, "partition_geometry": {"0": {"width": 1, "height": 1}}},
+             "partition_geometry: partition 0 is not declared"),
+            ({"partitions": None, "layout_hints": {"1": {"dir": "right", "ref": 0}}},
+             "layout_hints: partition 1 is not declared"),
+        ],
+        ids=["geometry-key", "hint-key", "hint-ref", "geometry-alone", "hints-alone"],
+    )
+    def test_undeclared_partition_rejected(self, extra, message):
+        doc = {"n_qubits": 2, "gates": [], "partitions": {"0": 0, "1": 1}, **extra}
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(ValidationError, match=message):
+            circuit_from_json(doc)
+
     def test_partitions_and_geometry_parsed(self):
         ci = circuit_from_json(
             {
-                "n_qubits": 2,
+                "n_qubits": 3,
                 "gates": [],
-                "partitions": {"0": 0, "1": 0},
+                "partitions": {"0": 0, "1": 0, "2": 1},
                 "partition_geometry": {
                     "0": {"width": 2, "height": 1, "locals": {"0": [0, 0], "1": [0, 1]}}
                 },
                 "layout_hints": {"0": {"dir": "right", "ref": 1}},
             }
         )
-        assert ci.partitions == {0: 0, 1: 0}
+        assert ci.partitions == {0: 0, 1: 0, 2: 1}
         assert ci.geometry[0].cells == {0: (0, 0), 1: (0, 1)}
         assert ci.layout_hints[0].direction == "right"
 

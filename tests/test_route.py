@@ -408,7 +408,7 @@ class TestDistanceKernel:
         be = _pair_chips(auto={"per_edge": per_edge, "eps": 0.01}, w=w, h=h)
         graph = CouplingGraph(be)
         start = be.gid(chip, data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
-        view = _bfs_dist(graph, be, start, chip)
+        view = _bfs_dist(graph, be, start)
         assert isinstance(view, _ManhattanDist)
         oracle = bfs_dist(be, start, chip)
         _assert_same_distances(view, oracle, be.n_qubits)
@@ -434,7 +434,7 @@ class TestDistanceKernel:
         })
         graph = CouplingGraph(be)
         start_gid = be.gid(*start)
-        view = _bfs_dist(graph, be, start_gid, chip)
+        view = _bfs_dist(graph, be, start_gid)
         assert isinstance(view, _LevelDist) == any(c[0] == chip for c in dead)
         oracle = bfs_dist(be, start_gid, chip)
         _assert_same_distances(view, oracle, be.n_qubits)
@@ -457,7 +457,7 @@ class TestDistanceKernel:
             "defects": [{"chip": 0, "x": x, "y": y} for x, y in dead],
         })
         graph = CouplingGraph(be)
-        view = _bfs_dist(graph, be, be.gid(0, *start), 0)
+        view = _bfs_dist(graph, be, be.gid(0, *start))
         assert isinstance(view, _LevelDist)
         oracle = bfs_dist(be, be.gid(0, *start), 0)
         _assert_same_distances(view, oracle, be.n_qubits)
@@ -473,11 +473,11 @@ class TestDistanceKernel:
             }
         )
         graph = CouplingGraph(be)
-        dist = _bfs_dist(graph, be, be.gid(0, 0, 1), 0)
+        dist = _bfs_dist(graph, be, be.gid(0, 0, 1))
         assert isinstance(dist, _LevelDist)
         _assert_same_distances(dist, bfs_dist(be, be.gid(0, 0, 1), 0), be.n_qubits)
         assert dist.get(be.gid(0, 2, 1)) == 4  # around the dead cell, not through it
-        assert isinstance(_bfs_dist(graph, be, be.gid(1, 0, 0), 1), _ManhattanDist)
+        assert isinstance(_bfs_dist(graph, be, be.gid(1, 0, 0)), _ManhattanDist)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_routing_matches_forced_bfs(self, seed, monkeypatch):
@@ -502,7 +502,7 @@ class TestDistanceKernel:
         fast = _route(gates, n, labels, placements, be, cfg)
         monkeypatch.setattr(
             route, "_bfs_dist",
-            lambda graph, backend, start, chip: FloodDist(backend, start, chip),
+            lambda graph, backend, start: FloodDist(backend, start, backend.chip_of(start)),
         )
         slow = _route(gates, n, labels, placements, be, cfg)
         assert fast.dag.nodes == slow.dag.nodes
