@@ -38,7 +38,7 @@ from .pipeline import (
     REF_MODES,
     CompileOptions,
     compile_circuit,
-    dumps_compiled,
+    write_compiled,
 )
 from .schema import validate_compiled_doc
 from .route import POLICIES, RoutingConfig
@@ -216,11 +216,25 @@ def _load_doc(path: Path) -> object:
         raise ValidationError(f"{path}: not parseable: {exc}") from None
 
 
-def _write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _writing(path: Path):
+    """The ``write`` of a text file that becomes ``path`` once the body ends; a newline ends it.
+
+    A regular file is written beside ``path`` and moved over it, so a
+    write that fails midway leaves no partial file and an old ``path`` as
+    it was; a symlink, device or pipe is written in place.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:  # two writes: no copy of a large document
-        fh.write(text)
-        fh.write("\n")
+    in_place = path.is_symlink() or (path.exists() and not path.is_file())
+    tmp = path if in_place else path.with_name(f".{path.name}.partial")
+    try:
+        with tmp.open("w") as fh:
+            yield fh.write
+            fh.write("\n")
+        tmp.replace(path)
+    finally:
+        if not in_place:
+            tmp.unlink(missing_ok=True)
     log.info("wrote %s", path)
 
 
@@ -313,7 +327,8 @@ def compile_cmd(
         if not stats_only:
             if out_file is None:
                 out_file = obj.out_dir / (circuit_file.stem + ".compiled.json")
-            _write(out_file, dumps_compiled(result, backend))
+            with _writing(out_file) as write:  # streamed: the document is never one string
+                write_compiled(result, backend, write)
     if svg_file is not None:
         from .render import render_layout_svg
 
@@ -372,8 +387,10 @@ def bench_gen(
     else:
         stem = f"ls_cnot_d{params['d']}_n{params['n_cnots']}"
     circuit, backend = _generate(kind, obj.seed, params)
-    _write(out_circuit or obj.out_dir / f"{stem}.circuit.json", json.dumps(circuit, indent=2))
-    _write(out_backend or obj.out_dir / f"{stem}.backend.json", json.dumps(backend, indent=2))
+    for path, doc in ((out_circuit or obj.out_dir / f"{stem}.circuit.json", circuit),
+                      (out_backend or obj.out_dir / f"{stem}.backend.json", backend)):
+        with _writing(path) as write:
+            write(json.dumps(doc, indent=2))
 
 
 def _point_param(name: str, value: object, convert, form: str) -> object:

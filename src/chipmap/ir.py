@@ -3,8 +3,9 @@
 Contains:
 - GateKind / OpaqueKind / GateNode: the gate vocabulary; an unknown op
   loads as an OpaqueKind that keeps its name and arity
-- CircuitDag: immutable gate list in topological order; each gate
-  depends on the previous gate on any of its operands
+- CircuitDag: immutable gate list in topological order, kept as three
+  columns (kinds, operand tuples, tags); each gate depends on the
+  previous gate on any of its operands
 - InteractionGraph: weighted qubit graph counting two-qubit gates
 - Partition / PartitionRegistry: the patches of one circuit; local
   mapping returns a new registry whose partitions carry coordinates
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
@@ -70,41 +72,36 @@ _KIND_BY_NAME = {
 }
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class GateNode:
-    """One gate. ``qubits`` are virtual ids before routing, physical after.
+def _gate_error(kind: GateKind | OpaqueKind, qubits: tuple[int, ...]) -> str | None:
+    """Why ``qubits`` cannot be the operands of a ``kind`` gate, or None if they can.
 
-    The constructor is written out rather than generated: it checks the
-    operands, then stores the fields through the slot descriptors, which
-    is cheaper than a frozen dataclass's ``object.__setattr__`` calls on
-    the ~140k gates a large compile builds.
+    The one statement of the operand rules: ``GateNode`` and the circuit
+    parser both ask it.
     """
+    n = len(qubits)
+    if kind.is_two_qubit:
+        if n != 2 or qubits[0] == qubits[1]:
+            return f"{kind.value} needs two distinct operands, got {qubits}"
+    elif kind is GateKind.BARRIER:
+        if n == 0 or len(set(qubits)) != n:
+            return f"barrier operands must be nonempty and distinct: {qubits}"
+    elif n != 1:
+        return f"{kind.value} takes one operand, got {qubits}"
+    return None
+
+
+@dataclass(frozen=True, slots=True)
+class GateNode:
+    """One gate. ``qubits`` are virtual ids before routing, physical after."""
 
     kind: GateKind | OpaqueKind
     qubits: tuple[int, ...]
     tag: str = ""
 
-    def __init__(self, kind: GateKind | OpaqueKind, qubits: tuple[int, ...], tag: str = "") -> None:
-        n = len(qubits)
-        if kind.is_two_qubit:
-            if n != 2 or qubits[0] == qubits[1]:
-                raise ValidationError(
-                    f"{kind.value} needs two distinct operands, got {qubits}"
-                )
-        elif kind is GateKind.BARRIER:
-            if n == 0 or len(set(qubits)) != n:
-                raise ValidationError(f"barrier operands must be nonempty and distinct: {qubits}")
-        elif n != 1:
-            raise ValidationError(f"{kind.value} takes one operand, got {qubits}")
-        _set_kind(self, kind)
-        _set_qubits(self, qubits)
-        _set_tag(self, tag)
-
-
-# slot setters: they write past the frozen __setattr__, for __init__ only
-_set_kind = GateNode.kind.__set__
-_set_qubits = GateNode.qubits.__set__
-_set_tag = GateNode.tag.__set__
+    def __post_init__(self) -> None:
+        error = _gate_error(self.kind, self.qubits)
+        if error:
+            raise ValidationError(error)
 
 
 def cx(a: int, b: int, tag: str = "") -> GateNode:
@@ -128,51 +125,97 @@ def barrier(*qs: int, tag: str = "") -> GateNode:
 
 
 class CircuitDag:
-    """Immutable gate list in a topological order.
+    """Immutable gate list in a topological order, stored as three columns.
 
-    Node ids are indices into ``nodes``; each gate depends on the previous
-    gate on any of its operands, so the list order is a topological order
-    by construction. Barriers depend on, and are depended on by, every
-    listed operand, which keeps round structure intact. No edge lists are
-    stored: ``depth`` reads the dependencies off per-qubit finish times.
+    Gate ``i`` is ``kinds[i]`` on the operand tuple ``qubits[i]``, tagged
+    ``tags[i]``. Each gate depends on the previous gate on any of its
+    operands, so the list order is a topological order by construction.
+    Barriers depend on, and are depended on by, every listed operand,
+    which keeps round structure intact. No edge lists are stored: the
+    depth is read off per-qubit finish times. The constructor takes
+    ``GateNode``s, which checked their own operands, and checks that
+    every operand is below ``n_virt``.
     """
 
-    __slots__ = ("nodes", "n_virt")
+    __slots__ = ("kinds", "qubits", "tags", "n_virt")
 
-    def __init__(self, nodes: tuple[GateNode, ...], n_virt: int):
-        self.nodes = nodes
+    def __init__(self, nodes: Sequence[GateNode], n_virt: int):
+        self._fill([g.kind for g in nodes], [g.qubits for g in nodes], [g.tag for g in nodes],
+                   n_virt)
+
+    @classmethod
+    def _from_columns(cls, kinds: Sequence[GateKind | OpaqueKind],
+                      qubits: Sequence[tuple[int, ...]], tags: Sequence[str],
+                      n_virt: int) -> CircuitDag:
+        """A DAG over columns whose gates the caller held to ``_gate_error``.
+
+        The parser and the router check each gate as they append it; only
+        the operand range is checked here.
+        """
+        dag = cls.__new__(cls)
+        dag._fill(kinds, qubits, tags, n_virt)
+        return dag
+
+    def _fill(self, kinds: Sequence[GateKind | OpaqueKind], qubits: Sequence[tuple[int, ...]],
+              tags: Sequence[str], n_virt: int) -> None:
+        if n_virt < 0:
+            raise ValidationError(f"n_virt must be nonnegative, got {n_virt}")
+        if not len(kinds) == len(qubits) == len(tags):
+            raise ValidationError("gate columns differ in length")
+        flat = list(chain.from_iterable(qubits))
+        if flat and (min(flat) < 0 or max(flat) >= n_virt):  # then name the first offender
+            i, q = next((i, q) for i, qs in enumerate(qubits) for q in qs if not 0 <= q < n_virt)
+            raise ValidationError(f"gate {i}: operand {q} out of range for n_virt={n_virt}")
+        self.kinds = tuple(kinds)
+        self.qubits = tuple(qubits)
+        self.tags = tuple(tags)
         self.n_virt = n_virt
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.kinds)
 
-    def two_qubit_nodes(self) -> Iterator[tuple[int, GateNode]]:
-        for i, g in enumerate(self.nodes):
-            if g.kind.is_two_qubit:
-                yield i, g
+    @property
+    def nodes(self) -> tuple[GateNode, ...]:
+        """The gates as ``GateNode`` objects, built from the columns on each call."""
+        return tuple(map(GateNode, self.kinds, self.qubits, self.tags))
 
-    def depth(self) -> int:
-        """Critical path length with unit gate weight; barriers weigh zero.
+    def two_qubit_operands(self) -> Iterator[tuple[int, ...]]:
+        """The operand pair of every two-qubit gate, in gate order."""
+        return compress(self.qubits, [kind.is_two_qubit for kind in self.kinds])
 
-        A gate finishes one step after the latest finish among its
-        operands, which is the longest path through its predecessors, so
-        per-qubit finish times give the depth without the edge lists.
+    def counts(self, chip_area: int) -> tuple[int, int, int, int]:
+        """Two-qubit gates, non-barrier gates, crossings and depth, in one walk.
+
+        A crossing is a two-qubit gate whose operands, read as physical
+        ids, lie on different chiplets of ``chip_area`` cells; the count
+        means nothing for a DAG over virtual qubits. The depth is the
+        critical path length with unit gate weight, barriers weighing
+        zero: a gate finishes one step after the latest finish among its
+        operands, which is the longest path through its predecessors.
         """
         finish = [0] * self.n_virt  # finish time of the last gate on each qubit
+        two = crossings = barriers = 0
         barrier = GateKind.BARRIER
-        for g in self.nodes:
-            qs = g.qubits
-            if g.kind is barrier:
+        for kind, qs in zip(self.kinds, self.qubits):
+            if kind.is_two_qubit:
+                a, b = qs
+                two += 1
+                if a // chip_area != b // chip_area:
+                    crossings += 1
+                ta, tb = finish[a], finish[b]
+                finish[a] = finish[b] = (ta if ta > tb else tb) + 1
+            elif kind is barrier:
+                barriers += 1
                 t = max([finish[q] for q in qs])
                 for q in qs:
                     finish[q] = t
-            elif len(qs) == 1:
-                finish[qs[0]] += 1
             else:
-                a, b = qs
-                ta, tb = finish[a], finish[b]
-                finish[a] = finish[b] = (ta if ta > tb else tb) + 1
-        return max(finish, default=0)
+                finish[qs[0]] += 1
+        return two, len(self.kinds) - barriers, crossings, max(finish, default=0)
+
+    def depth(self) -> int:
+        """Critical path length with unit gate weight; barriers weigh zero."""
+        return self.counts(max(self.n_virt, 1))[3]
 
 
 def build_dag(gates: Sequence[GateNode], n_virt: int) -> CircuitDag:
@@ -181,13 +224,7 @@ def build_dag(gates: Sequence[GateNode], n_virt: int) -> CircuitDag:
     Each gate depends on the previous gate touching any of its operands;
     only the operand range is checked here.
     """
-    if n_virt < 0:
-        raise ValidationError(f"n_virt must be nonnegative, got {n_virt}")
-    for i, g in enumerate(gates):
-        for q in g.qubits:
-            if not 0 <= q < n_virt:
-                raise ValidationError(f"gate {i}: operand {q} out of range for n_virt={n_virt}")
-    return CircuitDag(tuple(gates), n_virt)
+    return CircuitDag(gates, n_virt)
 
 
 @dataclass(frozen=True)
@@ -212,8 +249,7 @@ class InteractionGraph:
 
 def interaction_graph(dag: CircuitDag) -> InteractionGraph:
     weights: dict[tuple[int, int], int] = {}
-    for _, g in dag.two_qubit_nodes():
-        a, b = g.qubits
+    for a, b in dag.two_qubit_operands():
         key = (a, b) if a < b else (b, a)
         weights[key] = weights.get(key, 0) + 1
     return InteractionGraph(tuple(range(dag.n_virt)), weights)
@@ -330,21 +366,6 @@ class CircuitInput:
     layout_hints: dict[int, LayoutHint] | None = None     # partition id -> hint
 
 
-def _parse_gate(i: int, obj: dict) -> GateNode:
-    op = obj["op"]
-    qs = tuple(map(int, obj["qubits"]))  # integer-valued floats are integers too
-    tag = obj.get("tag", "")
-    kind = _KIND_BY_NAME.get(op.lower())
-    if kind is None:
-        if len(qs) > 2:
-            raise ValidationError(f"gates[{i}]: unknown op {op!r} with arity {len(qs)}")
-        kind = _opaque_kind(op, len(qs) == 2)
-    try:
-        return GateNode(kind, qs, tag)
-    except ValidationError as exc:
-        raise ValidationError(f"gates[{i}]: {exc}") from None
-
-
 def _by_id(where: str, obj: dict) -> dict:
     """``obj`` keyed by the ids its decimal-string keys spell.
 
@@ -377,8 +398,22 @@ def circuit_from_json(obj: dict) -> CircuitInput:
     """
     validate_circuit_doc(obj)
     n = int(obj["n_qubits"])
-    gates = [_parse_gate(i, g) for i, g in enumerate(obj["gates"])]
-    dag = build_dag(gates, n)
+    kinds, qubits, tags = [], [], []  # the DAG's columns
+    for i, gate in enumerate(obj["gates"]):
+        op = gate["op"]
+        qs = tuple(map(int, gate["qubits"]))
+        kind = _KIND_BY_NAME.get(op.lower())
+        if kind is None:
+            if len(qs) > 2:
+                raise ValidationError(f"gates[{i}]: unknown op {op!r} with arity {len(qs)}")
+            kind = _opaque_kind(op, len(qs) == 2)
+        error = _gate_error(kind, qs)
+        if error:
+            raise ValidationError(f"gates[{i}]: {error}")
+        kinds.append(kind)
+        qubits.append(qs)
+        tags.append(gate.get("tag", ""))
+    dag = CircuitDag._from_columns(kinds, qubits, tags, n)
 
     partitions: dict[int, int] | None = None
     if "partitions" in obj:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 from .backend import ChipletBackend
 from .errors import CompilerError
-from .ir import CircuitDag, GateKind
+from .ir import CircuitDag
 from .route import CompiledCircuit
 
 
@@ -45,27 +45,6 @@ class CompileStats:
         return out
 
 
-def _gate_counts(dag: CircuitDag, chip_area: int) -> tuple[int, int, int]:
-    """Two-qubit, non-barrier and chiplet-crossing two-qubit gates, in one pass.
-
-    Operands are read as physical ids on chiplets of ``chip_area`` cells;
-    the crossing count means nothing for a DAG over virtual qubits.
-    """
-    two = gates = inter = 0
-    barrier = GateKind.BARRIER
-    for g in dag.nodes:
-        kind = g.kind
-        if kind.is_two_qubit:
-            two += 1
-            gates += 1
-            a, b = g.qubits
-            if a // chip_area != b // chip_area:
-                inter += 1
-        elif kind is not barrier:
-            gates += 1
-    return two, gates, inter
-
-
 def _ratio(num: int, den: int) -> float:
     if den == 0:
         return 1.0 if num == 0 else float("inf")
@@ -86,8 +65,8 @@ def stats(
     that hold at least one partition, or of the whole device when
     ``util_all_chiplets`` is set.
     """
-    two_orig, gates_orig, _ = _gate_counts(original, backend.chip_area)
-    two_comp, gates_comp, inter = _gate_counts(compiled.dag, backend.chip_area)
+    two_orig, gates_orig, _, depth_orig = original.counts(backend.chip_area)
+    two_comp, gates_comp, inter, depth_comp = compiled.dag.counts(backend.chip_area)
     traversed = sum(compiled.link_traversals.values())
     if inter != traversed:
         raise CompilerError(
@@ -98,8 +77,6 @@ def stats(
     denom_chips = backend.n_chiplets if util_all_chiplets else max(1, len(used_chips))
     mapped = len(compiled.mapping)
 
-    depth_orig = original.depth()
-    depth_comp = compiled.dag.depth()
     return CompileStats(
         n_virtual=original.n_virt,
         n_physical=backend.n_qubits,

@@ -7,21 +7,22 @@ also callable on its own; this module only wires them together.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import time
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Callable
 
 from .backend import ChipletBackend, PhysCoord
 from .errors import ValidationError, check_field_types
 from .gmap import PLACEMENT_MODES, REF_MODES, Placement, global_map
 from .ir import (
+    CircuitDag,
     CircuitInput,
     GateKind,
-    GateNode,
     OpaqueKind,
     PartitionRegistry,
     interaction_graph,
@@ -158,6 +159,13 @@ def result_to_json(result: CompileResult, backend: ChipletBackend) -> dict:
     return json.loads(dumps_compiled(result, backend))
 
 
+def dumps_compiled(result: CompileResult, backend: ChipletBackend) -> str:
+    """The compiled-circuit document as one string: ``write_compiled`` into a buffer."""
+    buf = io.StringIO()
+    write_compiled(result, backend, buf.write)
+    return buf.getvalue()
+
+
 # One gate and one mapping entry, nested one level deep, as
 # json.dumps(indent=2) lays them out.
 _GATE = '{\n      "op": %s,\n      "qubits": [\n        %s\n      ]%s\n    }'
@@ -165,61 +173,68 @@ _COORD = '"%d": {\n      "chip": %d,\n      "x": %d,\n      "y": %d\n    }'
 _SEP = ",\n    "  # between the items of the gate array and of the mapping
 
 
-def dumps_compiled(result: CompileResult, backend: ChipletBackend) -> str:
-    """The compiled-circuit document, laid out as ``json.dumps(indent=2)`` does.
+def write_compiled(
+    result: CompileResult, backend: ChipletBackend, write: Callable[[str], object]
+) -> None:
+    """Write the compiled-circuit document through ``write``, piece by piece.
 
-    The gate array and the mapping, which hold nearly all of a document,
-    are written from the ``GateNode`` and ``PhysCoord`` objects through
-    fixed templates, without building their dicts; every other field is
-    encoded by ``json.dumps``.
+    The text is laid out as ``json.dumps(indent=2)`` does. The gate array
+    and the mapping, which hold nearly all of a document, are written from
+    the DAG's columns and the ``PhysCoord`` objects through fixed
+    templates, one run of gates at a time, so the document is never one
+    string; every other field is encoded by ``json.dumps``.
     """
     compiled = result.compiled
 
     def encoded(value: object) -> str:
         return json.dumps(value, indent=2).replace("\n", "\n  ")
 
-    def pairs(counts: dict[tuple[int, int], int]) -> str:
-        return encoded([{"a": a, "b": b, "count": n} for (a, b), n in sorted(counts.items())])
+    def pairs(counts: dict[tuple[int, int], int]) -> list[dict]:
+        return [{"a": a, "b": b, "count": n} for (a, b), n in sorted(counts.items())]
 
-    fields = {
-        "schema_version": encoded(1),
-        "n_physical": encoded(backend.n_qubits),
-        "gates": _dumps_gates(compiled.dag.nodes),
-        "mapping": _dumps_mapping(compiled.mapping),
-        "placements": encoded([
+    write(f'{{\n  "schema_version": 1,\n  "n_physical": {encoded(backend.n_qubits)},\n  "gates": ')
+    _write_gates(compiled.dag, write)
+    write(',\n  "mapping": ')
+    write(_dumps_mapping(compiled.mapping))
+    rest = {
+        "placements": [
             {"pid": p.pid, "chip": p.chip, "x": p.x, "y": p.y, "w": p.w, "h": p.h}
             for p in (result.placements[pid] for pid in sorted(result.placements))
-        ]),
+        ],
         "link_usage": pairs(compiled.link_usage),
         "link_traversals": pairs(compiled.link_traversals),
-        "stats": encoded(result.stats.as_dict()),
-        "timings": encoded({k: round(v, 6) for k, v in result.timings.items()}),
+        "stats": result.stats.as_dict(),
+        "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
-    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}"
+    for key, value in rest.items():
+        write(f',\n  "{key}": {encoded(value)}')
+    write("\n}")
 
 
-def _gate_shape(g: GateNode) -> tuple[GateKind | OpaqueKind, str, int]:
-    return g.kind, g.tag, len(g.qubits)
-
-
-def _dumps_gates(nodes: Sequence[GateNode]) -> str:
+def _write_gates(dag: CircuitDag, write: Callable[[str], object]) -> None:
     """The gate array in its interchange form, as ``json.dumps(indent=2)`` lays it out.
 
     Each gate writes its kind's name, and its tag when it has one.
     Consecutive gates of one shape (kind, tag, arity) share a template,
-    so each such run is formatted with one ``%``.
+    so each such run is formatted with one ``%`` and written at once.
     """
-    if not nodes:
-        return "[]"
+    if not dag.kinds:
+        write("[]")
+        return
     templates: dict[tuple[GateKind | OpaqueKind, str, int], str] = {}
-    runs: list[str] = []
-    for shape, run in groupby(nodes, _gate_shape):
+    qubits = dag.qubits
+    start = 0
+    sep = "[\n    "
+    for shape, run in groupby(zip(dag.kinds, dag.tags, map(len, qubits))):
         template = templates.get(shape)
         if template is None:
             template = templates[shape] = _gate_template(*shape)
-        qubits = [g.qubits for g in run]
-        runs.append(_SEP.join([template] * len(qubits)) % tuple(chain.from_iterable(qubits)))
-    return "[\n    " + _SEP.join(runs) + "\n  ]"
+        end = start + len(list(run))
+        operands = tuple(chain.from_iterable(qubits[start:end]))
+        write((sep + _SEP.join([template] * (end - start))) % operands)
+        sep = _SEP
+        start = end
+    write("\n  ]")
 
 
 def _gate_template(kind: GateKind | OpaqueKind, tag: str, arity: int) -> str:

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
     check_field_types,
 )
-from .ir import CircuitDag, GateKind, GateNode, PartitionRegistry, build_dag
+from .ir import CircuitDag, GateKind, OpaqueKind, PartitionRegistry
 from .lmap import flat_mapping
 
 log = logging.getLogger(__name__)
@@ -346,10 +346,14 @@ class _RoutingRun:
         qpid = registry.qubit_map()
         self.pid_of_cell = {gid: qpid[virt] for virt, gid in self.phi.items()}
         self.qpid = qpid
-        self.out: list[GateNode] = []
+        # the routed gates, one column each, as CircuitDag keeps them
+        self.kinds: list[GateKind | OpaqueKind] = []
+        self.qubits: list[tuple[int, ...]] = []
+        self.tags: list[str] = []
         self.swap_count = 0
         self.traversals: dict[tuple[int, int], int] = {}
         self.violations = 0
+        self.gates_inside: dict[int, int] = {}  # partition id -> gates routed between its cells
         self.swaps_inside: dict[int, int] = {}  # partition id -> SWAPs between its own cells
         self.usage: LinkUsage = {}  # this run's link selections
         self.chip_area = backend.chip_area
@@ -364,20 +368,21 @@ class _RoutingRun:
 
     # -- routed gates -------------------------------------------------
 
-    def _route_two_qubit(self, g: GateNode, p1: int, p2: int) -> None:
-        """Route ``g``, whose operands sit on the uncoupled cells ``p1`` and ``p2``."""
-        v1, v2 = g.qubits
-        if self.qpid[v1] == self.qpid[v2]:
-            msg = (
-                f"{g.kind.value} on qubits {v1}, {v2} of partition {self.qpid[v1]} "
-                "needs routing inside a patch"
-            )
+    def _route_two_qubit(
+        self, kind: GateKind | OpaqueKind, v1: int, v2: int, tag: str, p1: int, p2: int
+    ) -> None:
+        """Route a ``kind`` gate on ``v1``, ``v2``, whose tokens sit on uncoupled ``p1``, ``p2``."""
+        pid = self.qpid[v1]
+        if pid == self.qpid[v2]:
             if self.cfg.strict_patches:
-                raise StrictPatchViolationError(msg)
-            log.warning("%s", msg)
+                raise StrictPatchViolationError(
+                    f"{kind.value} on qubits {v1}, {v2} of partition {pid} "
+                    "needs routing inside a patch"
+                )
+            self.gates_inside[pid] = self.gates_inside.get(pid, 0) + 1
             self.violations += 1
         path = self._find_path(p1, p2)
-        self._bifurcate(path, g)
+        self._bifurcate(path, kind, v1, v2, tag)
 
     def _find_path(self, p1: int, p2: int) -> list[int]:
         c1, c2 = self.backend.chip_of(p1), self.backend.chip_of(p2)
@@ -399,7 +404,9 @@ class _RoutingRun:
             cur = path[-1]
         return path
 
-    def _bifurcate(self, path: list[int], g: GateNode) -> None:
+    def _bifurcate(
+        self, path: list[int], kind: GateKind | OpaqueKind, v1: int, v2: int, tag: str
+    ) -> None:
         """SWAP both tokens toward the middle edge, apply the gate, undo."""
         hops = len(path) - 1
         ka = hops // 2          # source side, takes the extra hop
@@ -407,22 +414,24 @@ class _RoutingRun:
         steps = [(path[i], path[i + 1]) for i in range(ka)]
         steps += [(path[hops - j], path[hops - j - 1]) for j in range(kb)]
         self._swap_chain(steps)
-        p1, p2 = self.pos[g.qubits[0]], self.pos[g.qubits[1]]
+        p1, p2 = self.pos[v1], self.pos[v2]
         if not self.graph.has_edge(p1, p2):
             raise CompilerError(f"tokens at {p1} and {p2} not adjacent after bifurcation")
-        self.out.append(GateNode(g.kind, (p1, p2), g.tag))
+        self.kinds.append(kind)
+        self.qubits.append((p1, p2))
+        self.tags.append(tag)
         self._count_traversal(p1, p2)
         if self.cfg.restore_mapping:
             self._swap_chain([(q, p) for p, q in reversed(steps)])
 
     def _swap_chain(self, steps: list[tuple[int, int]]) -> None:
         """Emit one SWAP per (p, q) step in order, moving the tokens along."""
-        emit = self.out.append
         owner, pos, pid_of_cell = self.owner, self.pos, self.pid_of_cell
         area = self.chip_area
-        swap = GateKind.SWAP
+        self.kinds.extend([GateKind.SWAP] * len(steps))
+        self.qubits.extend(steps)
+        self.tags.extend(["route"] * len(steps))
         for p, q in steps:
-            emit(GateNode(swap, (p, q), "route"))
             if p // area != q // area:  # only links join chiplets
                 self._count_traversal(p, q)
             va, vb = owner[p], owner[q]
@@ -452,26 +461,29 @@ def route_circuit(
     # Nearly every gate passes through on the current positions, so that
     # case runs here on local names; only uncoupled pairs leave the loop.
     pos = run.pos  # updated in place by every SWAP
-    emit = run.out.append
+    kinds, qubits, tags = run.kinds, run.qubits, run.tags
     has_edge = graph.has_edge
     area = backend.chip_area
     barrier = GateKind.BARRIER
-    for g in dag.nodes:  # node order is a topological order
-        kind = g.kind
-        qs = g.qubits
+    for kind, qs, tag in zip(dag.kinds, dag.qubits, dag.tags):  # a topological order
         if kind.is_two_qubit:
-            p1 = pos[qs[0]]
-            p2 = pos[qs[1]]
+            v1, v2 = qs
+            p1 = pos[v1]
+            p2 = pos[v2]
             if not has_edge(p1, p2):
-                run._route_two_qubit(g, p1, p2)
+                run._route_two_qubit(kind, v1, v2, tag, p1, p2)
                 continue
-            emit(GateNode(kind, (p1, p2), g.tag))
+            qubits.append((p1, p2))
             if p1 // area != p2 // area:  # only links join chiplets
                 run._count_traversal(p1, p2)
         elif kind is barrier:
-            emit(GateNode(barrier, tuple([pos[q] for q in qs]), g.tag))
+            qubits.append(tuple([pos[q] for q in qs]))
         else:
-            emit(GateNode(kind, (pos[qs[0]],), g.tag))
+            qubits.append((pos[qs[0]],))
+        kinds.append(kind)
+        tags.append(tag)
+    for pid, n in sorted(run.gates_inside.items()):
+        log.warning("%d gates of partition %d need routing inside a patch", n, pid)
     for pid, n in sorted(run.swaps_inside.items()):
         log.warning("%d SWAPs inside partition %d", n, pid)
     if cfg.restore_mapping and run.pos != run.phi:
@@ -480,7 +492,7 @@ def route_circuit(
     for part in registry:
         mapping.update(part.coords)
     return CompiledCircuit(
-        dag=build_dag(run.out, backend.n_qubits),
+        dag=CircuitDag._from_columns(kinds, qubits, tags, backend.n_qubits),
         mapping=mapping,
         swap_count=run.swap_count,
         link_usage=dict(sorted(run.usage.items())),

@@ -39,8 +39,8 @@ def build_partition_graph(registry: PartitionRegistry, dag: CircuitDag) -> Parti
     if missing:
         raise ValidationError(f"qubits {missing[:8]} not covered by any partition")
     weights: dict[tuple[int, int], int] = {}
-    for _, g in dag.two_qubit_nodes():
-        pa, pb = qpid[g.qubits[0]], qpid[g.qubits[1]]
+    for a, b in dag.two_qubit_operands():
+        pa, pb = qpid[a], qpid[b]
         if pa == pb:
             continue
         key = (pa, pb) if pa < pb else (pb, pa)

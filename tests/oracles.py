@@ -2,10 +2,11 @@
 
 These deliberately avoid the package's own data structures and
 algorithms: depth comes from an availability simulation or a longest
-path over eagerly built predecessor lists, hop distances and paths from
-a dict flood and a neighbour scan over adjacency built cell by cell, the
-compiled document from a dict tree for ``json.dumps``, packing checks
-from cell-set rasterization, placement anchors from a cell-set test of
+path over eagerly built predecessor lists, the gate parse from one
+``GateNode`` per gate, hop distances and paths from a dict flood and a
+neighbour scan over adjacency built cell by cell, the compiled document
+from a dict tree for ``json.dumps``, packing checks from cell-set
+rasterization, placement anchors from a cell-set test of
 every box, routing checks from token replay on an adjacency set,
 partition quality from exhaustive enumeration, bisection growth from a
 linear scan over the free nodes, and the community count from
@@ -59,8 +60,8 @@ def eager_preds(gates: Sequence, n_virt: int) -> tuple[tuple[int, ...], ...]:
 def gate_node_error(kind, qubits) -> str | None:
     """The message ``GateNode(kind, qubits)`` must reject with, or None.
 
-    These are the operand rules as ``GateNode.__post_init__`` stated them
-    before the constructor was written out by hand.
+    These are the operand rules stated apart from ``ir._gate_error``, the
+    one function ``GateNode`` and the circuit parser share.
     """
     n = len(qubits)
     if kind.is_two_qubit:
@@ -72,6 +73,52 @@ def gate_node_error(kind, qubits) -> str | None:
     elif n != 1:
         return f"{kind.value} takes one operand, got {qubits}"
     return None
+
+
+# op name -> GateKind value; any other name is an opaque op
+BUILT_IN_OPS = {
+    "cx": "cx", "cnot": "cx", "swap": "swap", "measure": "measure", "m": "measure",
+    "reset": "reset", "barrier": "barrier",
+}
+
+
+def parse_gates(doc) -> list:
+    """The gates of circuit document ``doc`` as ``GateNode`` objects, one at a time.
+
+    The parse ``circuit_from_json`` ran before it filled the DAG's columns
+    in one loop (``ir._parse_gate`` and ``build_dag``): the schema check,
+    then per gate the op lookup (case-insensitive, an unknown op with more
+    than two operands refused), the operand rules of ``gate_node_error``
+    under a ``gates[i]:`` prefix, then the operand range over
+    ``n_qubits``. Raises ValidationError with the message the parser must
+    give.
+    """
+    from chipmap.errors import ValidationError
+    from chipmap.ir import GateKind, GateNode, OpaqueKind
+    from chipmap.schema import validate_circuit_doc
+
+    validate_circuit_doc(doc)
+    n = int(doc["n_qubits"])
+    nodes = []
+    for i, obj in enumerate(doc["gates"]):
+        op = obj["op"]
+        qs = tuple(map(int, obj["qubits"]))
+        name = BUILT_IN_OPS.get(op.lower())
+        if name is None:
+            if len(qs) > 2:
+                raise ValidationError(f"gates[{i}]: unknown op {op!r} with arity {len(qs)}")
+            kind = OpaqueKind(op, len(qs) == 2)
+        else:
+            kind = GateKind(name)
+        error = gate_node_error(kind, qs)
+        if error is not None:
+            raise ValidationError(f"gates[{i}]: {error}")
+        nodes.append(GateNode(kind, qs, obj.get("tag", "")))
+    for i, g in enumerate(nodes):
+        for q in g.qubits:
+            if not 0 <= q < n:
+                raise ValidationError(f"gate {i}: operand {q} out of range for n_virt={n}")
+    return nodes
 
 
 def coupling_parts(backend) -> tuple[list[bool], list[tuple[int, ...]], dict]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chipmap.backend import PhysCoord
 from chipmap.errors import ValidationError
 from chipmap.ir import (
+    CircuitDag,
     CircuitInput,
     GateKind,
     GateNode,
@@ -26,7 +27,14 @@ from chipmap.ir import (
     reset,
     swap,
 )
-from oracles import eager_preds, gate_node_error, gates_to_json, longest_path_depth, sim_depth
+from oracles import (
+    eager_preds,
+    gate_node_error,
+    gates_to_json,
+    longest_path_depth,
+    parse_gates,
+    sim_depth,
+)
 
 # every built-in kind, and an opaque kind of each arity
 KINDS = [*GateKind, OpaqueKind("rzz", True), OpaqueKind("t", False)]
@@ -323,6 +331,83 @@ class TestCircuitParsing:
         ci = circuit_from_json(doc)
         again = circuit_from_json({"n_qubits": 3, "gates": gates_to_json(ci.dag.nodes)})
         assert again.dag.nodes == ci.dag.nodes
+
+
+# built-in names in mixed case, opaque names (one with "%" and one
+# non-ASCII), and "ccx", which no arity admits as an opaque op
+_OPS = ["cx", "CX", "Cnot", "swap", "m", "Measure", "RESET", "barrier", "Barrier",
+        "rzz", "t", "cz%d", "h\u221a", "ccx"]
+
+
+@st.composite
+def gate_documents(draw):
+    """A circuit document whose gates break each parse rule now and then.
+
+    Operands may be integer-valued floats or reach ``n_qubits`` (out of
+    range); arities may be wrong, operands repeated and barriers empty
+    (which the schema refuses). Tags may hold "%" and non-ASCII text.
+    """
+    n = draw(st.integers(2, 6))
+
+    def operand():
+        q = draw(st.integers(0, n - 1))
+        twist = draw(st.integers(0, 9))  # now and then a float, or out of range
+        return float(q) if twist == 1 else n if twist == 2 else q
+
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(_OPS))
+        if op.lower() in ("measure", "m", "reset", "t", "h\u221a"):
+            arity = 1
+        elif op.lower() == "barrier":
+            arity = draw(st.integers(1, 3))
+        else:
+            arity = 2
+        if draw(st.integers(0, 9)) == 0:
+            arity = draw(st.integers(0, 3))  # now and then the wrong count
+        gate = {"op": op, "qubits": [operand() for _ in range(arity)]}
+        tag = draw(st.none() | st.text(alphabet="a%d\u00e9\U0001f600", max_size=3))
+        if tag is not None:
+            gate["tag"] = tag
+        gates.append(gate)
+    return {"n_qubits": n, "gates": gates}
+
+
+class TestColumnarParse:
+    @settings(max_examples=400, deadline=None)
+    @given(gate_documents())
+    def test_matches_the_per_gate_parse(self, doc):
+        try:
+            expected = parse_gates(doc)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                circuit_from_json(doc)
+            assert str(got.value) == str(exc)
+            return
+        dag = circuit_from_json(doc).dag
+        assert dag.kinds == tuple(g.kind for g in expected)
+        assert dag.qubits == tuple(g.qubits for g in expected)
+        assert dag.tags == tuple(g.tag for g in expected)
+        assert all(type(q) is int for qs in dag.qubits for q in qs)
+        assert dag.nodes == tuple(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_gate_lists())
+    def test_nodes_round_trip_through_build_dag(self, case):
+        n, gates = case
+        dag = build_dag(gates, n)
+        again = build_dag(dag.nodes, n)
+        assert (again.kinds, again.qubits, again.tags) == (dag.kinds, dag.qubits, dag.tags)
+        assert again.nodes == dag.nodes == tuple(gates)
+
+    def test_public_constructor_takes_checked_gates(self):
+        dag = CircuitDag((cx(0, 1), measure(1, "m")), 2)
+        assert (dag.kinds, dag.qubits, dag.tags) == (
+            (GateKind.CNOT, GateKind.MEASURE), ((0, 1), (1,)), ("", "m"))
+        with pytest.raises(ValidationError, match="two distinct operands"):
+            CircuitDag((cx(1, 1),), 2)
+        with pytest.raises(ValidationError, match="gate 0: operand 2 out of range"):
+            CircuitDag((cx(0, 2),), 2)
 
 
 def _parts(*qubit_sets, width=3, height=3):

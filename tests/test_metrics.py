@@ -7,7 +7,7 @@ import pytest
 from chipmap.backend import build_backend
 from chipmap.errors import CompilerError
 from chipmap.ir import barrier, build_dag, cx, measure
-from chipmap.metrics import _gate_counts, stats
+from chipmap.metrics import stats
 from oracles import sim_depth
 from test_route import _route, _singletons
 
@@ -18,7 +18,7 @@ def _chip():
 
 def test_count_two_qubit_ignores_rest():
     dag = build_dag([cx(0, 1), measure(0), barrier(0, 1), cx(1, 2)], 3)
-    two, gates, _ = _gate_counts(dag, chip_area=3)
+    two, gates, _, _ = dag.counts(chip_area=3)
     assert (two, gates) == (2, 3)  # barriers are not gates
 
 

@@ -2,17 +2,20 @@
 
 import dataclasses
 import json
+import re
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipmap.backend import ChipletBackend, PhysCoord, build_backend
 from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
+from chipmap.cli import main
 from chipmap.errors import ValidationError
 from chipmap.gmap import Placement
 from chipmap.ir import (
@@ -303,3 +306,45 @@ class TestWriter:
         be = build_backend(gen_backend_for(gen_ls_cnot_circuit(3)))
         result = compile_circuit(circuit_from_json(doc), be)
         assert dumps_compiled(result, be) == _written(result, be)
+
+    def test_compile_streams_the_same_bytes_into_its_file(self, tmp_path):
+        doc = gen_ls_cnot_circuit(3)
+        n = doc["n_qubits"]
+        doc["gates"] += [
+            {"op": "barrier", "qubits": list(range(n))},
+            {"op": "cz%d", "qubits": [0, n - 1], "tag": "m%s \u00e9"},
+            {"op": "measure", "qubits": [1.0], "tag": "end"},
+        ]
+        backend_doc = gen_backend_for(gen_ls_cnot_circuit(3))
+        circuit, backend, out = (tmp_path / name for name in ("c.json", "b.json", "o.json"))
+        circuit.write_text(json.dumps(doc))
+        backend.write_text(json.dumps(backend_doc))
+        run = CliRunner().invoke(main, ["compile", str(circuit), str(backend), "-o", str(out)])
+        assert run.exit_code == 0, run.output
+
+        be = build_backend(backend_doc)
+        text = dumps_compiled(compile_circuit(circuit_from_json(doc), be), be) + "\n"
+
+        def masked(data: bytes) -> bytes:
+            data = re.sub(rb'"wall_time_s": [^,\n]+', b'"wall_time_s": 0', data)
+            return re.sub(rb'"timings": \{[^}]*\}', b'"timings": {}', data)
+
+        written = out.read_bytes()
+        assert b'"op": "cz%d"' in written and b'"op": "barrier"' in written
+        assert masked(written) == masked(text.encode())
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        circuit, backend, out = (tmp_path / name for name in ("c.json", "b.json", "o.json"))
+        circuit.write_text(json.dumps(gen_ls_cnot_circuit(3)))
+        backend.write_text(json.dumps(gen_backend_for(gen_ls_cnot_circuit(3))))
+        out.write_text("old")
+
+        def failing(result, backend, write):
+            write('{"partial": ')
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr("chipmap.cli.write_compiled", failing)
+        run = CliRunner().invoke(main, ["compile", str(circuit), str(backend), "-o", str(out)])
+        assert isinstance(run.exception, RuntimeError)
+        assert out.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "c.json", "o.json"]

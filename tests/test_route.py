@@ -232,6 +232,17 @@ class TestPatches:
         assert compiled.swap_count == 2
         assert "inside a patch" in caplog.text
 
+    def test_in_patch_gates_summarised_once_per_partition(self, caplog):
+        labels = {q: 0 for q in range(4)}  # one full 2x2 patch
+        placements = {0: Placement(0, 0, 0, 0, 2, 2)}
+        gates = [cx(0, 3), cx(0, 3), cx(1, 2)]  # both diagonals are uncoupled
+        with caplog.at_level(logging.WARNING, logger="chipmap.route"):
+            compiled = _route(gates, 4, labels, placements, _chip())
+        inside = [r.getMessage() for r in caplog.records if "inside a patch" in r.getMessage()]
+        assert inside == ["3 gates of partition 0 need routing inside a patch"]
+        assert "6 SWAPs inside partition 0" in caplog.text
+        assert compiled.patch_violations == 3 + 6
+
     def test_in_patch_swaps_summarised_once_per_partition(self, caplog):
         be = _chip(6, 6)
         labels = {q: q // 4 for q in range(8)}  # two full 2x2 patches
