@@ -36,7 +36,7 @@ from .ir import (
     circuit_from_json,
     interaction_graph,
 )
-from .lmap import flat_mapping, local_map
+from .lmap import local_map
 from .metrics import CompileStats, stats
 from .partition import estimate_partition_count, kway_partition, predefined_partitions
 from .pipeline import CompileOptions, CompileResult, compile_circuit, result_to_json
@@ -77,7 +77,6 @@ __all__ = [
     "circuit_from_json",
     "compile_circuit",
     "estimate_partition_count",
-    "flat_mapping",
     "global_map",
     "interaction_graph",
     "kway_partition",

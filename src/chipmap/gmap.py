@@ -233,7 +233,7 @@ def global_map(
 def _pick_ref(
     pid: int, placed: list[int], relative_ref: str, pg: PartitionGraph | None
 ) -> int:
-    if relative_ref == "order" or pg is None:
+    if relative_ref == "order":
         return placed[-1]
     best = placed[0]
     best_w = pg.weight(pid, best)

@@ -8,28 +8,26 @@ Contains:
   previous gate on any of its operands
 - InteractionGraph: weighted qubit graph counting two-qubit gates
 - Partition / PartitionRegistry: the patches of one circuit; local
-  mapping returns a new registry whose partitions carry coordinates
+  mapping returns a new registry that maps each qubit to the global id
+  of its physical cell
 - circuit_from_json: the circuit interchange format
 
 The DAG and the registry travel together through the pipeline: the DAG
 never changes after construction. Each stage's product lives in that
 stage's output: the order in ``SequencedOrder``, the rectangles in the
-placements, and the coordinates on the partitions local mapping returns.
+placements, and each qubit's cell id in the registry local mapping returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from itertools import chain, compress
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .schema import validate_circuit_doc
-
-if TYPE_CHECKING:
-    from .backend import PhysCoord
 
 
 class GateKind(Enum):
@@ -257,12 +255,11 @@ def interaction_graph(dag: CircuitDag) -> InteractionGraph:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """One patch: qubit set, bounding box, cell map and, once mapped, coordinates.
+    """One patch: qubit set, bounding box and cell map.
 
     ``cells`` holds each qubit's (row, col) in the box: the declared
     positions when the circuit shipped them, otherwise the box filled
-    row-major by ascending qubit id. ``coords`` is set by the local
-    mapping stage.
+    row-major by ascending qubit id.
     """
 
     pid: int
@@ -270,7 +267,6 @@ class Partition:
     width: int
     height: int
     cells: Mapping[int, tuple[int, int]] | None = None
-    coords: Mapping[int, "PhysCoord"] | None = None
 
     def __post_init__(self) -> None:
         if not self.qubits:
@@ -295,10 +291,6 @@ class Partition:
             if (r, c) in seen:
                 raise ValidationError(f"partition {self.pid}: duplicate cell ({r}, {c})")
             seen.add((r, c))
-        if self.coords is not None and set(self.coords) != self.qubits:
-            raise ValidationError(
-                f"partition {self.pid}: coordinate map must cover exactly its qubits"
-            )
 
     @property
     def size(self) -> int:
@@ -307,9 +299,15 @@ class Partition:
 
 @dataclass(frozen=True)
 class PartitionRegistry:
-    """All partitions of one circuit."""
+    """All partitions of one circuit and, once local mapping ran, each qubit's cell.
+
+    ``mapping`` sends every qubit of the partitions to the global id of
+    its physical cell (``ChipletBackend.gid``). It is left out of
+    equality and hashing.
+    """
 
     partitions: tuple[Partition, ...]
+    mapping: Mapping[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         ids = [p.pid for p in self.partitions]
@@ -321,6 +319,8 @@ class PartitionRegistry:
             if overlap:
                 raise ValidationError(f"qubits {sorted(overlap)} appear in more than one partition")
             seen |= p.qubits
+        if self.mapping is not None and self.mapping.keys() != seen:
+            raise ValidationError("cell mapping must cover exactly the partitions' qubits")
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.partitions)

@@ -4,8 +4,8 @@ Each partition carries its cell map (declared, or its box filled
 row-major), and a qubit at local (row, col) lands on (x0 + col, y0 + row)
 of its partition's rectangle. Cells of the rectangle left unused stay
 reserved for the patch; they are never handed back to the free pool.
-The stage returns a new registry whose partitions carry these
-coordinates.
+The stage returns the registry with ``mapping`` set: each qubit to the
+global id of its cell, the only name routing and the writer use for it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping
 
-from .backend import ChipletBackend, PhysCoord
+from .backend import ChipletBackend
 from .errors import MappingError
 from .gmap import Placement
 from .ir import PartitionRegistry
@@ -24,44 +24,37 @@ def local_map(
     registry: PartitionRegistry,
     placements: Mapping[int, Placement],
 ) -> PartitionRegistry:
-    """The registry's partitions with their physical coordinates set.
+    """The registry with each qubit's cell id set in its ``mapping``.
 
-    Raises MappingError if a partition has no placement, or if an
-    assignment would land on a defective cell or collide with another
-    qubit; placements that avoid blocked zones make the last two
-    impossible, so such a failure points at a mapper bug.
+    Raises MappingError if a partition has no placement, if a placed box
+    names no chiplet or leaves its chiplet, or if an assignment would land
+    on a defective cell or collide with another qubit; placements that
+    avoid blocked zones make the last two impossible, so such a failure
+    points at a mapper bug.
     """
+    mapping: dict[int, int] = {}  # qubit -> gid
     taken: dict[int, tuple[int, int]] = {}  # gid -> (pid, qubit)
-    mapped = []
     for part in registry:
         pl = placements.get(part.pid)
         if pl is None:
             raise MappingError(f"partition {part.pid} has no placement")
-        coords: dict[int, PhysCoord] = {}
+        w, h = max(pl.w, part.width), max(pl.h, part.height)  # the placed box and the cells'
+        if not (0 <= pl.chip < backend.n_chiplets and 0 <= pl.x <= backend.chip_w - w
+                and 0 <= pl.y <= backend.chip_h - h):
+            at = (pl.chip, pl.x, pl.y)
+            raise MappingError(f"partition {part.pid}: {w}x{h} box at {at} leaves its chiplet")
         for q in sorted(part.qubits):
             row, col = part.cells[q]
-            pc = coords[q] = PhysCoord(pl.chip, pl.x + col, pl.y + row)
-            gid = backend.gid(*pc)
+            gid = mapping[q] = backend.gid(pl.chip, pl.x + col, pl.y + row)
             if gid in backend.defects:
                 raise MappingError(
-                    f"partition {part.pid}: qubit {q} mapped onto defective cell {tuple(pc)}"
+                    f"partition {part.pid}: qubit {q} mapped onto defective cell "
+                    f"{tuple(backend.coord(gid))}"
                 )
             if gid in taken:
                 raise MappingError(
-                    f"cell {tuple(pc)} assigned to qubit {q} of partition {part.pid} "
-                    f"and qubit {taken[gid][1]} of partition {taken[gid][0]}"
+                    f"cell {tuple(backend.coord(gid))} assigned to qubit {q} of partition "
+                    f"{part.pid} and qubit {taken[gid][1]} of partition {taken[gid][0]}"
                 )
             taken[gid] = (part.pid, q)
-        mapped.append(replace(part, coords=coords))
-    return PartitionRegistry(tuple(mapped))
-
-
-def flat_mapping(registry: PartitionRegistry, backend: ChipletBackend) -> dict[int, int]:
-    """Collapse a mapped registry into a virtual-qubit -> global-id dict."""
-    out: dict[int, int] = {}
-    for part in registry:
-        if part.coords is None:
-            raise MappingError(f"partition {part.pid} has no physical coordinates")
-        for q, pc in part.coords.items():
-            out[q] = backend.gid(*pc)
-    return out
+    return replace(registry, mapping=mapping)

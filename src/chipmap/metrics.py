@@ -73,7 +73,7 @@ def stats(
             f"cross-chiplet gate count {inter} disagrees with link traversals {traversed}"
         )
 
-    used_chips = {coord.chip for coord in compiled.mapping.values()}
+    used_chips = set(map(backend.chip_of, compiled.mapping.values()))
     denom_chips = backend.n_chiplets if util_all_chiplets else max(1, len(used_chips))
     mapped = len(compiled.mapping)
 

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, Mapping
 
-from .backend import ChipletBackend, PhysCoord
+from .backend import ChipletBackend
 from .errors import ValidationError, check_field_types
 from .gmap import PLACEMENT_MODES, REF_MODES, Placement, global_map
 from .ir import (
@@ -180,9 +180,10 @@ def write_compiled(
 
     The text is laid out as ``json.dumps(indent=2)`` does. The gate array
     and the mapping, which hold nearly all of a document, are written from
-    the DAG's columns and the ``PhysCoord`` objects through fixed
-    templates, one run of gates at a time, so the document is never one
-    string; every other field is encoded by ``json.dumps``.
+    the DAG's columns and the cell ids, read as chip and cell through
+    ``backend.coord``, through fixed templates, one run of gates at a time,
+    so the document is never one string; every other field is encoded by
+    ``json.dumps``.
     """
     compiled = result.compiled
 
@@ -195,7 +196,7 @@ def write_compiled(
     write(f'{{\n  "schema_version": 1,\n  "n_physical": {encoded(backend.n_qubits)},\n  "gates": ')
     _write_gates(compiled.dag, write)
     write(',\n  "mapping": ')
-    write(_dumps_mapping(compiled.mapping))
+    write(_dumps_mapping(compiled.mapping, backend))
     rest = {
         "placements": [
             {"pid": p.pid, "chip": p.chip, "x": p.x, "y": p.y, "w": p.w, "h": p.h}
@@ -245,9 +246,9 @@ def _gate_template(kind: GateKind | OpaqueKind, tag: str, arity: int) -> str:
     return _GATE % (op.replace("%", "%%"), slots, tag_field.replace("%", "%%"))
 
 
-def _dumps_mapping(mapping: dict[int, PhysCoord]) -> str:
+def _dumps_mapping(mapping: Mapping[int, int], backend: ChipletBackend) -> str:
     """The mapping, id to chip and cell, as ``json.dumps(indent=2)`` lays it out."""
     if not mapping:
         return "{}"
-    values = chain.from_iterable((v, *c) for v, c in sorted(mapping.items()))
+    values = chain.from_iterable((v, *backend.coord(g)) for v, g in sorted(mapping.items()))
     return "{\n    " + _SEP.join([_COORD] * len(mapping)) % tuple(values) + "\n  }"

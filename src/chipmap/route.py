@@ -27,17 +27,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Mapping
 
-from .backend import ChipletBackend, CouplingGraph, InterChipLink, PhysCoord
+from .backend import ChipletBackend, CouplingGraph, InterChipLink
 from .errors import (
     CompilerError,
+    MappingError,
     NoRouteError,
     StrictPatchViolationError,
     ValidationError,
     check_field_types,
 )
 from .ir import CircuitDag, GateKind, OpaqueKind, PartitionRegistry
-from .lmap import flat_mapping
 
 log = logging.getLogger(__name__)
 
@@ -120,19 +121,19 @@ def _link_cost(hops: int, link: InterChipLink, usage: int, cfg: RoutingConfig) -
 class CompiledCircuit:
     """Routing output: the physical-gate DAG plus bookkeeping.
 
-    ``dag`` runs over global physical qubit ids. ``mapping`` is the fixed
-    coordinate assignment the circuit starts from (and, with
-    restore_mapping, ends at). ``link_usage`` counts link selections,
-    ``link_traversals`` emitted two-qubit gates per link.
+    ``dag`` runs over global physical qubit ids. ``mapping`` is the
+    registry's fixed assignment of each virtual qubit to a global cell id,
+    which the circuit starts from (and, with restore_mapping, ends at);
+    the writer turns the ids into chip and cell. ``link_usage`` counts
+    link selections, ``link_traversals`` emitted two-qubit gates per link.
     """
 
     dag: CircuitDag
-    mapping: dict[int, PhysCoord]
+    mapping: Mapping[int, int]
     swap_count: int
     link_usage: dict[tuple[int, int], int]
     link_traversals: dict[tuple[int, int], int]
     patch_violations: int
-    restore_mapping: bool
 
 
 class _ManhattanDist:
@@ -270,14 +271,14 @@ def _select_crossing(
     u: int,
     to_chip: int,
     v: int | None,
-) -> tuple[InterChipLink, list[int]]:
+) -> list[int]:
     """Pick the boundary link for one crossing and build the path through it.
 
-    Returns the chosen link and the path from ``u`` over the link; when
-    the far-side target ``v`` is known the path continues down to it.
-    Increments the chosen link's count in ``usage``. Candidates are ranked
-    by (cost, hops, near endpoint); no two links share an endpoint, so
-    the order of the links in the backend never decides a choice.
+    Returns the path from ``u`` over the chosen link; when the far-side
+    target ``v`` is known the path continues down to it. Increments the
+    chosen link's count in ``usage``. Candidates are ranked by (cost,
+    hops, near endpoint); no two links share an endpoint, so the order of
+    the links in the backend never decides a choice.
     """
     chip_u = backend.chip_of(u)
     links = graph.links_between(chip_u, to_chip)
@@ -322,7 +323,7 @@ def _select_crossing(
         tail = dist_v.walk_back(far)
         tail.reverse()  # far -> v
         path.extend(tail[1:])
-    return best, path
+    return path
 
 
 class _RoutingRun:
@@ -336,13 +337,20 @@ class _RoutingRun:
         self.backend = backend
         self.graph = graph
         self.cfg = cfg
-        self.phi = flat_mapping(registry, backend)
+        if registry.mapping is None:
+            raise MappingError("the registry has no physical coordinates: run local_map first")
+        self.phi = registry.mapping
         self.pos = dict(self.phi)  # virtual -> current physical id
-        self.owner = [-1] * backend.n_qubits
+        owner = self.owner = [-1] * backend.n_qubits  # physical id -> virtual, or -1
+        alive = graph.alive
         for virt, gid in self.phi.items():
-            if not graph.alive[gid]:
-                raise ValidationError(f"qubit {virt} mapped onto defective cell {gid}")
-            self.owner[gid] = virt
+            if not 0 <= gid < len(owner):
+                raise MappingError(f"qubit {virt} mapped onto cell {gid}, not on the device")
+            if not alive[gid]:
+                raise MappingError(f"qubit {virt} mapped onto defective cell {gid}")
+            if owner[gid] != -1:
+                raise MappingError(f"qubits {owner[gid]} and {virt} mapped onto one cell {gid}")
+            owner[gid] = virt
         qpid = registry.qubit_map()
         self.pid_of_cell = {gid: qpid[virt] for virt, gid in self.phi.items()}
         self.qpid = qpid
@@ -397,7 +405,7 @@ class _RoutingRun:
         cur = p1
         for chip in _chip_route(self.backend, c1, c2)[1:]:
             target = p2 if chip == c2 else None
-            _, seg = _select_crossing(
+            seg = _select_crossing(
                 self.graph, self.backend, self.cfg, self.usage, cur, chip, target
             )
             path.extend(seg[1:])
@@ -488,15 +496,11 @@ def route_circuit(
         log.warning("%d SWAPs inside partition %d", n, pid)
     if cfg.restore_mapping and run.pos != run.phi:
         raise CompilerError("restored mapping drifted from the initial assignment")
-    mapping = {}
-    for part in registry:
-        mapping.update(part.coords)
     return CompiledCircuit(
         dag=CircuitDag._from_columns(kinds, qubits, tags, backend.n_qubits),
-        mapping=mapping,
+        mapping=run.phi,
         swap_count=run.swap_count,
         link_usage=dict(sorted(run.usage.items())),
         link_traversals=dict(sorted(run.traversals.items())),
         patch_violations=run.violations,
-        restore_mapping=cfg.restore_mapping,
     )

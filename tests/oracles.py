@@ -224,6 +224,13 @@ def gates_to_json(nodes: Sequence) -> list[dict]:
     return out
 
 
+def _site(gid, backend) -> dict:
+    """Chip and cell of global id ``gid``: chiplets of w x h cells, each row-major."""
+    area = backend.chip_w * backend.chip_h
+    return {"chip": gid // area, "x": gid % area % backend.chip_w,
+            "y": gid % area // backend.chip_w}
+
+
 def compiled_document(result, backend) -> dict:
     """The compiled-circuit document as a dict tree, field by field.
 
@@ -240,8 +247,7 @@ def compiled_document(result, backend) -> dict:
         "n_physical": backend.n_qubits,
         "gates": gates_to_json(compiled.dag.nodes),
         "mapping": {
-            str(v): {"chip": c.chip, "x": c.x, "y": c.y}
-            for v, c in sorted(compiled.mapping.items())
+            str(v): _site(gid, backend) for v, gid in sorted(compiled.mapping.items())
         },
         "placements": [
             {"pid": p.pid, "chip": p.chip, "x": p.x, "y": p.y, "w": p.w, "h": p.h}

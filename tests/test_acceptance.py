@@ -121,7 +121,7 @@ def test_criterion_03_routing_soundness():
         except NoRouteError:
             skipped += 1
             continue
-        init = {v: be.gid(*pc) for v, pc in compiled.mapping.items()}
+        init = dict(compiled.mapping)
         tracker = TokenTracker(init, coupling_edges(be))
         originals = iter(gates)
         for g in compiled.dag.nodes:

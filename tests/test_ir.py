@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipmap.backend import PhysCoord
 from chipmap.errors import ValidationError
 from chipmap.ir import (
     CircuitDag,
@@ -439,9 +438,17 @@ class TestPartitionRegistry:
 
     @pytest.mark.parametrize("covered", [(0,), (0, 1, 2)], ids=["short", "extra"])
     def test_coordinate_map_must_cover_exactly_its_qubits(self, covered):
-        coords = {q: PhysCoord(0, q, 0) for q in covered}
-        with pytest.raises(ValidationError, match="partition 4: coordinate map"):
-            Partition(4, frozenset({0, 1}), 2, 1, coords=coords)
+        parts = (Partition(4, frozenset({0, 1}), 2, 1),)
+        mapping = {q: q for q in covered}
+        with pytest.raises(ValidationError, match="cell mapping must cover exactly"):
+            PartitionRegistry(parts, mapping)
+        assert PartitionRegistry(parts, {0: 0, 1: 1}).mapping == {0: 0, 1: 1}
+
+    def test_mapping_is_left_out_of_equality_and_hash(self):
+        parts = (Partition(0, frozenset({0, 1}), 2, 1),)
+        mapped = PartitionRegistry(parts, {0: 3, 1: 4})
+        assert mapped == PartitionRegistry(parts)
+        assert hash(mapped) == hash(PartitionRegistry(parts))
 
     def test_qubit_map_covers_partitions(self):
         reg = _parts({0, 2}, {1})

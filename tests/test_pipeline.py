@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipmap.backend import ChipletBackend, PhysCoord, build_backend
+from chipmap.backend import ChipletBackend, build_backend
 from chipmap.benchgen import gen_backend_for, gen_ls_cnot_circuit, gen_memory_circuit
 from chipmap.cli import main
 from chipmap.errors import ValidationError
@@ -90,7 +90,8 @@ class TestCompile:
     def test_memory_patch_compiles_clean(self):
         circ, be = _memory_setup()
         result = compile_circuit(circ, be)
-        assert all(p.coords is not None for p in result.registry)
+        assert result.registry.mapping.keys() == set(range(circ.dag.n_virt))
+        assert result.compiled.mapping is result.registry.mapping
         assert result.compiled.swap_count == 0
         assert result.stats.depth_ratio == 1.0
         assert result.stats.inter_chiplet_two_qubit == 0
@@ -120,7 +121,7 @@ class TestCompile:
         declared = compile_circuit(circ, be)
         assert len(declared.registry) == 1
         # detection may split the patch differently; the result must still map
-        assert all(p.coords is not None for p in forced.registry)
+        assert forced.registry.mapping.keys() == set(range(circ.dag.n_virt))
 
     def test_hints_can_be_disabled(self):
         doc = gen_ls_cnot_circuit(3)
@@ -129,7 +130,7 @@ class TestCompile:
         with_hints = compile_circuit(circ, be)
         without = compile_circuit(circ, be, CompileOptions(use_hints=False))
         for result in (with_hints, without):
-            assert all(p.coords is not None for p in result.registry)
+            assert result.registry.mapping.keys() == set(range(circ.dag.n_virt))
 
     def test_routing_config_reaches_the_router(self):
         doc = gen_ls_cnot_circuit(3)
@@ -234,14 +235,11 @@ def compile_results(draw):
     )
     compiled = CompiledCircuit(
         dag=build_dag(draw(st.lists(_gate_nodes(), max_size=30)), 10**6 + 1),
-        mapping=draw(
-            st.dictionaries(_ints, st.builds(PhysCoord, _ints, _ints, _ints), max_size=4)
-        ),
+        mapping=draw(st.dictionaries(_ints, _ints, max_size=4)),
         swap_count=draw(_ints),
         link_usage=draw(st.dictionaries(st.tuples(_ints, _ints), _ints, max_size=3)),
         link_traversals=draw(st.dictionaries(st.tuples(_ints, _ints), _ints, max_size=3)),
         patch_violations=draw(_ints),
-        restore_mapping=True,
     )
     report = CompileStats(
         **{f.name: draw(_stats_field(f)) for f in dataclasses.fields(CompileStats)}

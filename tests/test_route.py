@@ -1,5 +1,6 @@
 """Routing: path construction, SWAP bifurcation, and link selection."""
 
+import dataclasses
 import logging
 import random
 import re
@@ -37,7 +38,7 @@ def _route(gates, n, labels, placements, be, cfg=None, geometry=None):
 
 def _replay(compiled, be):
     """Token replay against a fresh coupling relation; asserts adjacency."""
-    init = {v: be.gid(*pc) for v, pc in compiled.mapping.items()}
+    init = dict(compiled.mapping)
     tracker = TokenTracker(init, coupling_edges(be))
     for g in compiled.dag.nodes:
         tracker.apply(g.kind.value, g.qubits)
@@ -201,7 +202,6 @@ class TestIntraChip:
         compiled = _route([cx(0, 1), cx(0, 1)], 2, labels, placements, be, cfg)
         # first gate pays 3 swaps; the second finds the tokens adjacent
         assert compiled.swap_count == 3
-        assert not compiled.restore_mapping
         kinds = [g.kind for g in compiled.dag.nodes]
         assert kinds.count(GateKind.CNOT) == 2 and kinds.count(GateKind.SWAP) == 3
         tracker, init = _replay(compiled, be)
@@ -251,7 +251,7 @@ class TestPatches:
         with caplog.at_level(logging.WARNING, logger="chipmap.route"):
             compiled = _route(gates, 8, labels, placements, be)
 
-        pid_of_cell = {be.gid(*pc): labels[v] for v, pc in compiled.mapping.items()}
+        pid_of_cell = {gid: labels[v] for v, gid in compiled.mapping.items()}
         expected: dict[int, int] = {}
         for g in compiled.dag.nodes:
             if g.kind is GateKind.SWAP:
@@ -355,8 +355,7 @@ class TestSelectLink:
         be = _pair_chips(auto={"per_edge": 3, "eps": 0.01})
         graph = CouplingGraph(be)
         usage = {}
-        link, path = _select_crossing(graph, be, RoutingConfig(), usage, 2, 1, 15)
-        assert link.key == (2, 9)
+        path = _select_crossing(graph, be, RoutingConfig(), usage, 2, 1, 15)
         assert path == [2, 9, 12, 15]
         assert usage == {(2, 9): 1}
 
@@ -367,6 +366,33 @@ class TestInvariants:
         dag = build_dag([], 2)
         reg = predefined_partitions(dag, {0: 0, 1: 1})
         with pytest.raises(MappingError, match="no physical coordinates"):
+            route_circuit(dag, reg, be)
+
+    def _mapped(self, mapping):
+        """A three-qubit registry of singleton partitions carrying ``mapping``."""
+        dag = build_dag([cx(0, 2), cx(1, 2)], 3)
+        reg = predefined_partitions(dag, {0: 0, 1: 1, 2: 2})
+        return dag, dataclasses.replace(reg, mapping=mapping)
+
+    def test_two_qubits_on_one_cell_rejected(self):
+        be = _pair_chips(w=5, h=5)
+        dag, reg = self._mapped({0: 0, 1: 0, 2: 1})  # qubits 0 and 1 share cell (0, 0, 0)
+        with pytest.raises(MappingError, match="qubits 0 and 1 mapped onto one cell 0"):
+            route_circuit(dag, reg, be)
+
+    def test_cell_off_the_device_rejected(self):
+        be = _pair_chips(w=5, h=5)
+        dag, reg = self._mapped({0: 0, 1: be.n_qubits, 2: 1})
+        with pytest.raises(MappingError, match="qubit 1 mapped onto cell 50, not on the device"):
+            route_circuit(dag, reg, be)
+
+    def test_defective_cell_rejected(self):
+        be = build_backend({
+            "grid": [1, 2], "chiplet": [5, 5], "allow_non_pow2": True,
+            "defects": [{"chip": 0, "x": 1, "y": 0}],
+        })
+        dag, reg = self._mapped({0: 0, 1: 2, 2: 1})
+        with pytest.raises(MappingError, match="qubit 2 mapped onto defective cell 1"):
             route_circuit(dag, reg, be)
 
     def test_random_circuits_replay_cleanly(self):
