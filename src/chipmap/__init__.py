@@ -32,7 +32,6 @@ from .ir import (
     OpaqueKind,
     Partition,
     PartitionRegistry,
-    build_dag,
     circuit_from_json,
     interaction_graph,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ValidationError",
     "backend_to_json",
     "build_backend",
-    "build_dag",
     "build_partition_graph",
     "circuit_from_json",
     "compile_circuit",

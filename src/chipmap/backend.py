@@ -314,14 +314,12 @@ class CouplingGraph:
     its ``ChipletBackend.live_board``.
     """
 
-    __slots__ = ("n", "alive", "alive_masks", "_chip_w", "_chip_area", "_links", "_between")
+    __slots__ = ("alive", "alive_masks", "_chip_w", "_chip_area", "_links", "_between")
 
     def __init__(self, backend: ChipletBackend):
-        n = backend.n_qubits
-        self.n = n
         self._chip_w = backend.chip_w
         self._chip_area = area = backend.chip_area
-        alive = [True] * n
+        alive = [True] * backend.n_qubits
         for gid in backend.defects:
             alive[gid] = False
         self.alive = alive

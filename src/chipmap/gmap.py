@@ -51,8 +51,6 @@ class BinState:
 
     def __init__(self, backend: ChipletBackend):
         self.backend = backend
-        self.chip_w = backend.chip_w
-        self.chip_h = backend.chip_h
         self.boards = [backend.live_board(chip) for chip in range(backend.n_chiplets)]
         self.placements: dict[int, Placement] = {}
 
@@ -99,11 +97,11 @@ def place_partition(bins: BinState, pid: int, w: int, h: int, mode: str) -> Plac
     """
     if mode not in PLACEMENT_MODES:
         raise ValidationError(f"unknown placement mode {mode!r}")
-    if w > bins.chip_w or h > bins.chip_h:
-        raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
     backend = bins.backend
+    if w > backend.chip_w or h > backend.chip_h:
+        raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
     chips = range(backend.n_chiplets)
-    cx, cy = (bins.chip_w - w) // 2, (bins.chip_h - h) // 2
+    cx, cy = (backend.chip_w - w) // 2, (backend.chip_h - h) // 2
     if mode == "center":
         centre = backend.box_board(cx, cy, 1, 1)
         for chip in chips:
@@ -137,13 +135,14 @@ def place_partition_relative(
     reference; if the hint admits no anchor anywhere, it is dropped with
     a warning rather than failing the placement.
     """
-    if w > bins.chip_w or h > bins.chip_h:
-        raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
     backend = bins.backend
+    chip_w, chip_h = backend.chip_w, backend.chip_h
+    if w > chip_w or h > chip_h:
+        raise NoFitError(pid, f"partition {pid} box {w}x{h} exceeds the chiplet size")
 
     def chip_origin(chip: int) -> tuple[int, int]:
         row, col = backend.grid_pos(chip)
-        return col * bins.chip_w, row * bins.chip_h
+        return col * chip_w, row * chip_h
 
     ref_ox, ref_oy = chip_origin(ref.chip)
     # doubled center coordinates keep the arithmetic integral
@@ -157,9 +156,9 @@ def place_partition_relative(
         ox, oy = chip_origin(chip)
         fit = bins.anchors(chip, w, h)
         if min_gx is not None:  # clear the columns left of the bound
-            fit &= ~backend.box_board(0, 0, min(max(min_gx - ox, 0), bins.chip_w), bins.chip_h)
+            fit &= ~backend.box_board(0, 0, min(max(min_gx - ox, 0), chip_w), chip_h)
         if min_gy is not None:  # clear the rows above the bound
-            fit &= ~backend.box_board(0, 0, bins.chip_w, min(max(min_gy - oy, 0), bins.chip_h))
+            fit &= ~backend.box_board(0, 0, chip_w, min(max(min_gy - oy, 0), chip_h))
         if fit:
             ax, ay = _nearest(backend, fit, ref_cx2 - w - 2 * ox, ref_cy2 - h - 2 * oy)
             return bins.commit(pid, chip, ax, ay, w, h)

@@ -216,15 +216,6 @@ class CircuitDag:
         return self.counts(max(self.n_virt, 1))[3]
 
 
-def build_dag(gates: Sequence[GateNode], n_virt: int) -> CircuitDag:
-    """Build the dependency DAG for ``gates`` over ``n_virt`` virtual qubits.
-
-    Each gate depends on the previous gate touching any of its operands;
-    only the operand range is checked here.
-    """
-    return CircuitDag(gates, n_virt)
-
-
 @dataclass(frozen=True)
 class InteractionGraph:
     """Undirected qubit graph; an edge weight counts spanning 2q gates."""

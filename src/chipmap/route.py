@@ -42,13 +42,14 @@ from .ir import CircuitDag, GateKind, OpaqueKind, PartitionRegistry
 
 log = logging.getLogger(__name__)
 
-# policy name -> default (alpha, beta); a config's weight is positive
-# exactly where its policy's default is
+# policy name -> default (alpha, beta); a policy's config weighs a term
+# exactly where its default does
 POLICIES = {
     "basic": (0.0, 0.0),
     "focus": (1e4, 0.0),
     "tradeoff": (1e3, 1.0),
 }
+DEFAULT_POLICY = "basic"  # of `compile --policy` and a sweep point that names none
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,14 @@ class RoutingConfig:
     """Link-selection weights and routing behavior switches.
 
     ``alpha`` scales the link error rate (raw physical rate, not a log),
-    ``beta`` the link's usage count in the run. The policy label must
-    match the weights: basic ignores both terms, focus weighs only noise,
-    tradeoff weighs noise and congestion.
+    ``beta`` the link's usage count in the run. The weights are the
+    policy: basic ignores both terms, focus weighs only noise, tradeoff
+    weighs noise and congestion.
     """
 
     alpha: float = 0.0
     beta: float = 0.0
     k_nearest: int = 3
-    policy: str = "basic"
     restore_mapping: bool = True
     strict_patches: bool = False
 
@@ -74,14 +74,6 @@ class RoutingConfig:
             raise ValidationError("alpha and beta must be nonnegative")
         if self.k_nearest < 1:
             raise ValidationError("k_nearest must be >= 1")
-        if self.policy not in POLICIES:
-            raise ValidationError(f"unknown routing policy {self.policy!r}")
-        weights = zip((self.alpha, self.beta), POLICIES[self.policy])
-        if not all(w > 0 if w0 > 0 else w == 0 for w, w0 in weights):
-            raise ValidationError(
-                f"policy {self.policy!r} is inconsistent with alpha={self.alpha}, "
-                f"beta={self.beta}"
-            )
 
     @classmethod
     def from_policy(
@@ -94,18 +86,20 @@ class RoutingConfig:
     ) -> "RoutingConfig":
         """The config of ``policy`` at that policy's weights.
 
-        ``alpha`` or ``beta`` overrides a weight; ``rest`` sets the other
-        fields, which keep their defaults otherwise.
+        ``alpha`` or ``beta`` overrides a weight, which must then be
+        positive where the policy's is and zero where it is zero; ``rest``
+        sets the other fields, which keep their defaults otherwise.
         """
-        if policy not in POLICIES:
+        if not isinstance(policy, str) or policy not in POLICIES:
             raise ValidationError(f"unknown routing policy {policy!r}")
         da, db = POLICIES[policy]
-        return cls(
-            alpha=da if alpha is None else alpha,
-            beta=db if beta is None else beta,
-            policy=policy,
-            **rest,
-        )
+        cfg = cls(alpha=da if alpha is None else alpha, beta=db if beta is None else beta, **rest)
+        weights = zip((cfg.alpha, cfg.beta), (da, db))
+        if not all(w > 0 if w0 > 0 else w == 0 for w, w0 in weights):
+            raise ValidationError(
+                f"policy {policy!r} is inconsistent with alpha={cfg.alpha}, beta={cfg.beta}"
+            )
+        return cfg
 
 
 # Link selections per link key in one routing run.
@@ -358,13 +352,10 @@ class _RoutingRun:
         self.kinds: list[GateKind | OpaqueKind] = []
         self.qubits: list[tuple[int, ...]] = []
         self.tags: list[str] = []
-        self.swap_count = 0
         self.traversals: dict[tuple[int, int], int] = {}
-        self.violations = 0
         self.gates_inside: dict[int, int] = {}  # partition id -> gates routed between its cells
         self.swaps_inside: dict[int, int] = {}  # partition id -> SWAPs between its own cells
         self.usage: LinkUsage = {}  # this run's link selections
-        self.chip_area = backend.chip_area
 
     # -- emission -----------------------------------------------------
 
@@ -388,7 +379,6 @@ class _RoutingRun:
                     "needs routing inside a patch"
                 )
             self.gates_inside[pid] = self.gates_inside.get(pid, 0) + 1
-            self.violations += 1
         path = self._find_path(p1, p2)
         self._bifurcate(path, kind, v1, v2, tag)
 
@@ -435,7 +425,7 @@ class _RoutingRun:
     def _swap_chain(self, steps: list[tuple[int, int]]) -> None:
         """Emit one SWAP per (p, q) step in order, moving the tokens along."""
         owner, pos, pid_of_cell = self.owner, self.pos, self.pid_of_cell
-        area = self.chip_area
+        area = self.backend.chip_area
         self.kinds.extend([GateKind.SWAP] * len(steps))
         self.qubits.extend(steps)
         self.tags.extend(["route"] * len(steps))
@@ -450,9 +440,7 @@ class _RoutingRun:
                 pos[va] = q
             pa = pid_of_cell.get(p)
             if pa is not None and pa == pid_of_cell.get(q):
-                self.violations += 1
                 self.swaps_inside[pa] = self.swaps_inside.get(pa, 0) + 1
-        self.swap_count += len(steps)
 
 
 def route_circuit(
@@ -499,8 +487,8 @@ def route_circuit(
     return CompiledCircuit(
         dag=CircuitDag._from_columns(kinds, qubits, tags, backend.n_qubits),
         mapping=run.phi,
-        swap_count=run.swap_count,
+        swap_count=len(kinds) - len(dag),  # every input gate is emitted once
         link_usage=dict(sorted(run.usage.items())),
         link_traversals=dict(sorted(run.traversals.items())),
-        patch_violations=run.violations,
+        patch_violations=sum(run.gates_inside.values()) + sum(run.swaps_inside.values()),
     )

@@ -42,7 +42,7 @@ def sim_depth(gates: Sequence[tuple[str, Sequence[int]]]) -> int:
 def eager_preds(gates: Sequence, n_virt: int) -> tuple[tuple[int, ...], ...]:
     """Predecessor lists built up front from per-qubit last-writer chains.
 
-    The construction ``build_dag`` ran before edges became lazy: each
+    The construction ``CircuitDag`` ran before edges became lazy: each
     gate depends on the previous gate on any operand, parallel edges
     collapsed, predecessors ascending.
     """
@@ -86,7 +86,7 @@ def parse_gates(doc) -> list:
     """The gates of circuit document ``doc`` as ``GateNode`` objects, one at a time.
 
     The parse ``circuit_from_json`` ran before it filled the DAG's columns
-    in one loop (``ir._parse_gate`` and ``build_dag``): the schema check,
+    in one loop (``ir._parse_gate`` and the ``CircuitDag`` constructor): the schema check,
     then per gate the op lookup (case-insensitive, an unknown op with more
     than two operands refused), the operand rules of ``gate_node_error``
     under a ``gates[i]:`` prefix, then the operand range over

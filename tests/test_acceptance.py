@@ -174,8 +174,8 @@ def test_criterion_04_packing_invariants():
         assert pid >= 1
         for chip in range(n_chips):
             check_chip_partition(
-                bins.chip_w,
-                bins.chip_h,
+                bins.backend.chip_w,
+                bins.backend.chip_h,
                 [(x, y, 1, 1) for x, y in bins.free[chip]],
                 [
                     (p.x, p.y, p.w, p.h)

@@ -18,10 +18,10 @@ from chipmap.gmap import (
     place_partition_relative,
 )
 from chipmap.ir import (
+    CircuitDag,
     LayoutHint,
     Partition,
     PartitionRegistry,
-    build_dag,
     circuit_from_json,
     cx,
 )
@@ -55,8 +55,8 @@ def _backend(rows=1, cols=1, w=5, h=5, defects=()):
 
 def _raster(bins, chip):
     check_chip_partition(
-        bins.chip_w,
-        bins.chip_h,
+        bins.backend.chip_w,
+        bins.backend.chip_h,
         [(x, y, 1, 1) for x, y in bins.free[chip]],
         [
             (p.x, p.y, p.w, p.h)
@@ -210,7 +210,7 @@ class TestRelative:
 
 
 def _mapped(gates, n, labels, be, **kw):
-    dag = build_dag(gates, n)
+    dag = CircuitDag(gates, n)
     reg = predefined_partitions(dag, labels)
     pg = build_partition_graph(reg, dag)
     reg, order = sequence_registry(reg, pg)
@@ -219,14 +219,14 @@ def _mapped(gates, n, labels, be, **kw):
 
 class TestGlobalMap:
     def test_order_must_cover_all_partitions(self):
-        dag = build_dag([], 3)
+        dag = CircuitDag([], 3)
         reg = predefined_partitions(dag, {0: 0, 1: 1, 2: 2})
         order = SequencedOrder(((1,),))
         with pytest.raises(ValidationError, match=r"partitions \[0, 2\] unplaced"):
             global_map(_backend(), order, reg, mode="size-aware", relative_ref="order")
 
     def test_weight_ref_needs_partition_graph(self):
-        dag = build_dag([], 2)
+        dag = CircuitDag([], 2)
         reg = predefined_partitions(dag, {0: 0, 1: 0})
         pg = build_partition_graph(reg, dag)
         reg, order = sequence_registry(reg, pg)
@@ -256,7 +256,7 @@ class TestGlobalMap:
     def test_hint_overrides_reference_choice(self):
         be = _backend(w=4, h=4)
         labels = {0: 0, 1: 0, 2: 1, 3: 1}
-        dag = build_dag([cx(0, 2)], 4)
+        dag = CircuitDag([cx(0, 2)], 4)
         reg = predefined_partitions(dag, labels)
         pg = build_partition_graph(reg, dag)
         reg, order = sequence_registry(reg, pg)
@@ -270,7 +270,7 @@ class TestGlobalMap:
     def test_hint_to_unplaced_partition_warns(self, caplog):
         be = _backend(w=4, h=4)
         labels = {0: 0, 1: 0, 2: 1, 3: 1}
-        dag = build_dag([cx(0, 2)], 4)
+        dag = CircuitDag([cx(0, 2)], 4)
         reg = predefined_partitions(dag, labels)
         pg = build_partition_graph(reg, dag)
         reg, order = sequence_registry(reg, pg)

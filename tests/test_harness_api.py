@@ -10,7 +10,7 @@ import chipmap
 from chipmap.backend import build_backend
 from chipmap.benchgen import gen_backend_for, gen_memory_circuit
 from chipmap.gmap import global_map
-from chipmap.ir import build_dag, circuit_from_json, cx
+from chipmap.ir import CircuitDag, circuit_from_json, cx
 from chipmap.partition import predefined_partitions
 from chipmap.pipeline import compile_circuit, result_to_json
 from chipmap.sequence import build_partition_graph, sequence, sequence_registry
@@ -32,7 +32,7 @@ def test_every_exported_name_resolves():
 
 def test_stage_calls_return_the_registry_they_were_given():
     """spans.py unpacks ``sequence_registry``'s pair and ``global_map``'s triple."""
-    dag = build_dag([cx(0, 2)], 4)
+    dag = CircuitDag([cx(0, 2)], 4)
     reg = predefined_partitions(dag, {0: 0, 1: 0, 2: 1, 3: 1})
     pg = build_partition_graph(reg, dag)
     same, order = sequence_registry(reg, pg)

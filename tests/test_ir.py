@@ -18,7 +18,6 @@ from chipmap.ir import (
     Partition,
     PartitionRegistry,
     barrier,
-    build_dag,
     circuit_from_json,
     cx,
     interaction_graph,
@@ -118,32 +117,32 @@ class TestBuildDag:
         gates = [cx(0, 1), cx(1, 2), cx(0, 1)]
         preds = eager_preds(gates, 3)
         assert preds == ((), (0,), (0, 1))
-        assert build_dag(gates, 3).depth() == longest_path_depth(gates, preds) == 3
+        assert CircuitDag(gates, 3).depth() == longest_path_depth(gates, preds) == 3
 
     def test_parallel_edges_collapse(self):
         gates = [cx(0, 1), cx(0, 1)]
         assert eager_preds(gates, 2) == ((), (0,))
-        assert build_dag(gates, 2).depth() == 2
+        assert CircuitDag(gates, 2).depth() == 2
 
     def test_operand_out_of_range(self):
         with pytest.raises(ValidationError):
-            build_dag([cx(0, 5)], 3)
+            CircuitDag([cx(0, 5)], 3)
 
     def test_measurement_and_reset_create_dependencies(self):
         gates = [reset(0), cx(0, 1), measure(0)]
         assert eager_preds(gates, 2) == ((), (0,), (1,))
-        assert build_dag(gates, 2).depth() == 3
+        assert CircuitDag(gates, 2).depth() == 3
 
     def test_depth_hand_case(self):
         gates = [cx(0, 1), cx(1, 2), cx(0, 1)]
-        dag = build_dag(gates, 3)
+        dag = CircuitDag(gates, 3)
         assert dag.depth() == 3
         assert dag.depth() == sim_depth([("cx", g.qubits) for g in gates])
 
     def test_barrier_weighs_zero_but_synchronizes(self):
         # without the barrier, measure(1) would sit at depth 1
         gates = [reset(0), barrier(0, 1), measure(1)]
-        dag = build_dag(gates, 2)
+        dag = CircuitDag(gates, 2)
         assert dag.depth() == 2
         assert dag.depth() == sim_depth([(g.kind.value, g.qubits) for g in gates])
 
@@ -176,7 +175,7 @@ class TestDagProperties:
     @settings(max_examples=120, deadline=None)
     def test_depth_matches_availability_simulation(self, case):
         n, gates = case
-        dag = build_dag(gates, n)
+        dag = CircuitDag(gates, n)
         assert dag.depth() == sim_depth([(g.kind.value, g.qubits) for g in gates])
 
     @given(random_gate_lists())
@@ -184,7 +183,7 @@ class TestDagProperties:
     def test_lazy_edges_and_depth_match_eager_construction(self, case):
         n, gates = case
         preds = eager_preds(gates, n)
-        assert build_dag(gates, n).depth() == longest_path_depth(gates, preds)
+        assert CircuitDag(gates, n).depth() == longest_path_depth(gates, preds)
 
     @given(random_gate_lists())
     @settings(max_examples=60, deadline=None)
@@ -203,7 +202,7 @@ class TestDagProperties:
     @settings(max_examples=60, deadline=None)
     def test_interaction_graph_counts_two_qubit_gates(self, case):
         n, gates = case
-        g = interaction_graph(build_dag(gates, n))
+        g = interaction_graph(CircuitDag(gates, n))
         expected: dict[tuple[int, int], int] = {}
         for node in gates:
             if node.kind.value in ("cx", "swap", "rzz"):
@@ -392,10 +391,10 @@ class TestColumnarParse:
 
     @settings(max_examples=100, deadline=None)
     @given(random_gate_lists())
-    def test_nodes_round_trip_through_build_dag(self, case):
+    def test_nodes_round_trip_through_the_constructor(self, case):
         n, gates = case
-        dag = build_dag(gates, n)
-        again = build_dag(dag.nodes, n)
+        dag = CircuitDag(gates, n)
+        again = CircuitDag(dag.nodes, n)
         assert (again.kinds, again.qubits, again.tags) == (dag.kinds, dag.qubits, dag.tags)
         assert again.nodes == dag.nodes == tuple(gates)
 

@@ -5,7 +5,7 @@ import pytest
 from chipmap.backend import PhysCoord, build_backend
 from chipmap.errors import MappingError
 from chipmap.gmap import Placement
-from chipmap.ir import PartitionGeometry, build_dag, circuit_from_json
+from chipmap.ir import CircuitDag, PartitionGeometry, circuit_from_json
 from chipmap.lmap import local_map
 from chipmap.partition import predefined_partitions
 
@@ -22,7 +22,7 @@ def _backend(rows=1, cols=1, w=5, h=5, defects=()):
 
 
 def _registry(n, labels, geometry=None):
-    return predefined_partitions(build_dag([], n), labels, geometry)
+    return predefined_partitions(CircuitDag([], n), labels, geometry)
 
 
 def _coords(mapped, be):

@@ -6,7 +6,7 @@ import pytest
 
 from chipmap.backend import build_backend
 from chipmap.errors import CompilerError
-from chipmap.ir import barrier, build_dag, cx, measure
+from chipmap.ir import CircuitDag, barrier, cx, measure
 from chipmap.metrics import stats
 from oracles import sim_depth
 from test_route import _route, _singletons
@@ -17,7 +17,7 @@ def _chip():
 
 
 def test_count_two_qubit_ignores_rest():
-    dag = build_dag([cx(0, 1), measure(0), barrier(0, 1), cx(1, 2)], 3)
+    dag = CircuitDag([cx(0, 1), measure(0), barrier(0, 1), cx(1, 2)], 3)
     two, gates, _, _ = dag.counts(chip_area=3)
     assert (two, gates) == (2, 3)  # barriers are not gates
 
@@ -27,7 +27,7 @@ def test_stats_on_a_routed_gate():
     labels, placements = _singletons([(0, 0, 0), (0, 2, 2)])
     gates = [cx(0, 1)]
     compiled = _route(gates, 2, labels, placements, be)
-    st = stats(build_dag(gates, 2), compiled, be)
+    st = stats(CircuitDag(gates, 2), compiled, be)
     assert st.n_virtual == 2 and st.n_physical == 25
     assert st.swap_count == 6
     assert st.two_qubit_original == 1
@@ -60,11 +60,11 @@ def test_inter_chiplet_count_and_utilization_modes():
     labels, placements = _singletons([(0, 2, 0), (1, 0, 0)])
     gates = [cx(0, 1), cx(0, 1)]
     compiled = _route(gates, 2, labels, placements, be)
-    st = stats(build_dag(gates, 2), compiled, be)
+    st = stats(CircuitDag(gates, 2), compiled, be)
     assert st.inter_chiplet_two_qubit == 2
     assert st.chiplets_used == 2
     assert st.utilization == 2 / 18
-    st_all = stats(build_dag(gates, 2), compiled, be, util_all_chiplets=True)
+    st_all = stats(CircuitDag(gates, 2), compiled, be, util_all_chiplets=True)
     assert st_all.utilization == 2 / 18  # both chiplets hold a qubit anyway
 
 
@@ -73,9 +73,9 @@ def test_single_chip_utilization_ignores_empty_chips():
     labels, placements = _singletons([(0, 0, 0), (0, 1, 1)])
     gates = [cx(0, 1)]
     compiled = _route(gates, 2, labels, placements, be)
-    st = stats(build_dag(gates, 2), compiled, be)
+    st = stats(CircuitDag(gates, 2), compiled, be)
     assert st.utilization == 2 / 9
-    st_all = stats(build_dag(gates, 2), compiled, be, util_all_chiplets=True)
+    st_all = stats(CircuitDag(gates, 2), compiled, be, util_all_chiplets=True)
     assert st_all.utilization == 2 / 18
 
 
@@ -83,7 +83,7 @@ def test_empty_circuit_ratios_are_one():
     be = _chip()
     labels, placements = _singletons([(0, 0, 0)])
     compiled = _route([], 1, labels, placements, be)
-    st = stats(build_dag([], 1), compiled, be)
+    st = stats(CircuitDag([], 1), compiled, be)
     assert st.depth_ratio == 1.0
     assert st.gate_overhead == 1.0
     assert st.cx_expanded_overhead == 1.0
@@ -94,7 +94,7 @@ def test_barriers_excluded_from_gate_counts():
     labels, placements = _singletons([(0, 0, 0), (0, 0, 1)])
     gates = [barrier(0, 1), cx(0, 1), barrier(0, 1)]
     compiled = _route(gates, 2, labels, placements, be)
-    st = stats(build_dag(gates, 2), compiled, be)
+    st = stats(CircuitDag(gates, 2), compiled, be)
     assert st.gates_original == 1
     assert st.gates_compiled == 1
 
@@ -115,14 +115,14 @@ def test_traversal_mismatch_raises_compiler_error():
     compiled = _route(gates, 2, labels, placements, be)
     broken = dataclasses.replace(compiled, link_traversals={})
     with pytest.raises(CompilerError, match="link traversals"):
-        stats(build_dag(gates, 2), broken, be)
+        stats(CircuitDag(gates, 2), broken, be)
 
 
 def test_wall_time_passthrough_and_dict_shape():
     be = _chip()
     labels, placements = _singletons([(0, 0, 0)])
     compiled = _route([], 1, labels, placements, be)
-    st = stats(build_dag([], 1), compiled, be, wall_time_s=0.25)
+    st = stats(CircuitDag([], 1), compiled, be, wall_time_s=0.25)
     d = st.as_dict()
     assert d["wall_time_s"] == 0.25
     keys = [
@@ -132,5 +132,5 @@ def test_wall_time_passthrough_and_dict_shape():
         "inter_chiplet_two_qubit", "chiplets_used", "utilization", "patch_violations",
     ]
     assert list(d) == keys + ["wall_time_s"]  # the written order of the stats block
-    no_time = stats(build_dag([], 1), compiled, be)
+    no_time = stats(CircuitDag([], 1), compiled, be)
     assert list(no_time.as_dict()) == keys

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import chipmap.partition as partition
 from chipmap.benchgen import gen_ls_cnot_circuit
 from chipmap.errors import ValidationError
-from chipmap.ir import InteractionGraph, build_dag, circuit_from_json, cx, interaction_graph
+from chipmap.ir import CircuitDag, InteractionGraph, circuit_from_json, cx, interaction_graph
 from chipmap.partition import (
     _cap_limit,
     _component_betweenness,
@@ -499,7 +499,7 @@ class TestCapacitySplit:
 
 class TestPredefined:
     def test_adopts_labels_and_infers_squarest_box(self):
-        dag = build_dag([cx(0, 1), cx(2, 3)], 5)
+        dag = CircuitDag([cx(0, 1), cx(2, 3)], 5)
         reg = predefined_partitions(dag, {0: 0, 1: 0, 2: 1, 3: 1, 4: 1})
         p0, p1 = reg.by_id(0), reg.by_id(1)
         assert p0.qubits == frozenset({0, 1})
@@ -508,12 +508,12 @@ class TestPredefined:
 
     @pytest.mark.parametrize("n,box", [(1, (1, 1)), (7, (3, 3)), (24, (5, 5)), (25, (5, 5))])
     def test_inferred_box_is_squarest_fit(self, n, box):
-        dag = build_dag([], n)
+        dag = CircuitDag([], n)
         reg = predefined_partitions(dag, {q: 0 for q in range(n)})
         p = reg.by_id(0)
         assert (p.width, p.height) == box
 
     def test_uncovered_qubit_rejected(self):
-        dag = build_dag([], 3)
+        dag = CircuitDag([], 3)
         with pytest.raises(ValidationError, match="missing"):
             predefined_partitions(dag, {0: 0, 1: 0})

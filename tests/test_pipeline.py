@@ -19,11 +19,11 @@ from chipmap.cli import main
 from chipmap.errors import ValidationError
 from chipmap.gmap import Placement
 from chipmap.ir import (
+    CircuitDag,
     GateKind,
     GateNode,
     OpaqueKind,
     PartitionRegistry,
-    build_dag,
     circuit_from_json,
 )
 from chipmap.metrics import CompileStats
@@ -51,7 +51,7 @@ class TestOptions:
         opts = CompileOptions()
         assert opts.partitions == "auto"
         assert opts.placement == "center"
-        assert opts.routing.policy == "basic"
+        assert opts.routing == RoutingConfig.from_policy("basic")
 
     @pytest.mark.parametrize(
         "kw",
@@ -234,7 +234,7 @@ def compile_results(draw):
         st.lists(st.builds(Placement, *[_ints] * 6), max_size=3, unique_by=lambda p: p.pid)
     )
     compiled = CompiledCircuit(
-        dag=build_dag(draw(st.lists(_gate_nodes(), max_size=30)), 10**6 + 1),
+        dag=CircuitDag(draw(st.lists(_gate_nodes(), max_size=30)), 10**6 + 1),
         mapping=draw(st.dictionaries(_ints, _ints, max_size=4)),
         swap_count=draw(_ints),
         link_usage=draw(st.dictionaries(st.tuples(_ints, _ints), _ints, max_size=3)),
@@ -295,7 +295,7 @@ class TestWriter:
         be = build_backend(gen_backend_for(doc))
         result = compile_circuit(circuit_from_json(doc), be)
         if empty_gates:
-            result.compiled.dag = build_dag([], be.n_qubits)
+            result.compiled.dag = CircuitDag([], be.n_qubits)
         assert dumps_compiled(result, be) == _written(result, be)
 
     @settings(max_examples=25, deadline=None)

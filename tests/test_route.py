@@ -14,7 +14,7 @@ from chipmap import route
 from chipmap.backend import CouplingGraph, InterChipLink, build_backend
 from chipmap.errors import MappingError, NoRouteError, StrictPatchViolationError, ValidationError
 from chipmap.gmap import Placement
-from chipmap.ir import GateKind, PartitionGeometry, build_dag, cx, measure
+from chipmap.ir import CircuitDag, GateKind, PartitionGeometry, cx, measure, swap
 from chipmap.lmap import local_map
 from chipmap.partition import predefined_partitions
 from chipmap.route import (
@@ -31,7 +31,7 @@ from oracles import FloodDist, TokenTracker, bfs_dist, coupling_edges, walk_back
 
 
 def _route(gates, n, labels, placements, be, cfg=None, geometry=None):
-    dag = build_dag(gates, n)
+    dag = CircuitDag(gates, n)
     reg = local_map(be, predefined_partitions(dag, labels, geometry), placements)
     return route_circuit(dag, reg, be, cfg)
 
@@ -70,8 +70,17 @@ def _singletons(cells):
 class TestConfig:
     def test_defaults_are_basic(self):
         cfg = RoutingConfig()
-        assert (cfg.policy, cfg.alpha, cfg.beta, cfg.k_nearest) == ("basic", 0.0, 0.0, 3)
+        assert route.DEFAULT_POLICY == "basic"
+        assert cfg == RoutingConfig.from_policy("basic")
+        assert (cfg.alpha, cfg.beta, cfg.k_nearest) == (0.0, 0.0, 3)
         assert cfg.restore_mapping and not cfg.strict_patches
+        assert "policy" not in {f.name for f in dataclasses.fields(RoutingConfig)}
+
+    def test_weights_alone_build_a_config(self):
+        # the focus weights, with no policy label left to disagree with them
+        cfg = RoutingConfig(alpha=5.0)
+        assert (cfg.alpha, cfg.beta) == (5.0, 0.0)
+        assert cfg == RoutingConfig.from_policy("focus", alpha=5.0)
 
     def test_from_policy_fills_weights(self):
         assert RoutingConfig.from_policy("focus").alpha == 1e4
@@ -95,11 +104,11 @@ class TestConfig:
     )
     def test_inconsistent_weights_rejected(self, policy, alpha, beta):
         with pytest.raises(ValidationError, match="inconsistent"):
-            RoutingConfig(alpha=alpha, beta=beta, policy=policy)
+            RoutingConfig.from_policy(policy, alpha=alpha, beta=beta)
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValidationError, match="policy"):
-            RoutingConfig(policy="greedy")
+        with pytest.raises(ValidationError, match="unknown routing policy 'greedy'"):
+            RoutingConfig.from_policy("greedy")
         with pytest.raises(ValidationError, match="nonnegative"):
             RoutingConfig(alpha=-1.0)
         with pytest.raises(ValidationError, match="k_nearest"):
@@ -111,7 +120,7 @@ class TestConfig:
             ({"alpha": "1e-3"}, "RoutingConfig.alpha must be a finite number, got '1e-3'"),
             ({"beta": float("nan")}, "RoutingConfig.beta must be a finite number, got nan"),
             ({"k_nearest": True}, "RoutingConfig.k_nearest must be an integer, got True"),
-            ({"policy": ["basic"]}, "RoutingConfig.policy must be a string, got ['basic']"),
+            ({"restore_mapping": 1}, "RoutingConfig.restore_mapping must be a boolean, got 1"),
             ({"strict_patches": "yes"}, "RoutingConfig.strict_patches must be a boolean"),
         ],
     )
@@ -119,6 +128,16 @@ class TestConfig:
         with pytest.raises(ValidationError) as info:
             RoutingConfig(**kw)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("policy", [["basic"], None, 1])
+    def test_from_policy_rejects_a_non_string_policy(self, policy):
+        with pytest.raises(ValidationError) as info:
+            RoutingConfig.from_policy(policy)
+        assert str(info.value) == f"unknown routing policy {policy!r}"
+
+    def test_from_policy_checks_override_types_first(self):
+        with pytest.raises(ValidationError, match="RoutingConfig.alpha must be a finite number"):
+            RoutingConfig.from_policy("focus", alpha="1e4")
 
 
 class TestPathCost:
@@ -138,6 +157,15 @@ class TestChipRoute:
 
 
 class TestIntraChip:
+    def test_swap_count_leaves_out_the_circuit_s_own_swaps(self):
+        be = _chip()
+        labels, placements = _singletons([(0, 0, 0), (0, 1, 0), (0, 2, 2)])
+        compiled = _route([swap(0, 1), cx(0, 2)], 3, labels, placements, be)
+        dag = compiled.dag
+        inserted = [t for k, t in zip(dag.kinds, dag.tags) if k is GateKind.SWAP and t == "route"]
+        # the cx spans 4 hops: 3 SWAPs there and 3 back
+        assert compiled.swap_count == len(inserted) == len(dag) - 2 == 6
+
     def test_exact_swap_sequence_on_one_chip(self):
         be = _chip()
         labels, placements = _singletons([(0, 0, 0), (0, 2, 2)])
@@ -349,6 +377,19 @@ class TestLinks:
         with pytest.raises(NoRouteError, match="link"):
             _route([cx(0, 1)], 2, labels, placements, be)
 
+    def test_no_link_reachable_around_defects(self):
+        # the one link leaves chiplet 0 at (2, 0), which dead (1, 0) and (2, 1) wall in
+        be = build_backend({
+            "grid": [1, 2], "chiplet": [3, 3], "allow_non_pow2": True,
+            "links": [{"a": {"chip": 0, "x": 2, "y": 0}, "b": {"chip": 1, "x": 0, "y": 0},
+                       "eps": 0.01}],
+            "defects": [{"chip": 0, "x": 1, "y": 0}, {"chip": 0, "x": 2, "y": 1}],
+        })
+        assert [l.key for l in CouplingGraph(be).links_between(0, 1)] == [(2, 9)]
+        labels, placements = _singletons([(0, 0, 2), (1, 2, 2)])
+        with pytest.raises(NoRouteError, match="no link between chiplets 0 and 1 is reachable"):
+            _route([cx(0, 1)], 2, labels, placements, be)
+
 
 class TestSelectLink:
     def test_picks_min_cost_and_bumps_usage(self):
@@ -363,14 +404,14 @@ class TestSelectLink:
 class TestInvariants:
     def test_stage_guard(self):
         be = _chip()
-        dag = build_dag([], 2)
+        dag = CircuitDag([], 2)
         reg = predefined_partitions(dag, {0: 0, 1: 1})
         with pytest.raises(MappingError, match="no physical coordinates"):
             route_circuit(dag, reg, be)
 
     def _mapped(self, mapping):
         """A three-qubit registry of singleton partitions carrying ``mapping``."""
-        dag = build_dag([cx(0, 2), cx(1, 2)], 3)
+        dag = CircuitDag([cx(0, 2), cx(1, 2)], 3)
         reg = predefined_partitions(dag, {0: 0, 1: 1, 2: 2})
         return dag, dataclasses.replace(reg, mapping=mapping)
 

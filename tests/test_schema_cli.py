@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import gc
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import yaml
 from click.testing import CliRunner
 
 import chipmap.cli
+from chipmap.backend import build_backend
 from chipmap.benchgen import gen_backend_for, gen_memory_circuit
 from chipmap.cli import (
     EXIT_COMPILER,
@@ -21,6 +23,7 @@ from chipmap.cli import (
     main,
 )
 from chipmap.errors import CompilerError, MappingError, ValidationError
+from chipmap.render import render_layout_svg
 from chipmap.schema import (
     validate_backend_doc,
     validate_circuit_doc,
@@ -85,6 +88,16 @@ def _gen(runner, tmp_path, *args):
     return result
 
 
+def _assert_directory_refused(result, tmp_path, out):
+    """Exit 2 with one error line naming ``out``, and no file left beside it or in it."""
+    assert result.exit_code == EXIT_VALIDATION, result.output
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {out}: output path is a directory"]
+    assert not [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".partial")]
+    assert out.is_dir() and not any(out.iterdir())
+
+
 class TestCliWorkflow:
     def test_gen_compile_validate_render(self, runner, tmp_path):
         _gen(runner, tmp_path, "-d", "3")
@@ -135,6 +148,38 @@ class TestCliWorkflow:
         assert result.exit_code == 0, result.output
         assert svg.exists()
         assert not (tmp_path / "memory_d3.circuit.compiled.json").exists()
+
+    @pytest.mark.parametrize("flag", ["-o", "--svg"])
+    def test_compile_output_directory_exits_2(self, runner, tmp_path, flag):
+        _gen(runner, tmp_path, "-d", "3")
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, [
+            "--out-dir", str(tmp_path), "compile", str(tmp_path / "memory_d3.circuit.json"),
+            str(tmp_path / "memory_d3.backend.json"), flag, str(out),
+        ])
+        _assert_directory_refused(result, tmp_path, out)
+
+    @pytest.mark.parametrize("flag", ["--out-circuit", "--out-backend"])
+    def test_bench_gen_output_directory_exits_2(self, runner, tmp_path, flag):
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, ["--out-dir", str(tmp_path), "bench", "gen", "-d", "3",
+                                      flag, str(out)])
+        _assert_directory_refused(result, tmp_path, out)
+
+    def test_outputs_end_in_one_newline(self, runner, tmp_path):
+        _gen(runner, tmp_path, "-d", "3")
+        circuit = tmp_path / "memory_d3.circuit.json"
+        backend = tmp_path / "memory_d3.backend.json"
+        svg = tmp_path / "layout.svg"
+        result = runner.invoke(main, ["--out-dir", str(tmp_path), "compile", str(circuit),
+                                      str(backend), "--svg", str(svg)])
+        assert result.exit_code == 0, result.output
+        for path in (circuit, backend, tmp_path / "memory_d3.circuit.compiled.json"):
+            text = path.read_text()
+            assert text.endswith("}\n") and json.loads(text)
+        assert svg.read_text().endswith("</svg>")  # as the renderer returns it
 
     def test_yaml_input_accepted(self, runner, tmp_path):
         circuit_doc = gen_memory_circuit(3)
@@ -586,11 +631,36 @@ class TestSweep:
         assert result.stderr.splitlines()[-1].startswith(f"error: {message}")
         assert not (tmp_path / "s.csv").exists()
 
+    def test_output_directory_exits_2(self, runner, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        spec = self._spec(tmp_path, axes={"n_inter": [8]})
+        result = runner.invoke(main, ["sweep", str(spec), "-o", str(out)])
+        _assert_directory_refused(result, tmp_path, out)
+
     def test_numeric_strings_convert(self, runner, tmp_path):
         spec = {"grid": ["2", 2], "axes": {"d": ["3"], "n_inter": ["2"]}}
         code, rows = self._rows(runner, tmp_path, spec)
         assert code == 0
         assert rows[1][:2] == ["3", "2"] and rows[1][-1] == ""
+
+
+class TestLayoutSvg:
+    def test_defective_cells_are_crossed_out(self):
+        be = build_backend({
+            "grid": [1, 2], "chiplet": [3, 3], "allow_non_pow2": True,
+            "defects": [{"chip": 0, "x": 0, "y": 0}, {"chip": 1, "x": 2, "y": 1}],
+        })
+        svg = render_layout_svg(be)
+        # 20 px margin, 14 px cells, chiplets 3 * 14 + 28 px apart
+        for x, y in ((20, 20), (20 + 70 + 28, 20 + 14)):
+            assert f'<rect x="{x}" y="{y}" width="14" height="14" fill="#222"/>' in svg
+            assert (f'<line x1="{x + 2}" y1="{y + 2}" x2="{x + 12}" y2="{y + 12}" '
+                    'stroke="#fff" stroke-width="1.5"/>') in svg
+        assert svg.count('fill="#222"') == 2
+        assert 'fill="#222"' not in render_layout_svg(build_backend(
+            {"grid": [1, 2], "chiplet": [3, 3], "allow_non_pow2": True}
+        ))
 
 
 class TestCollectorPause:

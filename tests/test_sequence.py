@@ -3,7 +3,7 @@
 import pytest
 
 from chipmap.errors import ValidationError
-from chipmap.ir import build_dag, cx
+from chipmap.ir import CircuitDag, cx
 from chipmap.partition import predefined_partitions
 from chipmap.sequence import PartitionGraph, build_partition_graph, sequence
 
@@ -16,7 +16,7 @@ def _pg(nodes, weights, sizes=None):
 
 class TestBuildGraph:
     def test_counts_spanning_gates_only(self):
-        dag = build_dag([cx(0, 1), cx(0, 2), cx(2, 0), cx(2, 3)], 4)
+        dag = CircuitDag([cx(0, 1), cx(0, 2), cx(2, 0), cx(2, 3)], 4)
         reg = predefined_partitions(dag, {0: 0, 1: 0, 2: 1, 3: 1})
         pg = build_partition_graph(reg, dag)
         assert pg.nodes == (0, 1)
@@ -27,8 +27,8 @@ class TestBuildGraph:
         assert pg.weight(0, 0) == 0
 
     def test_uncovered_qubit_rejected(self):
-        dag = build_dag([cx(0, 1)], 3)
-        reg = predefined_partitions(build_dag([], 2), {0: 0, 1: 0})
+        dag = CircuitDag([cx(0, 1)], 3)
+        reg = predefined_partitions(CircuitDag([], 2), {0: 0, 1: 0})
         with pytest.raises(ValidationError, match="not covered"):
             build_partition_graph(reg, dag)
 
