@@ -20,7 +20,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .schema import validate_backend_doc
@@ -98,6 +98,12 @@ class ChipletBackend:
         chip, off = divmod(gid, self.chip_area)
         y, x = divmod(off, self.chip_w)
         return PhysCoord(chip, x, y)
+
+    def coord_columns(self, gids: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+        """The chip, x and y of every id in ``gids``: ``coord`` in bulk, one list per field."""
+        area, w = self.chip_area, self.chip_w
+        offs = [g % area for g in gids]
+        return [g // area for g in gids], [o % w for o in offs], [o // w for o in offs]
 
     def chip_of(self, gid: int) -> int:
         return gid // self.chip_area

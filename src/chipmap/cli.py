@@ -217,6 +217,13 @@ def _load_doc(path: Path) -> object:
         raise ValidationError(f"{path}: not parseable: {exc}") from None
 
 
+def _refuse_directories(*paths: Path | None) -> None:
+    """Raise ValidationError if one of ``paths`` is a directory, which no output replaces."""
+    for path in paths:
+        if path is not None and path.is_dir():
+            raise ValidationError(f"{path}: output path is a directory")
+
+
 @contextlib.contextmanager
 def _writing(path: Path):
     """A text file, opened with ``newline=""``, that becomes ``path`` once the body ends.
@@ -226,8 +233,7 @@ def _writing(path: Path):
     it was; a symlink, device or pipe is written in place, and a directory
     is refused.
     """
-    if path.is_dir():
-        raise ValidationError(f"{path}: output path is a directory")
+    _refuse_directories(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     in_place = path.is_symlink() or (path.exists() and not path.is_file())
     tmp = path if in_place else path.with_name(f".{path.name}.partial")
@@ -313,6 +319,9 @@ def compile_cmd(
     **opts,
 ) -> None:
     """Compile CIRCUIT_FILE onto BACKEND_FILE and report metrics."""
+    if not stats_only:
+        out_file = out_file or obj.out_dir / (circuit_file.stem + ".compiled.json")
+    _refuse_directories(None if stats_only else out_file, svg_file)
     with _collector_paused():
         circuit = circuit_from_json(_load_doc(circuit_file))
         backend = build_backend(_load_doc(backend_file))
@@ -328,7 +337,6 @@ def compile_cmd(
         result = compile_circuit(circuit, backend, options)
         click.echo(json.dumps(result.stats.as_dict(), indent=2))
         if not stats_only:
-            out_file = out_file or obj.out_dir / (circuit_file.stem + ".compiled.json")
             with _writing(out_file) as fh:  # streamed: the document is never one string
                 write_compiled(result, backend, fh.write)
                 fh.write("\n")
@@ -383,9 +391,10 @@ def bench_gen(
         stem = f"memory_d{params['d']}"
     else:
         stem = f"ls_cnot_d{params['d']}_n{params['n_cnots']}"
-    circuit, backend = _generate(kind, obj.seed, params)
-    for path, doc in ((out_circuit or obj.out_dir / f"{stem}.circuit.json", circuit),
-                      (out_backend or obj.out_dir / f"{stem}.backend.json", backend)):
+    paths = (out_circuit or obj.out_dir / f"{stem}.circuit.json",
+             out_backend or obj.out_dir / f"{stem}.backend.json")
+    _refuse_directories(*paths)
+    for path, doc in zip(paths, _generate(kind, obj.seed, params)):
         with _writing(path) as fh:
             fh.write(json.dumps(doc, indent=2))
             fh.write("\n")
@@ -489,6 +498,8 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     import csv
     from concurrent.futures import ProcessPoolExecutor
 
+    out_file = out_file or obj.out_dir / "sweep.csv"
+    _refuse_directories(out_file)
     spec = _load_doc(spec_file)
     if not isinstance(spec, dict):
         raise ValidationError("sweep spec must be an object")
@@ -547,7 +558,6 @@ def sweep(obj: SimpleNamespace, spec_file: Path, out_file: Path | None, jobs: in
     else:
         results = [_sweep_row(t) for t in tasks]
 
-    out_file = out_file or obj.out_dir / "sweep.csv"
     with _writing(out_file) as fh:
         writer = csv.DictWriter(fh, fieldnames=[*axes, *_STAT_COLUMNS, "error"])
         writer.writeheader()

@@ -7,9 +7,9 @@ Contains:
   columns (kinds, operand tuples, tags); each gate depends on the
   previous gate on any of its operands
 - InteractionGraph: weighted qubit graph counting two-qubit gates
-- Partition / PartitionRegistry: the patches of one circuit; local
-  mapping returns a new registry that maps each qubit to the global id
-  of its physical cell
+- Partition / PartitionRegistry: the patches of one circuit and each
+  qubit's partition; local mapping returns a new registry that maps each
+  qubit to the global id of a physical cell no other qubit holds
 - circuit_from_json: the circuit interchange format
 
 The DAG and the registry travel together through the pipeline: the DAG
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from itertools import chain, compress
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import MappingError, ValidationError
 from .schema import validate_circuit_doc
 
 
@@ -236,12 +236,18 @@ class InteractionGraph:
         return len(self.nodes)
 
 
+def pair_counts(pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """How often each unordered pair of distinct ids occurs, keyed (low, high)."""
+    counts: dict[tuple[int, int], int] = {}
+    for a, b in pairs:
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def interaction_graph(dag: CircuitDag) -> InteractionGraph:
-    weights: dict[tuple[int, int], int] = {}
-    for a, b in dag.two_qubit_operands():
-        key = (a, b) if a < b else (b, a)
-        weights[key] = weights.get(key, 0) + 1
-    return InteractionGraph(tuple(range(dag.n_virt)), weights)
+    return InteractionGraph(tuple(range(dag.n_virt)), pair_counts(dag.two_qubit_operands()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,26 +298,38 @@ class Partition:
 class PartitionRegistry:
     """All partitions of one circuit and, once local mapping ran, each qubit's cell.
 
-    ``mapping`` sends every qubit of the partitions to the global id of
-    its physical cell (``ChipletBackend.gid``). It is left out of
-    equality and hashing.
+    ``pid_of``, built from ``partitions``, sends every qubit of the
+    partitions to its partition id, and ``mapping`` to the global id of
+    its physical cell (``ChipletBackend.gid``), no two qubits to one cell.
+    Both are left out of equality and hashing.
     """
 
     partitions: tuple[Partition, ...]
     mapping: Mapping[int, int] | None = field(default=None, compare=False)
+    pid_of: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [p.pid for p in self.partitions]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate partition ids")
-        seen: set[int] = set()
+        pid_of: dict[int, int] = {}
         for p in self.partitions:
-            overlap = seen & p.qubits
+            overlap = pid_of.keys() & p.qubits
             if overlap:
                 raise ValidationError(f"qubits {sorted(overlap)} appear in more than one partition")
-            seen |= p.qubits
-        if self.mapping is not None and self.mapping.keys() != seen:
+            pid_of.update(dict.fromkeys(p.qubits, p.pid))
+        object.__setattr__(self, "pid_of", pid_of)
+        if self.mapping is None:
+            return
+        if self.mapping.keys() != pid_of.keys():
             raise ValidationError("cell mapping must cover exactly the partitions' qubits")
+        if len(set(self.mapping.values())) != len(self.mapping):  # then name the first shared cell
+            holder: dict[int, int] = {}  # cell id -> the first qubit mapped onto it
+            for q, gid in self.mapping.items():
+                first = holder.setdefault(gid, q)
+                if first != q:
+                    raise MappingError(f"qubits {first} and {q} mapped onto one cell {gid} "
+                                       f"(partitions {pid_of[first]} and {pid_of[q]})")
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.partitions)
@@ -325,13 +343,11 @@ class PartitionRegistry:
                 return p
         raise KeyError(pid)
 
-    def qubit_map(self) -> dict[int, int]:
-        """Map each covered virtual qubit to its partition id."""
-        out: dict[int, int] = {}
-        for p in self.partitions:
-            for q in p.qubits:
-                out[q] = p.pid
-        return out
+    def check_covers(self, dag: CircuitDag) -> None:
+        """Raise ValidationError unless every qubit of ``dag`` lies in a partition."""
+        missing = [q for q in range(dag.n_virt) if q not in self.pid_of]
+        if missing:
+            raise ValidationError(f"qubits {missing[:8]} not covered by any partition")
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,11 @@ def local_map(
 
     Raises MappingError if a partition has no placement, if a placed box
     names no chiplet or leaves its chiplet, or if an assignment would land
-    on a defective cell or collide with another qubit; placements that
-    avoid blocked zones make the last two impossible, so such a failure
-    points at a mapper bug.
+    on a defective cell or, as the registry refuses, on another qubit's
+    cell; placements that avoid blocked zones make the last two
+    impossible, so such a failure points at a mapper bug.
     """
     mapping: dict[int, int] = {}  # qubit -> gid
-    taken: dict[int, tuple[int, int]] = {}  # gid -> (pid, qubit)
     for part in registry:
         pl = placements.get(part.pid)
         if pl is None:
@@ -51,10 +50,4 @@ def local_map(
                     f"partition {part.pid}: qubit {q} mapped onto defective cell "
                     f"{tuple(backend.coord(gid))}"
                 )
-            if gid in taken:
-                raise MappingError(
-                    f"cell {tuple(backend.coord(gid))} assigned to qubit {q} of partition "
-                    f"{part.pid} and qubit {taken[gid][1]} of partition {taken[gid][0]}"
-                )
-            taken[gid] = (part.pid, q)
     return replace(registry, mapping=mapping)

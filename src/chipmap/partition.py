@@ -240,12 +240,21 @@ def _infer_box(n: int) -> tuple[int, int]:
     return w, h
 
 
-def _make_partition(pid: int, qubits: frozenset[int],
-                    geometry: PartitionGeometry | None) -> Partition:
-    if geometry is not None:
-        return Partition(pid, qubits, geometry.width, geometry.height, geometry.cells or None)
-    w, h = _infer_box(len(qubits))
-    return Partition(pid, qubits, w, h)
+def _registry(labels: Mapping[int, int],
+              geometry: Mapping[int, PartitionGeometry] | None) -> PartitionRegistry:
+    """The blocks of ``labels`` (qubit -> partition id) as partitions, ascending by id.
+
+    A block takes its declared geometry, or else the squarest box that holds it.
+    """
+    blocks: dict[int, list[int]] = {}
+    for q, pid in labels.items():
+        blocks.setdefault(pid, []).append(q)
+    parts = []
+    for pid in sorted(blocks):
+        qubits = frozenset(blocks[pid])
+        geo = (geometry or {}).get(pid) or PartitionGeometry(*_infer_box(len(qubits)), {})
+        parts.append(Partition(pid, qubits, geo.width, geo.height, geo.cells or None))
+    return PartitionRegistry(tuple(parts))
 
 
 def predefined_partitions(
@@ -257,14 +266,9 @@ def predefined_partitions(
     missing = [q for q in range(dag.n_virt) if q not in qubit_to_pid]
     if missing:
         raise ValidationError(f"qubits {missing[:8]} missing from the partition map")
-    blocks: dict[int, set[int]] = {}
-    for q in range(dag.n_virt):
-        blocks.setdefault(qubit_to_pid[q], set()).add(q)
-    parts = []
-    for pid in sorted(blocks):
-        geo = geometry.get(pid) if geometry else None
-        parts.append(_make_partition(pid, frozenset(blocks[pid]), geo))
-    return PartitionRegistry(tuple(parts))
+    if len(qubit_to_pid) != dag.n_virt:
+        raise ValidationError(f"the partition map labels qubits beyond the circuit's {dag.n_virt}")
+    return _registry(qubit_to_pid, geometry)
 
 
 def kway_partition(
@@ -305,13 +309,7 @@ def kway_partition(
     assign: dict[int, int] = {}
     _split(nodes, caps, 0, adj, imbalance, rng, assign)
 
-    blocks: dict[int, set[int]] = {}
-    for v, b in assign.items():
-        blocks.setdefault(b, set()).add(v)
-    parts = [
-        _make_partition(pid, frozenset(blocks[pid]), None) for pid in sorted(blocks)
-    ]
-    return PartitionRegistry(tuple(parts))
+    return _registry(assign, None)
 
 
 def _cap_limit(cap: int, imbalance: float) -> int:

@@ -181,7 +181,7 @@ def write_compiled(
     The text is laid out as ``json.dumps(indent=2)`` does. The gate array
     and the mapping, which hold nearly all of a document, are written from
     the DAG's columns and the cell ids, read as chip and cell through
-    ``backend.coord``, through fixed templates, one run of gates at a time,
+    ``backend.coord_columns``, through fixed templates, one run of gates at a time,
     so the document is never one string; every other field is encoded by
     ``json.dumps``.
     """
@@ -250,5 +250,8 @@ def _dumps_mapping(mapping: Mapping[int, int], backend: ChipletBackend) -> str:
     """The mapping, id to chip and cell, as ``json.dumps(indent=2)`` lays it out."""
     if not mapping:
         return "{}"
-    values = chain.from_iterable((v, *backend.coord(g)) for v, g in sorted(mapping.items()))
+    virts = sorted(mapping)
+    values = [0] * (4 * len(virts))  # virtual id, chip, x and y of each entry in turn
+    values[0::4] = virts
+    values[1::4], values[2::4], values[3::4] = backend.coord_columns([mapping[v] for v in virts])
     return "{\n    " + _SEP.join([_COORD] * len(mapping)) % tuple(values) + "\n  }"

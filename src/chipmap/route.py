@@ -342,12 +342,9 @@ class _RoutingRun:
                 raise MappingError(f"qubit {virt} mapped onto cell {gid}, not on the device")
             if not alive[gid]:
                 raise MappingError(f"qubit {virt} mapped onto defective cell {gid}")
-            if owner[gid] != -1:
-                raise MappingError(f"qubits {owner[gid]} and {virt} mapped onto one cell {gid}")
-            owner[gid] = virt
-        qpid = registry.qubit_map()
+            owner[gid] = virt  # the registry holds no two qubits on one cell
+        qpid = self.qpid = registry.pid_of
         self.pid_of_cell = {gid: qpid[virt] for virt, gid in self.phi.items()}
-        self.qpid = qpid
         # the routed gates, one column each, as CircuitDag keeps them
         self.kinds: list[GateKind | OpaqueKind] = []
         self.qubits: list[tuple[int, ...]] = []
@@ -450,7 +447,11 @@ def route_circuit(
     cfg: RoutingConfig | None = None,
     graph: CouplingGraph | None = None,
 ) -> CompiledCircuit:
-    """Route every gate of ``dag`` in topological order onto ``backend``."""
+    """Route every gate of ``dag`` in topological order onto ``backend``.
+
+    ``registry`` must hold every qubit of ``dag`` and map it onto a live cell.
+    """
+    registry.check_covers(dag)
     cfg = cfg or RoutingConfig()
     graph = graph or CouplingGraph(backend)
     run = _RoutingRun(registry, backend, graph, cfg)

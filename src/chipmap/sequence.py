@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .ir import CircuitDag, PartitionRegistry
+from .ir import CircuitDag, PartitionRegistry, pair_counts
 
 
 @dataclass(frozen=True)
@@ -34,17 +33,9 @@ class SequencedOrder:
 
 def build_partition_graph(registry: PartitionRegistry, dag: CircuitDag) -> PartitionGraph:
     """Collapse the qubit interaction structure onto partitions."""
-    qpid = registry.qubit_map()
-    missing = [q for q in range(dag.n_virt) if q not in qpid]
-    if missing:
-        raise ValidationError(f"qubits {missing[:8]} not covered by any partition")
-    weights: dict[tuple[int, int], int] = {}
-    for a, b in dag.two_qubit_operands():
-        pa, pb = qpid[a], qpid[b]
-        if pa == pb:
-            continue
-        key = (pa, pb) if pa < pb else (pb, pa)
-        weights[key] = weights.get(key, 0) + 1
+    registry.check_covers(dag)
+    pid_of = registry.pid_of
+    weights = pair_counts((pid_of[a], pid_of[b]) for a, b in dag.two_qubit_operands())
     nodes = tuple(sorted(p.pid for p in registry))
     sizes = {p.pid: p.size for p in registry}
     return PartitionGraph(nodes, weights, sizes)

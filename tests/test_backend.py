@@ -69,9 +69,14 @@ class TestGeometry:
             row, col = b.grid_pos(chip)
             assert b.chip_at(row, col) == chip
 
-    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), w=st.integers(1, 7), h=st.integers(1, 7))
-    def test_board_layout_and_grid_distance(self, rows, cols, w, h):
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), w=st.integers(1, 7), h=st.integers(1, 7),
+           data=st.data())
+    def test_board_layout_and_grid_distance(self, rows, cols, w, h, data):
         b = ChipletBackend(rows, cols, w, h)
+        drawn = data.draw(st.lists(st.integers(0, b.n_qubits - 1), max_size=40))
+        coords = [b.coord(g) for g in drawn]
+        columns = ([c.chip for c in coords], [c.x for c in coords], [c.y for c in coords])
+        assert b.coord_columns(drawn) == columns
         for g in range(b.n_qubits):
             chip, x, y = b.coord(g)
             bit = b.board_bit(g)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipmap.errors import ValidationError
+from chipmap.errors import MappingError, ValidationError
 from chipmap.ir import (
     CircuitDag,
     CircuitInput,
@@ -449,7 +449,39 @@ class TestPartitionRegistry:
         assert mapped == PartitionRegistry(parts)
         assert hash(mapped) == hash(PartitionRegistry(parts))
 
-    def test_qubit_map_covers_partitions(self):
+    def test_pid_of_covers_partitions(self):
         reg = _parts({0, 2}, {1})
-        assert reg.qubit_map() == {0: 0, 2: 0, 1: 1}
-        assert set(reg.qubit_map()) == {0, 1, 2}
+        assert reg.pid_of == {0: 0, 2: 0, 1: 1}
+        assert set(reg.pid_of) == {0, 1, 2}
+
+    def test_pid_of_is_left_out_of_equality_hash_and_repr(self):
+        reg = _parts({0, 2}, {1})
+        emptied = PartitionRegistry(reg.partitions)
+        object.__setattr__(emptied, "pid_of", {})
+        assert emptied == reg and hash(emptied) == hash(reg)
+        assert "pid_of" not in repr(reg)
+        with pytest.raises(TypeError):
+            PartitionRegistry(reg.partitions, pid_of={})
+
+    def test_replace_rebuilds_pid_of(self):
+        reg = _parts({0, 2}, {1})
+        moved = dataclasses.replace(reg, partitions=(Partition(7, frozenset({5}), 1, 1),))
+        assert moved.pid_of == {5: 7}
+        assert dataclasses.replace(reg, mapping={0: 4, 1: 5, 2: 6}).pid_of == reg.pid_of
+
+    def test_two_qubits_on_one_cell_rejected(self):
+        reg = _parts({0, 2}, {1})
+        message = r"qubits 0 and 1 mapped onto one cell 4 \(partitions 0 and 1\)"
+        with pytest.raises(MappingError, match=message):
+            PartitionRegistry(reg.partitions, {0: 4, 1: 4, 2: 5})
+        with pytest.raises(MappingError, match=message):
+            dataclasses.replace(reg, mapping={0: 4, 1: 4, 2: 5})
+        same = r"qubits 0 and 2 mapped onto one cell 3 \(partitions 0 and 0\)"
+        with pytest.raises(MappingError, match=same):
+            PartitionRegistry(reg.partitions, {0: 3, 1: 4, 2: 3})
+
+    def test_check_covers_names_uncovered_qubits(self):
+        reg = _parts({0, 2}, {1})
+        reg.check_covers(CircuitDag([cx(0, 1)], 3))
+        with pytest.raises(ValidationError, match=r"qubits \[3, 4\] not covered by any partition"):
+            reg.check_covers(CircuitDag([], 5))

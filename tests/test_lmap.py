@@ -107,7 +107,8 @@ def test_cell_collision_rejected():
         0: Placement(0, 0, 0, 0, 2, 1),
         1: Placement(1, 0, 1, 0, 2, 1),  # overlaps qubit 1's cell
     }
-    with pytest.raises(MappingError, match="assigned to"):
+    with pytest.raises(MappingError,
+                       match=r"qubits 1 and 2 mapped onto one cell 1 \(partitions 0 and 1\)"):
         local_map(_backend(), reg, placements)
 
 

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 import chipmap.partition as partition
 from chipmap.benchgen import gen_ls_cnot_circuit
 from chipmap.errors import ValidationError
-from chipmap.ir import CircuitDag, InteractionGraph, circuit_from_json, cx, interaction_graph
+from chipmap.ir import (
+    CircuitDag,
+    InteractionGraph,
+    PartitionGeometry,
+    circuit_from_json,
+    cx,
+    interaction_graph,
+)
 from chipmap.partition import (
     _cap_limit,
     _component_betweenness,
@@ -433,7 +440,7 @@ class TestKway:
     def test_zero_capacity_block_dropped(self):
         reg = kway_partition(_graph(4, {(0, 1): 1, (2, 3): 1}), 3, [2, 0, 2])
         assert len(reg) == 2
-        assert set(reg.qubit_map()) == set(range(4))
+        assert set(reg.pid_of) == set(range(4))
 
     def test_deterministic_for_fixed_seed(self):
         rng = random.Random(17)
@@ -462,7 +469,7 @@ class TestCapacitySplit:
     """Each level of the bisection may hand a side only what its leaves may hold."""
 
     def _assert_within_caps(self, reg, n, sizes, imbalance):
-        assert set(reg.qubit_map()) == set(range(n))
+        assert set(reg.pid_of) == set(range(n))
         for p in reg:
             assert len(p.qubits) <= _cap_limit(sizes[p.pid], imbalance)
 
@@ -515,5 +522,21 @@ class TestPredefined:
 
     def test_uncovered_qubit_rejected(self):
         dag = CircuitDag([], 3)
-        with pytest.raises(ValidationError, match="missing"):
+        with pytest.raises(ValidationError, match=r"qubits \[2\] missing from the partition map"):
             predefined_partitions(dag, {0: 0, 1: 0})
+
+    def test_label_beyond_the_circuit_rejected(self):
+        dag = CircuitDag([], 2)
+        with pytest.raises(ValidationError, match="labels qubits beyond the circuit's 2"):
+            predefined_partitions(dag, {0: 0, 1: 0, 2: 1})
+
+    def test_labels_pass_through_with_declared_or_inferred_boxes(self):
+        dag = CircuitDag([], 5)
+        labels = {4: 3, 0: 1, 2: 3, 1: 1, 3: 3}
+        geometry = {1: PartitionGeometry(1, 2, {0: (1, 0), 1: (0, 0)})}
+        reg = predefined_partitions(dag, labels, geometry)
+        assert [p.pid for p in reg] == [1, 3]
+        assert reg.pid_of == labels
+        p1, p3 = reg
+        assert (p1.width, p1.height, dict(p1.cells)) == (1, 2, {0: (1, 0), 1: (0, 0)})
+        assert (p3.width, p3.height, dict(p3.cells)) == (2, 2, {2: (0, 0), 3: (0, 1), 4: (1, 0)})

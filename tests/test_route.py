@@ -416,9 +416,16 @@ class TestInvariants:
         return dag, dataclasses.replace(reg, mapping=mapping)
 
     def test_two_qubits_on_one_cell_rejected(self):
-        be = _pair_chips(w=5, h=5)
-        dag, reg = self._mapped({0: 0, 1: 0, 2: 1})  # qubits 0 and 1 share cell (0, 0, 0)
+        # qubits 0 and 1 share cell (0, 0, 0): the registry cannot be built to reach routing
         with pytest.raises(MappingError, match="qubits 0 and 1 mapped onto one cell 0"):
+            self._mapped({0: 0, 1: 0, 2: 1})
+
+    def test_qubit_outside_every_partition_rejected(self):
+        be = _pair_chips(w=5, h=5)
+        dag = CircuitDag([cx(0, 2), cx(1, 2)], 3)
+        reg = predefined_partitions(CircuitDag([], 2), {0: 0, 1: 1})
+        reg = dataclasses.replace(reg, mapping={0: 0, 1: 1})
+        with pytest.raises(ValidationError, match=r"qubits \[2\] not covered by any partition"):
             route_circuit(dag, reg, be)
 
     def test_cell_off_the_device_rejected(self):

@@ -98,6 +98,14 @@ def _assert_directory_refused(result, tmp_path, out):
     assert out.is_dir() and not any(out.iterdir())
 
 
+def _forbid_compiling(monkeypatch):
+    """Make any compile the CLI starts fail the test: an output check must come first."""
+    def compile_circuit(*args, **kwargs):
+        raise AssertionError("compiled before refusing the output path")
+
+    monkeypatch.setattr(chipmap.cli, "compile_circuit", compile_circuit)
+
+
 class TestCliWorkflow:
     def test_gen_compile_validate_render(self, runner, tmp_path):
         _gen(runner, tmp_path, "-d", "3")
@@ -150,10 +158,11 @@ class TestCliWorkflow:
         assert not (tmp_path / "memory_d3.circuit.compiled.json").exists()
 
     @pytest.mark.parametrize("flag", ["-o", "--svg"])
-    def test_compile_output_directory_exits_2(self, runner, tmp_path, flag):
+    def test_compile_output_directory_exits_2(self, runner, tmp_path, flag, monkeypatch):
         _gen(runner, tmp_path, "-d", "3")
         out = tmp_path / "out"
         out.mkdir()
+        _forbid_compiling(monkeypatch)
         result = runner.invoke(main, [
             "--out-dir", str(tmp_path), "compile", str(tmp_path / "memory_d3.circuit.json"),
             str(tmp_path / "memory_d3.backend.json"), flag, str(out),
@@ -167,6 +176,7 @@ class TestCliWorkflow:
         result = runner.invoke(main, ["--out-dir", str(tmp_path), "bench", "gen", "-d", "3",
                                       flag, str(out)])
         _assert_directory_refused(result, tmp_path, out)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]  # neither file was written
 
     def test_outputs_end_in_one_newline(self, runner, tmp_path):
         _gen(runner, tmp_path, "-d", "3")
@@ -631,10 +641,11 @@ class TestSweep:
         assert result.stderr.splitlines()[-1].startswith(f"error: {message}")
         assert not (tmp_path / "s.csv").exists()
 
-    def test_output_directory_exits_2(self, runner, tmp_path):
+    def test_output_directory_exits_2(self, runner, tmp_path, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()
         spec = self._spec(tmp_path, axes={"n_inter": [8]})
+        _forbid_compiling(monkeypatch)
         result = runner.invoke(main, ["sweep", str(spec), "-o", str(out)])
         _assert_directory_refused(result, tmp_path, out)
 
